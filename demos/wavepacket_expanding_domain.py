@@ -7,16 +7,11 @@ shows the padded domains, runs CNFD on two meshes, and prints the errors
 at t = 1/eps against a fine split-step reference.
 """
 
-from dirac1d import (
-    ReferenceConfig,
-    convergence_table,
-    make_truncated_domain,
-    preset,
-)
+from dirac1d import ReferenceConfig, convergence_table, preset
 
 for eps in (1.0, 0.25):
-    a, b, N = make_truncated_domain(-7.0, 7.0, T0=1.0, epsilon=eps, h=1.0 / 16.0)
-    print(f"eps = {eps:g}: interval ({a:g}, {b:g}), N = {N} at h = 1/16")
+    grid = preset("whole-space-s52", eps).grid_for_mesh(1.0 / 16.0)
+    print(f"eps = {eps:g}: interval ({grid.a:g}, {grid.b:g}), N = {grid.N} at h = 1/16")
 
 setup = preset("whole-space-s52", 1.0)
 table = convergence_table(

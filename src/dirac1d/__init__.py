@@ -6,12 +6,13 @@ The governed equation on a periodic interval (a, b), with a small parameter
     i dPhi/dt = (-i sigma1 d/dx + sigma3) Phi
                 + eps (V(t,x) I2 - A1(t,x) sigma1) Phi.
 
-Eight schemes are provided: four finite-difference-in-space steppers
-(cnfd, sifd1, sifd2, lffd) and four Fourier-pseudospectral ones
-(cnfp, sifp1, sifp2, lffp), plus an exact free-flow solver and a
-Strang-splitting (TSFP) reference integrator.  The harness measures errors
-against reference solutions over the long horizon t = T0/eps and emits
-convergence tables as CSV.
+Eight schemes are provided, built by `make_stepper`: four time
+discretizations (Crank-Nicolson, two semi-implicit, leap-frog) over two
+space operators, the centered difference (cnfd, sifd1, sifd2, lffd) and the
+Fourier derivative (cnfp, sifp1, sifp2, lffp); plus an exact free-flow
+solver and a Strang-splitting (TSFP) reference integrator.  The harness
+measures errors against reference solutions over the long horizon
+t = T0/eps and emits convergence tables as CSV.
 """
 
 from .errors import (
@@ -53,28 +54,8 @@ from .model import (
     sample_potential_matrix,
     zero_potentials,
 )
-from .stepping import SolverDiagnostics, Stepper, StepperState, first_step, make_stepper
-from .fdtd import (
-    CNFDStepper,
-    LFFDStepper,
-    SIFD1Stepper,
-    SIFD2Stepper,
-    cnfd_step,
-    lffd_step,
-    sifd1_step,
-    sifd2_step,
-)
-from .fdfp import (
-    CNFPStepper,
-    FixedPointConfig,
-    LFFPStepper,
-    SIFP1Stepper,
-    SIFP2Stepper,
-    cnfp_step,
-    lffp_step,
-    sifp1_step,
-    sifp2_step,
-)
+from .stepping import SolverDiagnostics, Stepper, StepperState, first_step
+from .schemes import make_stepper
 from .stability import (
     ALL_SCHEMES,
     FDFP_SCHEMES,
@@ -94,7 +75,6 @@ from .reference import (
     reference_cache_key,
     reference_solution,
     save_reference,
-    tsfp_step,
 )
 from .harness import (
     ConvergenceTable,
@@ -109,7 +89,6 @@ from .harness import (
     emit_plot_data,
     epsilon_sweep_spatial,
     epsilon_sweep_temporal,
-    make_truncated_domain,
     measure_errors,
     run_simulation,
     validate_config,

@@ -2,7 +2,8 @@
 
 Subcommands: run, converge, sweep-spatial, sweep-temporal, stability,
 compare.  Each reads a JSON config file; results go to stdout or --out.
-Exit codes: 0 ok, 2 config error, 3 stability violation, 4 solver failure.
+Exit codes: 0 ok, 2 config or file error, 3 stability violation, 4 solver
+failure.
 
 Config keys (subcommand-dependent):
     problem    preset name ("periodic-s51", "whole-space-s52") or inline
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reference cache or output file
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -138,17 +138,53 @@ def idft(c: SpectralCoeffs) -> SpinorField:
     return SpinorField(c.grid, v)
 
 
-def spectral_derivative(f: SpinorField) -> SpinorField:
+# The two space operators act along the last axis; apply(v) multiplies
+# Fourier mode l of v by i*symbol[l] (symbol in FFT storage order).
+
+class CenteredDifference:
+    """Second-order centered difference (f_{j+1} - f_{j-1})/(2h), periodic."""
+
+    name = "fd"
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+
+    @property
+    def symbol(self) -> np.ndarray:
+        return np.sin(self.grid.mu_fft * self.grid.h) / self.grid.h
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * self.grid.h)
+
+
+class FourierDerivative:
     """d/dx through the Fourier interpolant: multiply mode l by i*mu_l."""
-    vhat = np.fft.fft(f.values, axis=1)
-    return SpinorField(f.grid, np.fft.ifft(1j * f.grid.mu_fft * vhat, axis=1))
+
+    name = "fp"
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+        self._i_symbol = 1j * grid.mu_fft
+
+    @property
+    def symbol(self) -> np.ndarray:
+        return self.grid.mu_fft
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(self._i_symbol * np.fft.fft(v, axis=-1), axis=-1)
+
+
+SPACE_OPERATORS = {"fd": CenteredDifference, "fp": FourierDerivative}
+
+
+def spectral_derivative(f: SpinorField) -> SpinorField:
+    """d/dx through the Fourier interpolant (:class:`FourierDerivative`)."""
+    return SpinorField(f.grid, FourierDerivative(f.grid).apply(f.values))
 
 
 def centered_difference(f: SpinorField) -> SpinorField:
-    """Second-order centered difference (f_{j+1} - f_{j-1})/(2h), periodic."""
-    v = f.values
-    d = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * f.grid.h)
-    return SpinorField(f.grid, d)
+    """Periodic centered difference (:class:`CenteredDifference`)."""
+    return SpinorField(f.grid, CenteredDifference(f.grid).apply(f.values))
 
 
 def pointwise_abs(f: SpinorField) -> np.ndarray:

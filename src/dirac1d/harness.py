@@ -24,12 +24,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, Dirac1DError, StabilityError
-from .fdfp import FixedPointConfig
 from .grid import SpinorField, norm, scalar_norm
-from .model import DiracProblem, ProblemSetup, check_bounds, current, density
+from .model import (DiracProblem, ProblemSetup, check_bounds, current, density, energy_fd,
+                    energy_fp)
 from .reference import ExactFreeReference, ReferenceCache, reference_solution
-from .stability import FDTD_SCHEMES, validate
-from .stepping import make_stepper
+from .schemes import make_stepper
+from .stability import validate
 
 __all__ = [
     "SchemeConfig", "SimulationResult", "run_simulation",
@@ -37,7 +37,7 @@ __all__ = [
     "ReferenceConfig", "build_reference", "validate_config",
     "ConvergenceTable", "convergence_table",
     "epsilon_sweep_temporal", "epsilon_sweep_spatial",
-    "make_truncated_domain", "emit_csv", "emit_plot_data",
+    "emit_csv", "emit_plot_data",
     "ErrorSeries", "compare_over_time",
 ]
 
@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass
 class SchemeConfig:
-    """One run request: scheme, step sizes and solver switches.
+    """One run request: scheme, step sizes and run switches.
 
     h and epsilon are optional cross-checks against the bound problem
     (useful when configs travel through files); tau and scheme are the
@@ -65,9 +65,6 @@ class SchemeConfig:
     override_stability: bool = False
     stop_norm_ratio: Optional[float] = None
     verify_potential_bounds: bool = True
-    cnfd_solver: str = "direct"
-    residual_tol: float = 1e-12
-    fixed_point: Optional[FixedPointConfig] = None
 
     def __post_init__(self):
         if self.record not in ("none", "mass", "mass+energy"):
@@ -147,22 +144,13 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     if config.verify_potential_bounds and problem.epsilon > 0:
         check_bounds(pots, problem.grid, t_final)
 
-    opts = {}
-    if config.scheme.lower() == "cnfd":
-        opts = {"solver": config.cnfd_solver, "residual_tol": config.residual_tol}
-    elif config.scheme.lower() == "cnfp" and config.fixed_point is not None:
-        opts = {"fixed_point": config.fixed_point}
-    stepper = make_stepper(config.scheme, problem, config.tau, **opts)
+    stepper = make_stepper(config.scheme, problem, config.tau)
 
     record_mass = config.record in ("mass", "mass+energy")
     record_energy = config.record == "mass+energy"
     if record_energy and not pots.time_independent:
         raise ConfigurationError("energy recording needs time-independent potentials")
-    energy_fn = None
-    if record_energy:
-        from .model import energy_fd, energy_fp
-
-        energy_fn = energy_fd if config.scheme.lower() in FDTD_SCHEMES else energy_fp
+    energy_fn = energy_fd if stepper.space.name == "fd" else energy_fp
 
     h = problem.grid.h
     times, masses, energies = [], [], []
@@ -425,24 +413,6 @@ def epsilon_sweep_spatial(setup: ProblemSetup, scheme: str, eps_list: Sequence[f
     return _ladder_table(setup, scheme, eps_list, levels,
                          lambda k: (h0 / 2 ** k, tau),
                          reference, workers, "spatial")
-
-
-def make_truncated_domain(base_a: float, base_b: float, T0: float,
-                          epsilon: float, h: float) -> tuple:
-    """Horizon-padded interval and node count at fixed mesh size.
-
-    Returns (a, b, N) with a = base_a - T0/eps, b = base_b + T0/eps and
-    N = (b - a)/h rounded up to an even integer.
-    """
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
-    pad = T0 / epsilon
-    a, b = base_a - pad, base_b + pad
-    n = (b - a) / h
-    N = int(math.ceil(n - 1e-9))
-    if N % 2 != 0:
-        N += 1
-    return a, b, N
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import (
+    CenteredDifference,
     SpinorField,
     TorusGrid,
     centered_difference,
@@ -218,10 +219,9 @@ def continuity_residual(f_prev: SpinorField, f_next: SpinorField, tau: float) ->
     """
     if f_prev.grid != f_next.grid:
         raise ConfigurationError("snapshots must share a grid")
-    h = f_prev.grid.h
     drho = (density(f_next) - density(f_prev)) / tau
     jmid = 0.5 * (current(f_prev) + current(f_next))
-    dj = (np.roll(jmid, -1) - np.roll(jmid, 1)) / (2.0 * h)
+    dj = CenteredDifference(f_prev.grid).apply(jmid)
     return float(np.abs(drho + dj).max())
 
 

@@ -23,18 +23,17 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grid import SpinorField, TorusGrid, make_grid, subsample, trig_resample
-from .model import DiracProblem, ProblemSetup
-from .stepping import Stepper, StepperState, register_scheme
+from .model import ProblemSetup
+from .stepping import Stepper
 
 __all__ = [
-    "free_dirac_exact", "TSFPStepper", "tsfp_step",
+    "free_dirac_exact", "TSFPStepper",
     "ReferenceSolution", "ExactFreeReference", "reference_solution",
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
@@ -51,8 +50,8 @@ def _free_multipliers(grid: TorusGrid, t: float):
     return c - 1j * s, -1j * s * mu, c + 1j * s  # f11, f12, f22
 
 
-def _apply_free(values: np.ndarray, grid: TorusGrid, t: float) -> np.ndarray:
-    f11, f12, f22 = _free_multipliers(grid, t)
+def _apply_free(values: np.ndarray, multipliers) -> np.ndarray:
+    f11, f12, f22 = multipliers
     hat = np.fft.fft(values, axis=1)
     out = np.stack((f11 * hat[0] + f12 * hat[1], f12 * hat[0] + f22 * hat[1]))
     return np.fft.ifft(out, axis=1)
@@ -60,10 +59,9 @@ def _apply_free(values: np.ndarray, grid: TorusGrid, t: float) -> np.ndarray:
 
 def free_dirac_exact(phi0: SpinorField, t: float) -> SpinorField:
     """Evolve the trigonometric interpolant of phi0 under the free equation."""
-    return SpinorField(phi0.grid, _apply_free(phi0.values, phi0.grid, t))
+    return SpinorField(phi0.grid, _apply_free(phi0.values, _free_multipliers(phi0.grid, t)))
 
 
-@register_scheme
 class TSFPStepper(Stepper):
     """Strang-split reference integrator (reference use only).
 
@@ -76,7 +74,7 @@ class TSFPStepper(Stepper):
     needs_history = False
 
     def _prepare(self):
-        self._f11, self._f12, self._f22 = _free_multipliers(self.grid, self.tau)
+        self._free_mult = _free_multipliers(self.grid, self.tau)
         self._time_indep = (self.problem.potentials.time_independent
                             or self.problem.epsilon == 0.0)
         if self._time_indep:
@@ -96,20 +94,14 @@ class TSFPStepper(Stepper):
         return np.stack((u * values[0] + w * values[1],
                          w * values[0] + u * values[1]))
 
-    def _free(self, values: np.ndarray) -> np.ndarray:
-        hat = np.fft.fft(values, axis=1)
-        out = np.stack((self._f11 * hat[0] + self._f12 * hat[1],
-                        self._f12 * hat[0] + self._f22 * hat[1]))
-        return np.fft.ifft(out, axis=1)
-
     def _step(self) -> np.ndarray:
         if self._time_indep:
             x = self._apply_pointwise(self._curr, self._half)
-            x = self._free(x)
+            x = _apply_free(x, self._free_mult)
             return self._apply_pointwise(x, self._half)
         x = self._apply_pointwise(
             self._curr, self._potential_multipliers(0.5 * self.tau, self.t + 0.25 * self.tau))
-        x = self._free(x)
+        x = _apply_free(x, self._free_mult)
         return self._apply_pointwise(
             x, self._potential_multipliers(0.5 * self.tau, self.t + 0.75 * self.tau))
 
@@ -123,18 +115,11 @@ class TSFPStepper(Stepper):
             return
         x = self._apply_pointwise(self._curr, self._half)
         for _ in range(n_steps - 1):
-            x = self._apply_pointwise(self._free(x), self._full)
-        x = self._apply_pointwise(self._free(x), self._half)
+            x = self._apply_pointwise(_apply_free(x, self._free_mult), self._full)
+        x = self._apply_pointwise(_apply_free(x, self._free_mult), self._half)
         self._curr = x
         self.n += n_steps
         self.t += n_steps * self.tau
-
-
-def tsfp_step(state: StepperState, problem: DiracProblem, tau: float) -> SpinorField:
-    """One Strang-split step from the given state."""
-    stepper = TSFPStepper(problem, tau, state=state)
-    stepper.advance()
-    return stepper.phi.copy()
 
 
 class ReferenceSolution:
@@ -291,9 +276,10 @@ def save_reference(path: str, ref: ReferenceSolution, config_hash: str = "") -> 
     header += struct.pack(f"<{len(times)}d", *times)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # per-process name; open() gives it the umask-derived mode, as the manifest
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(header)
             for t in times:
                 pairs = np.ascontiguousarray(ref.fields[t].values.T).astype("<c8")

@@ -14,7 +14,6 @@ which keeps the three-level schemes globally second order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,8 +22,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import SpinorField, spectral_derivative
 from .model import DiracProblem
-
-PRODUCTION_MIN_NODES = 16
 
 
 @dataclass
@@ -49,28 +46,10 @@ class StepperState:
             raise ConfigurationError("state fields must share one grid")
 
 
-def _taylor_step_values(values: np.ndarray, deriv: np.ndarray,
-                        ev: np.ndarray, ea: np.ndarray, tau: float) -> np.ndarray:
-    v1, v2 = values
-    d1, d2 = deriv
-    new1 = v1 - tau * d2 - 1j * tau * ((1.0 + ev) * v1 - ea * v2)
-    new2 = v2 - tau * d1 - 1j * tau * ((ev - 1.0) * v2 - ea * v1)
-    return np.stack((new1, new2))
-
-
 def first_step(problem: DiracProblem, tau: float) -> SpinorField:
     """First-order Taylor launch Phi^1 (local error O(tau^2)) shared by all
     three-level schemes."""
-    if tau == 0:
-        raise ConfigurationError("tau must be nonzero")
-    grid = problem.grid
-    if problem.epsilon == 0.0:
-        ev = ea = np.zeros(grid.N)
-    else:
-        v, a = problem.potentials.evaluate(0.0, grid.x)
-        ev, ea = problem.epsilon * v, problem.epsilon * a
-    deriv = problem.phi0_derivative_values()
-    return SpinorField(grid, _taylor_step_values(problem.phi0.values, deriv, ev, ea, tau))
+    return SpinorField(problem.grid, Stepper(problem, tau)._taylor_first())
 
 
 class Stepper:
@@ -86,12 +65,6 @@ class Stepper:
         self.problem = problem
         self.grid = problem.grid
         self.tau = float(tau)
-        if self.grid.N < PRODUCTION_MIN_NODES:
-            warnings.warn(
-                f"grid has only {self.grid.N} nodes; grids this small are meant "
-                "for unit tests, not production runs",
-                stacklevel=3,
-            )
         if state is None:
             self._curr = problem.phi0.values.copy()
             self._prev = None
@@ -144,7 +117,10 @@ class Stepper:
         else:
             deriv = spectral_derivative(SpinorField(self.grid, self._curr)).values
         ev, ea = self._eps_potentials(self.t)
-        return _taylor_step_values(self._curr, deriv, ev, ea, self.tau)
+        (v1, v2), (d1, d2), tau = self._curr, deriv, self.tau
+        new1 = v1 - tau * d2 - 1j * tau * ((1.0 + ev) * v1 - ea * v2)
+        new2 = v2 - tau * d1 - 1j * tau * ((ev - 1.0) * v2 - ea * v1)
+        return np.stack((new1, new2))
 
     # -- public API ----------------------------------------------------------
     def advance(self) -> None:
@@ -167,25 +143,3 @@ class Stepper:
     def state(self) -> StepperState:
         prev = None if self._prev is None else SpinorField(self.grid, self._prev.copy())
         return StepperState(SpinorField(self.grid, self._curr.copy()), prev, self.t, self.n)
-
-
-_REGISTRY: dict = {}
-
-
-def register_scheme(cls):
-    _REGISTRY[cls.scheme] = cls
-    return cls
-
-
-def make_stepper(scheme: str, problem: DiracProblem, tau: float,
-                 state: Optional[StepperState] = None, **opts) -> Stepper:
-    """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp)."""
-    from . import fdfp, fdtd, reference  # noqa: F401  (populate the registry)
-
-    try:
-        cls = _REGISTRY[scheme.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    return cls(problem, tau, state=state, **opts)

@@ -3,11 +3,9 @@
 import json
 
 import numpy as np
-import pytest
 
+import dirac1d.reference as reference
 from dirac1d.cli import main
-
-pytestmark = pytest.mark.filterwarnings("ignore:grid has only")
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -120,6 +118,21 @@ class TestTables:
         assert main(["sweep-spatial", cfg, "--out", str(out),
                      "--cache-dir", str(cache_dir)]) == 0
         assert out.read_text() == first
+
+    def test_unreadable_cache_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        def denied(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(reference, "load_reference", denied)
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51",
+            "scheme": "lffp", "eps_list": [1.0], "h0": np.pi / 4, "levels": 2,
+            "tau": 0.01, "reference": {"tau_e": 0.00125},
+        })
+        cache_dir = tmp_path / "cache"
+        assert main(["sweep-spatial", cfg, "--cache-dir", str(cache_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "Permission denied" in err and str(cache_dir) in err
 
 
 class TestStabilityCommand:

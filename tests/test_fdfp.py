@@ -5,24 +5,19 @@ import numpy as np
 import pytest
 
 from dirac1d import (
-    ConfigurationError,
-    FixedPointConfig,
     preset,
     SolverError,
     SpinorField,
     StepperState,
-    cnfp_step,
-    lffp_step,
     make_grid,
     make_stepper,
     mass,
     norm,
-    sifp1_step,
-    sifp2_step,
     tau_max,
 )
 
-from test_fdtd import I2, SIGMA1, SIGMA3, benchmark_problem, free_problem, single_mode_problem
+from test_fdtd import (I2, SIGMA1, SIGMA3, benchmark_problem, free_problem, one_step,
+                       single_mode_problem)
 
 
 def spectral(v, grid):
@@ -98,9 +93,9 @@ class TestFreeModeRecurrences:
     N, L, TAU, STEPS = 16, 3, 0.02, 6
     U0 = np.array([0.6 - 0.2j, 0.3 + 0.7j])
 
-    def _mode_sequence(self, scheme, **opts):
+    def _mode_sequence(self, scheme):
         prob, grid = single_mode_problem(self.N, self.L, self.U0)
-        st = make_stepper(scheme, prob, self.TAU, **opts)
+        st = make_stepper(scheme, prob, self.TAU)
         wave = np.exp(1j * self.L * grid.x)
         out = []
         for _ in range(self.STEPS):
@@ -186,17 +181,11 @@ class TestCNFPFixedPoint:
         assert abs(mass(st.phi) - m0) <= 1e-12 * m0
 
     def test_nonconvergence_reports_contraction(self):
+        # eps*tau*(V_max + A_max)/2 = 2.76 > 1: the sweeps diverge
         prob = benchmark_problem(N=32)
-        st = make_stepper("cnfp", prob, 0.01,
-                          fixed_point=FixedPointConfig(tol=1e-15, max_iters=1))
-        with pytest.raises(SolverError, match="contraction"):
+        st = make_stepper("cnfp", prob, 2.0)
+        with pytest.raises(SolverError, match=r"contraction estimate 2\.76"):
             st.advance()
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            FixedPointConfig(tol=0.0)
-        with pytest.raises(ConfigurationError):
-            FixedPointConfig(max_iters=0)
 
     def test_iteration_count_scales_with_coupling(self):
         weak = benchmark_problem(N=32, eps=0.0625)
@@ -269,19 +258,17 @@ class TestStepFunctions:
         zero = SpinorField(grid, np.zeros((2, 16)))
         prob = free_problem(grid, lambda x: np.zeros((2, len(x)), dtype=complex))
         state = StepperState(zero, zero, t_n=0.0, n=1)
-        for step in (sifp1_step, sifp2_step, lffp_step):
-            assert np.abs(step(state, prob, 0.01).values).max() == 0.0
-        assert np.abs(cnfp_step(StepperState(zero), prob, 0.01).values).max() == 0.0
+        for scheme in ("sifp1", "sifp2", "lffp"):
+            assert np.abs(one_step(scheme, state, prob, 0.01).values).max() == 0.0
+        assert np.abs(one_step("cnfp", StepperState(zero), prob, 0.01).values).max() == 0.0
 
     def test_spectral_and_stencil_versions_differ(self):
         # same data, same tau: the transport symbols differ, so outputs must
         # differ (guards against wiring the wrong derivative in)
-        from dirac1d import lffd_step
-
         prob = benchmark_problem(N=16)
         state = StepperState(prob.phi0)
-        a = lffp_step(state, prob, 0.01)
-        b = lffd_step(state, prob, 0.01)
+        a = one_step("lffp", state, prob, 0.01)
+        b = one_step("lffd", state, prob, 0.01)
         assert np.abs(a.values - b.values).max() < 1e-12  # first step is shared
 
         st_p = make_stepper("lffp", prob, 0.01)

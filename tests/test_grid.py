@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac1d import (
     ConfigurationError,
@@ -17,6 +19,7 @@ from dirac1d import (
     subsample,
     trig_resample,
 )
+from dirac1d.grid import SPACE_OPERATORS
 
 RNG = np.random.default_rng(42)
 
@@ -227,6 +230,24 @@ class TestCenteredDifference:
         lhs = np.vdot(w.values, centered_difference(f).values)
         rhs = -np.vdot(centered_difference(w).values, f.values)
         assert lhs == pytest.approx(rhs, abs=1e-12 * abs(lhs))
+
+
+class TestSpaceOperatorSymbols:
+    """FD and FP are the same Fourier multiplier form with different symbols:
+    fft(apply(v)) = i*symbol*fft(v) for every field on every even grid."""
+
+    @pytest.mark.parametrize("space", sorted(SPACE_OPERATORS))
+    @settings(max_examples=40, deadline=None)
+    @given(half_n=st.integers(2, 256), length=st.floats(0.5, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_apply_is_multiplication_by_symbol(self, space, half_n, length, seed):
+        g = make_grid(-0.3 * length, 0.7 * length, 2 * half_n)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
+        op = SPACE_OPERATORS[space](g)
+        lhs = np.fft.fft(op.apply(v), axis=1)
+        rhs = 1j * op.symbol * np.fft.fft(v, axis=1)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dirac1d import (
     epsilon_sweep_temporal,
     field_from_function,
     make_grid,
-    make_truncated_domain,
     measure_errors,
     preset,
     run_simulation,
@@ -120,21 +119,22 @@ class TestMeasureErrors:
 
 
 class TestTruncatedDomain:
+    """Expanding setups pad the interval by T0/eps; grid_for_mesh rounds N up
+    to an even count at the requested mesh size."""
+
     def test_unit_horizon(self):
-        a, b, N = make_truncated_domain(-7.0, 7.0, 1.0, 1.0, h=1.0 / 16.0)
-        assert (a, b) == (-8.0, 8.0)
-        assert N == 256
+        g = preset("whole-space-s52", 1.0).grid_for_mesh(1.0 / 16.0)
+        assert (g.a, g.b, g.N) == (-8.0, 8.0, 256)
 
     def test_quarter_epsilon(self):
-        a, b, N = make_truncated_domain(-7.0, 7.0, 1.0, 0.25, h=1.0 / 16.0)
-        assert (a, b) == (-11.0, 11.0)
-        assert N == 352
+        g = preset("whole-space-s52", 0.25).grid_for_mesh(1.0 / 16.0)
+        assert (g.a, g.b, g.N) == (-11.0, 11.0, 352)
 
     def test_rounds_up_to_even(self):
-        a, b, N = make_truncated_domain(0.0, 1.0, 1.0, 1.0, h=0.4)  # span 3 -> 7.5 -> 8
-        assert N == 8
-        with pytest.raises(ConfigurationError):
-            make_truncated_domain(0.0, 1.0, 1.0, 0.0, h=0.4)
+        setup = model.ProblemSetup(0.0, 1.0, 1.0, 1.0, zero_potentials(), _bandlimited_phi0,
+                                   expand_with_horizon=True)
+        g = setup.grid_for_mesh(0.4)  # span 3 -> 7.5 -> 8
+        assert (g.a, g.b, g.N) == (-1.0, 2.0, 8)
 
 
 class TestConvergenceTables:

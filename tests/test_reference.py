@@ -1,5 +1,8 @@
 """Exact free flow, TSFP splitting, reference snapshots and the disk cache."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ from dirac1d import (
     reference_cache_key,
     reference_solution,
     save_reference,
-    tsfp_step,
     zero_potentials,
 )
 from dirac1d.reference import ExactFreeReference
@@ -138,7 +140,9 @@ class TestTSFP:
 
     def test_single_step_function(self):
         prob = preset("periodic-s51", 1.0).discretize(N=32)
-        out = tsfp_step(StepperState(prob.phi0), prob, 0.05)
+        from_state = make_stepper("tsfp", prob, 0.05, state=StepperState(prob.phi0))
+        from_state.advance()
+        out = from_state.phi
         st = make_stepper("tsfp", prob, 0.05)
         st.advance()
         np.testing.assert_allclose(out.values, st._curr, atol=1e-15)
@@ -240,6 +244,14 @@ class TestCache:
                                        lambda x: np.zeros((2, len(x)), dtype=complex))
         with pytest.raises(ConfigurationError, match="key"):
             reference_cache_key(anonymous, 0.1, 1e-3, [2.0])
+
+    def test_binary_gets_the_manifest_file_mode(self, tmp_path):
+        setup = preset("periodic-s51", 1.0)
+        ReferenceCache(str(tmp_path)).fetch(setup, np.pi / 16, 1e-2, [0.1])
+        path = str(tmp_path / (reference_cache_key(setup, np.pi / 16, 1e-2, [0.1]) + ".dref"))
+        assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(os.stat(path + ".json").st_mode)
+        assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path),
+                                                       os.path.basename(path) + ".json"])
 
     def test_fetch_uses_disk_on_second_call(self, tmp_path):
         setup = preset("periodic-s51", 1.0)
