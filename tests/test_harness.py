@@ -1,8 +1,12 @@
 """Simulation driver, error measurement, tables and CSV emission."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import dirac1d.harness as harness
 import dirac1d.model as model
 from dirac1d import (
     ConfigurationError,
@@ -93,6 +97,27 @@ class TestRunSimulation:
         res = run_simulation(prob, SchemeConfig("cnfd", 0.05, t_final=0.5, record="none"))
         assert res.mass_series is None and res.times is None
         assert res.wall_time >= 0.0
+
+    def test_local_nan_reported_at_its_step(self, monkeypatch):
+        # node 3 lies between the nodes a stride-N/8 sample would look at;
+        # the FD stencil carries the NaN there only steps later
+        make = harness.make_stepper
+
+        def poisoned(*args, **kwargs):
+            stepper = make(*args, **kwargs)
+            advance = stepper.advance
+
+            def advance_then_poison():
+                advance()
+                if stepper.n == 5:
+                    stepper._curr[0, 3] = np.nan
+            stepper.advance = advance_then_poison
+            return stepper
+
+        monkeypatch.setattr(harness, "make_stepper", poisoned)
+        prob = preset("periodic-s51", 1.0).discretize(N=64)
+        res = run_simulation(prob, SchemeConfig("lffd", 1e-3, t_final=0.05, record="none"))
+        assert res.blew_up and res.blowup_step == 5
 
 
 class TestMeasureErrors:
@@ -202,6 +227,32 @@ class TestConvergenceTables:
                                      workers=2, **kw)
         for k in range(2):
             assert serial.cell(0, k).e_phi == parallel.cell(0, k).e_phi
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_declared_bounds_checked_once_per_row(self, workers):
+        setup = preset("periodic-s51", 1.0)
+        # |A1| = |cos x + sin 2x| reaches 1.76
+        low = dataclasses.replace(setup, potentials=dataclasses.replace(setup.potentials,
+                                                                        a_max=1.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            epsilon_sweep_spatial(low, "lffp", [1.0, 0.5], np.pi / 4, 1, 0.02,
+                                  reference=ReferenceConfig(tau_e=0.005), workers=workers)
+        exceeded = [w for w in caught if "declared potential bounds exceeded" in str(w.message)]
+        assert len(exceeded) == 2
+
+    def test_cached_and_uncached_tables_agree(self, tmp_path):
+        setup = preset("periodic-s51", 1.0)
+        run = dict(eps_list=[1.0, 0.5], h0=np.pi / 4, levels=2, tau=0.02)
+        plain = epsilon_sweep_spatial(setup, "lffp", **run,
+                                      reference=ReferenceConfig(tau_e=0.0025))
+        cache = ReferenceConfig(tau_e=0.0025, cache=ReferenceCache(str(tmp_path)))
+        first = epsilon_sweep_spatial(setup, "lffp", **run, reference=cache)
+        again = epsilon_sweep_spatial(setup, "lffp", **run, reference=cache)
+        for table in (first, again):
+            for which in ("e_phi", "e_rho", "e_j"):
+                np.testing.assert_allclose(table.errors(which), plain.errors(which),
+                                           rtol=1e-14, atol=0)
 
 
 class TestEmission:

@@ -1,11 +1,15 @@
 """Exact free flow, TSFP splitting, reference snapshots and the disk cache."""
 
+import json
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dirac1d.reference as reference
 from dirac1d import (
     ConfigurationError,
     DiracProblem,
@@ -26,7 +30,7 @@ from dirac1d import (
     save_reference,
     zero_potentials,
 )
-from dirac1d.reference import ExactFreeReference
+from dirac1d.reference import ExactFreeReference, TSFPStepper, dense_power_pays
 
 from test_fdtd import free_problem
 
@@ -138,6 +142,64 @@ class TestTSFP:
         np.testing.assert_allclose(a._curr, b._curr, atol=1e-12)
         assert a.n == b.n == 40
 
+    @settings(max_examples=30, deadline=None)
+    @given(half_n=st.integers(4, 128), n=st.integers(1, 3000),
+           eps=st.sampled_from([0.0, 0.25, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(half_n=8, n=2000, eps=1.0, seed=0)     # dense power
+    @example(half_n=128, n=500, eps=0.25, seed=1)   # step loop
+    def test_propagate_equals_advance_loop(self, half_n, n, eps, seed):
+        N = 2 * half_n
+        prob = preset("periodic-s51", eps).discretize(N=N)
+        phi0 = random_field(prob.grid, np.random.default_rng(seed))
+        a = TSFPStepper(prob, 1e-3, state=StepperState(phi0))
+        b = TSFPStepper(prob, 1e-3, state=StepperState(phi0))
+        a.propagate(n)
+        for _ in range(n):
+            b.advance()
+        dense = n > 1 and dense_power_pays(N, n)
+        assert a.propagation == {"dense-power" if dense else "stepwise"}
+        assert (a.n, a.t) == (b.n, pytest.approx(b.t))
+        dist = norm(SpinorField(prob.grid, a._curr - b._curr), "l2")
+        assert dist <= 1e-15 * n * norm(phi0, "l2") + 1e-13
+
+    def test_dense_power_matches_loop_on_long_run(self, monkeypatch):
+        prob = preset("periodic-s51", 0.25).discretize(N=64)
+        n = 20_000
+        assert dense_power_pays(64, n)
+        dense = TSFPStepper(prob, 1e-4)
+        dense.propagate(n)
+        monkeypatch.setattr(reference, "dense_power_pays", lambda n_nodes, n_steps: False)
+        loop = TSFPStepper(prob, 1e-4)
+        loop.propagate(n)
+        assert dense.propagation == {"dense-power"} and loop.propagation == {"stepwise"}
+        dist = norm(SpinorField(prob.grid, dense._curr - loop._curr), "l2")
+        assert dist <= 1e-15 * n * norm(prob.phi0, "l2")
+
+    def test_successive_propagations_compose(self):
+        prob = preset("periodic-s51", 0.25).discretize(N=64)
+        split = TSFPStepper(prob, 1e-4)
+        split.propagate(3_000)
+        split.propagate(5_000)
+        whole = TSFPStepper(prob, 1e-4)
+        whole.propagate(8_000)
+        assert split.propagation == whole.propagation == {"dense-power"}
+        assert split.n == whole.n == 8_000
+        dist = norm(SpinorField(prob.grid, split._curr - whole._curr), "l2")
+        assert dist <= 1e-15 * 8_000 * norm(prob.phi0, "l2")
+
+    def test_time_dependent_potential_keeps_the_loop(self):
+        grid = make_grid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(lambda t, x: np.cos(t) / (1 + np.sin(x) ** 2),
+                             lambda t, x: np.sin(2 * t) * np.cos(x), False, 1.0, 1.0)
+        prob = DiracProblem(grid, 1.0, pots, random_field(grid), T0=2.0)
+        a = TSFPStepper(prob, 1e-3)
+        b = TSFPStepper(prob, 1e-3)
+        a.propagate(2_000)
+        for _ in range(2_000):
+            b.advance()
+        assert a.propagation == {"stepwise"}
+        np.testing.assert_array_equal(a._curr, b._curr)
+
     def test_single_step_function(self):
         prob = preset("periodic-s51", 1.0).discretize(N=32)
         from_state = make_stepper("tsfp", prob, 0.05, state=StepperState(prob.phi0))
@@ -197,6 +259,14 @@ class TestReferenceSolution:
         with pytest.raises(ConfigurationError, match="multiple"):
             reference_solution(setup, np.pi / 32, 1e-3, [0.0015])
 
+    def test_manifest_records_propagation(self):
+        setup = preset("periodic-s51", 1.0)
+        long = reference_solution(setup, np.pi / 32, 1e-3, [0.0, 2.0])
+        short = reference_solution(setup, np.pi / 32, 1e-3, [0.003])
+        assert long.manifest["propagation"] == "dense-power"
+        assert short.manifest["propagation"] == "stepwise"
+        assert reference_solution(setup, np.pi / 32, 1e-3, [0.0]).manifest["propagation"] == "none"
+
     def test_exact_free_reference_requires_free_problem(self):
         with pytest.raises(ConfigurationError, match="free"):
             ExactFreeReference(preset("periodic-s51", 1.0), h_e=np.pi / 32)
@@ -207,7 +277,7 @@ class TestCache:
         setup = preset("periodic-s51", 1.0)
         return setup, reference_solution(setup, np.pi / 16, 1e-2, [0.1, 0.2])
 
-    def test_roundtrip_single_precision(self, tmp_path):
+    def test_roundtrip_is_bit_exact(self, tmp_path):
         setup, ref = self._small_ref()
         path = str(tmp_path / "snap.dref")
         save_reference(path, ref, config_hash="abc")
@@ -217,9 +287,29 @@ class TestCache:
         assert back.manifest["config_hash"] == "abc"
         assert back.manifest["substep_order"] == "potential-first"
         for t in ref.times:
-            scale = np.abs(ref.snapshot(t).values).max()
-            np.testing.assert_allclose(back.snapshot(t).values, ref.snapshot(t).values,
-                                       atol=1e-6 * scale)
+            np.testing.assert_array_equal(back.snapshot(t).values, ref.snapshot(t).values)
+
+    def test_dref1_refused_by_name(self, tmp_path):
+        p = tmp_path / "old.dref"
+        p.write_bytes(b"DREF1" + b"\0" * 64)
+        with pytest.raises(ConfigurationError, match=r"old\.dref is a DREF1"):
+            load_reference(str(p))
+
+    def test_manifest_written_before_binary(self, tmp_path, monkeypatch):
+        _, ref = self._small_ref()
+        path = str(tmp_path / "snap.dref")
+        replaced = []
+        real_replace = os.replace
+
+        def record(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        save_reference(path, ref)
+        assert replaced == [path + ".json", path]
+        with open(path + ".json") as fh:
+            assert json.load(fh)["tau_e"] == ref.tau_e
 
     def test_magic_bytes_checked(self, tmp_path):
         p = tmp_path / "junk.dref"
@@ -234,6 +324,12 @@ class TestCache:
         assert k1 == k2 and len(k1) == 64
         assert k1 != reference_cache_key(setup, 0.1, 1e-3, [4.0])
         assert k1 != reference_cache_key(setup.with_epsilon(0.5), 0.1, 1e-3, [2.0])
+
+    def test_key_names_the_file_format(self, monkeypatch):
+        setup = preset("periodic-s51", 1.0)
+        k2 = reference_cache_key(setup, 0.1, 1e-3, [2.0])
+        monkeypatch.setattr(reference, "MAGIC", b"DREF9")
+        assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) != k2
 
     def test_key_requires_description(self):
         grid_free = free_problem(make_grid(0.0, 2 * np.pi, 16),
@@ -260,6 +356,4 @@ class TestCache:
         key = reference_cache_key(setup, np.pi / 16, 1e-2, [0.1])
         assert (tmp_path / (key + ".dref")).exists()
         r2 = cache.fetch(setup, np.pi / 16, 1e-2, [0.1])
-        scale = np.abs(r1.snapshot(0.1).values).max()
-        np.testing.assert_allclose(r2.snapshot(0.1).values, r1.snapshot(0.1).values,
-                                   atol=1e-6 * scale)
+        np.testing.assert_array_equal(r2.snapshot(0.1).values, r1.snapshot(0.1).values)
