@@ -16,7 +16,6 @@ t = T0/eps and emits convergence tables as CSV.
 """
 
 from .errors import (
-    BlowUpError,
     ConfigurationError,
     Dirac1DError,
     SolverError,
@@ -66,10 +65,10 @@ from .stability import (
     validate,
 )
 from .reference import (
-    ExactFreeReference,
     ReferenceCache,
     ReferenceSolution,
     TSFPStepper,
+    exact_free_reference,
     free_dirac_exact,
     load_reference,
     reference_cache_key,
@@ -91,8 +90,7 @@ from .harness import (
     epsilon_sweep_temporal,
     measure_errors,
     run_simulation,
-    validate_config,
 )
-from .expressions import Expression, ExpressionError, compile_expression
+from .expressions import Expression, ExpressionError
 
 __version__ = "0.1.0"

@@ -17,11 +17,14 @@ Config keys (subcommand-dependent):
     scheme     one of cnfd sifd1 sifd2 lffd cnfp sifp1 sifp2 lffp
     h | N      mesh size or node count        tau      time step
     t_final    optional horizon override (default T0/epsilon)
-    reference  "exact" or {"h_e": ..., "tau_e": ...} (tables/compare)
-    eps_list, levels, h0, tau0                (converge / sweeps)
+    reference  "exact" or an object with only kind, h_e, tau_e,
+               min_space_ratio, allow_interpolation      (tables/compare)
+    eps_list, levels and the step keys named as in the harness function:
+               converge h0 tau0, sweep-spatial h0 tau, sweep-temporal tau0 h
     schemes, snapshots                        (compare)
 
-Expression strings support numbers, t, x, pi, + - * / ^, sin, cos, exp.
+Expression strings: decimal numbers, t, x, pi, + - * / ^ (or **), unary
++ and -, one-argument sin, cos, exp; nothing else (`dirac1d.expressions`).
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ def _build_setup(cfg: dict) -> model.ProblemSetup:
     )
 
 
+_REFERENCE_KEYS = ("kind", "h_e", "tau_e", "min_space_ratio", "allow_interpolation")
+
+
 def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
     spec = cfg.get("reference")
     cache = ReferenceCache(args.cache_dir) if args.cache_dir else None
@@ -126,12 +132,15 @@ def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
     if spec == "exact":
         return harness.ReferenceConfig(kind="exact", cache=cache)
     if isinstance(spec, dict):
+        unknown = sorted(set(spec) - set(_REFERENCE_KEYS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown 'reference' keys {unknown}; known keys: {list(_REFERENCE_KEYS)}")
         return harness.ReferenceConfig(
             kind=spec.get("kind", "tsfp"),
             h_e=spec.get("h_e"),
             tau_e=spec.get("tau_e"),
             min_space_ratio=float(spec.get("min_space_ratio", 4.0)),
-            min_time_ratio=float(spec.get("min_time_ratio", 4.0)),
             allow_interpolation=bool(spec.get("allow_interpolation", False)),
             cache=cache,
         )
@@ -193,40 +202,20 @@ def _cmd_run(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _cmd_converge(cfg: dict, args) -> int:
-    _require(cfg, "scheme", "eps_list", "h0", "tau0", "levels")
-    setup = _build_setup(cfg)
-    table = harness.convergence_table(
-        setup, cfg["scheme"], [float(e) for e in cfg["eps_list"]],
-        float(cfg["h0"]), float(cfg["tau0"]), int(cfg["levels"]),
-        reference=_reference_config(cfg, args), workers=args.workers,
-    )
-    _write(harness.emit_csv(table), args)
-    return EXIT_OK
-
-
-def _cmd_sweep_temporal(cfg: dict, args) -> int:
-    _require(cfg, "scheme", "eps_list", "tau0", "levels", "h")
-    setup = _build_setup(cfg)
-    table = harness.epsilon_sweep_temporal(
-        setup, cfg["scheme"], [float(e) for e in cfg["eps_list"]],
-        float(cfg["tau0"]), int(cfg["levels"]), float(cfg["h"]),
-        reference=_reference_config(cfg, args), workers=args.workers,
-    )
-    _write(harness.emit_csv(table), args)
-    return EXIT_OK
-
-
-def _cmd_sweep_spatial(cfg: dict, args) -> int:
-    _require(cfg, "scheme", "eps_list", "h0", "levels", "tau")
-    setup = _build_setup(cfg)
-    table = harness.epsilon_sweep_spatial(
-        setup, cfg["scheme"], [float(e) for e in cfg["eps_list"]],
-        float(cfg["h0"]), int(cfg["levels"]), float(cfg["tau"]),
-        reference=_reference_config(cfg, args), workers=args.workers,
-    )
-    _write(harness.emit_csv(table), args)
-    return EXIT_OK
+def _table_command(name: str, *ladder_keys: str):
+    """Subcommand running `harness.<name>`; ladder_keys are that function's own
+    parameter names, read from the config.  The function is looked up at call
+    time so that wrappers installed on the harness module see the call."""
+    def command(cfg: dict, args) -> int:
+        _require(cfg, "scheme", "eps_list", "levels", *ladder_keys)
+        table = getattr(harness, name)(
+            _build_setup(cfg), cfg["scheme"], [float(e) for e in cfg["eps_list"]],
+            levels=int(cfg["levels"]), reference=_reference_config(cfg, args),
+            workers=args.workers, **{k: float(cfg[k]) for k in ladder_keys},
+        )
+        _write(harness.emit_csv(table), args)
+        return EXIT_OK
+    return command
 
 
 def _cmd_stability(cfg: dict, args) -> int:
@@ -262,9 +251,9 @@ def _cmd_compare(cfg: dict, args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "converge": _cmd_converge,
-    "sweep-spatial": _cmd_sweep_spatial,
-    "sweep-temporal": _cmd_sweep_temporal,
+    "converge": _table_command("convergence_table", "h0", "tau0"),
+    "sweep-spatial": _table_command("epsilon_sweep_spatial", "h0", "tau"),
+    "sweep-temporal": _table_command("epsilon_sweep_temporal", "tau0", "h"),
     "stability": _cmd_stability,
     "compare": _cmd_compare,
 }

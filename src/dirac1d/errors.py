@@ -25,7 +25,3 @@ class SolverError(Dirac1DError):
         self.step = step
         self.node = node
         self.diagnostics = diagnostics
-
-
-class BlowUpError(SolverError):
-    """The discrete solution norm exceeded the configured stop threshold."""

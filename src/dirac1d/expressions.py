@@ -1,12 +1,15 @@
-"""Tiny arithmetic-expression evaluator for config files.
+"""Arithmetic expressions for config files.
 
-Grammar: numbers, the variables t and x, the constant pi, parentheses,
-unary minus, binary + - * / and right-associative ^, and the functions
-sin, cos, exp.  Compiled expressions are picklable and vectorize over x.
+Grammar: decimal numbers, the variables t and x, the constant pi,
+parentheses, unary + and -, binary + - * / and right-associative ^ (alias
+**), and the one-argument functions sin, cos, exp.  `ast.parse` reads the
+text after ^ -> ** (same precedence and associativity); nodes outside the
+grammar are refused.  Expressions are picklable and vectorize over x.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 
 import numpy as np
@@ -22,110 +25,42 @@ _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi}
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            tokens.append(("num", float(m.group(0))))
-            pos = m.end()
-            continue
-        m = re.match(r"[A-Za-z_]\w*", text[pos:])
-        if m:
-            tokens.append(("name", m.group(0)))
-            pos += m.end()
-            continue
-        two = text[pos:pos + 2]
-        if two == "**":
-            tokens.append(("op", "^"))
-            pos += 2
-            continue
-        ch = text[pos]
-        if ch in "+-*/^()":
-            tokens.append(("op", ch))
-            pos += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r} at position {pos} in {text!r}")
-    tokens.append(("end", ""))
-    return tokens
+def _parse(text: str):
+    source = text.replace("^", "**").strip()
+    try:
+        body = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError) as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
 
+    def walk(node):
+        if isinstance(node, ast.Constant):
+            literal = ast.get_source_segment(source, node)
+            if not _NUMBER.fullmatch(literal or ""):
+                raise ExpressionError(f"{literal!r} is not a decimal number in {text!r}")
+            return ("num", float(node.value))
+        if isinstance(node, ast.Name):
+            if node.id in ("t", "x"):
+                return ("var", node.id)
+            if node.id in _CONSTANTS:
+                return ("num", _CONSTANTS[node.id])
+            raise ExpressionError(
+                f"unknown name {node.id!r} (variables: t, x; functions: sin, cos, exp)")
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            operand = walk(node.operand)
+            return ("neg", operand) if isinstance(node.op, ast.USub) else operand
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+            return ("call", node.func.id, walk(node.args[0]))
+        raise ExpressionError(
+            f"{ast.get_source_segment(source, node)!r} is outside the expression "
+            f"grammar in {text!r}")
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}, found {val!r}")
-
-    # additive <- multiplicative (('+'|'-') multiplicative)*
-    def additive(self):
-        node = self.multiplicative()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = (op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    # power is right-associative: a ^ b ^ c = a ^ (b ^ c)
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.additive()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val in ("t", "x"):
-                return ("var", val)
-            if val in _CONSTANTS:
-                return ("num", _CONSTANTS[val])
-            raise ExpressionError(f"unknown name {val!r} (variables: t, x; functions: sin, cos, exp)")
-        if (kind, val) == ("op", "("):
-            node = self.additive()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {val!r}")
+    return walk(body)
 
 
 def _evaluate(node, t, x):
@@ -158,10 +93,7 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        parser = _Parser(_tokenize(text))
-        self.ast = parser.additive()
-        if parser.peek()[0] != "end":
-            raise ExpressionError(f"trailing input after expression in {text!r}")
+        self.ast = _parse(text)
 
     def __call__(self, t, x):
         with np.errstate(divide="raise", invalid="raise"):
@@ -174,10 +106,6 @@ class Expression:
     def __repr__(self):
         return f"Expression({self.text!r})"
 
-    # pickling ships the source; the AST is rebuilt on load
+    # pickling ships the source; the tree is rebuilt on load
     def __reduce__(self):
         return (Expression, (self.text,))
-
-
-def compile_expression(text: str) -> Expression:
-    return Expression(text)

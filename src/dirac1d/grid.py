@@ -52,10 +52,6 @@ class TorusGrid:
         # fftfreq(N, 1/N) is exactly [0, 1, ..., N/2-1, -N/2, ..., -1]
         self.mu_fft = 2.0 * np.pi * np.fft.fftfreq(self.N, d=1.0 / self.N) / (self.b - self.a)
 
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TorusGrid)
@@ -93,9 +89,6 @@ class SpinorField:
 
     def copy(self) -> "SpinorField":
         return SpinorField(self.grid, self.values.copy())
-
-    def component(self, i: int) -> np.ndarray:
-        return self.values[i]
 
 
 @dataclass
@@ -185,11 +178,6 @@ def spectral_derivative(f: SpinorField) -> SpinorField:
 def centered_difference(f: SpinorField) -> SpinorField:
     """Periodic centered difference (:class:`CenteredDifference`)."""
     return SpinorField(f.grid, CenteredDifference(f.grid).apply(f.values))
-
-
-def pointwise_abs(f: SpinorField) -> np.ndarray:
-    """Euclidean length of the 2-vector at each node, shape (N,)."""
-    return np.sqrt(np.abs(f.values[0]) ** 2 + np.abs(f.values[1]) ** 2)
 
 
 def norm(f: SpinorField, kind: str = "l2") -> float:

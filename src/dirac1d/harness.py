@@ -19,7 +19,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -27,14 +27,14 @@ from .errors import ConfigurationError, Dirac1DError, StabilityError
 from .grid import SpinorField, norm, scalar_norm
 from .model import (DiracProblem, ProblemSetup, check_bounds, current, density, energy_fd,
                     energy_fp)
-from .reference import ExactFreeReference, ReferenceCache, reference_solution
+from .reference import ReferenceCache, exact_free_reference, reference_solution
 from .schemes import make_stepper
 from .stability import validate
 
 __all__ = [
     "SchemeConfig", "SimulationResult", "run_simulation",
     "ErrorReport", "measure_errors",
-    "ReferenceConfig", "build_reference", "validate_config",
+    "ReferenceConfig", "build_reference",
     "ConvergenceTable", "convergence_table",
     "epsilon_sweep_temporal", "epsilon_sweep_spatial",
     "emit_csv", "emit_plot_data",
@@ -48,17 +48,10 @@ __all__ = [
 
 @dataclass
 class SchemeConfig:
-    """One run request: scheme, step sizes and run switches.
-
-    h and epsilon are optional cross-checks against the bound problem
-    (useful when configs travel through files); tau and scheme are the
-    operative fields.
-    """
+    """One run request: scheme, time step and run switches."""
 
     scheme: str
     tau: float
-    h: Optional[float] = None
-    epsilon: Optional[float] = None
     t_final: Optional[float] = None
     record: str = "mass"            # "none" | "mass" | "mass+energy"
     record_every: int = 1
@@ -103,16 +96,23 @@ def _steps_for(t_final: float, tau: float) -> int:
     return n
 
 
-def validate_config(config: SchemeConfig, p, h: Optional[float] = None):
-    """Stability verdict for a run request against declared potential bounds.
-
-    h defaults to config.h; the bounds come from the PotentialPair, never
-    from sampling, so verdicts are deterministic.
-    """
-    mesh = h if h is not None else config.h
-    if mesh is None:
-        raise ConfigurationError("validate_config needs h (in the config or explicit)")
-    return validate(config.scheme, mesh, config.tau, p.v_max, p.a_max)
+def _checked_stepper(problem: DiracProblem, config: SchemeConfig):
+    """(stepper, step count) for a run request, after the checks every run
+    passes: the stability verdict from the declared potential bounds (never
+    sampled, so verdicts are deterministic), a whole number of steps to the
+    horizon, and a dense sample of the potentials against those bounds."""
+    pots = problem.potentials
+    verdict = validate(config.scheme, problem.grid.h, config.tau, pots.v_max, pots.a_max)
+    if not verdict.ok and not config.override_stability:
+        raise StabilityError(
+            f"unstable configuration: {verdict}; pass override_stability to force",
+            verdict=verdict,
+        )
+    t_final = config.t_final if config.t_final is not None else problem.t_final
+    n_steps = _steps_for(t_final, config.tau)
+    if config.verify_potential_bounds and problem.epsilon > 0:
+        check_bounds(pots, problem.grid, t_final)
+    return make_stepper(config.scheme, problem, config.tau), n_steps
 
 
 def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationResult:
@@ -123,28 +123,8 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     Solution blow-up (non-finite values, or norm beyond stop_norm_ratio)
     ends the run early and is reported, not raised.
     """
-    if config.h is not None and abs(config.h - problem.grid.h) > 1e-12 * problem.grid.h:
-        raise ConfigurationError(
-            f"config h={config.h} does not match the problem grid h={problem.grid.h}"
-        )
-    if config.epsilon is not None and config.epsilon != problem.epsilon:
-        raise ConfigurationError(
-            f"config epsilon={config.epsilon} does not match the problem epsilon={problem.epsilon}"
-        )
+    stepper, n_steps = _checked_stepper(problem, config)
     pots = problem.potentials
-    verdict = validate_config(config, pots, h=problem.grid.h)
-    if not verdict.ok and not config.override_stability:
-        raise StabilityError(
-            f"unstable configuration: {verdict}; pass override_stability to force",
-            verdict=verdict,
-        )
-
-    t_final = config.t_final if config.t_final is not None else problem.t_final
-    n_steps = _steps_for(t_final, config.tau)
-    if config.verify_potential_bounds and problem.epsilon > 0:
-        check_bounds(pots, problem.grid, t_final)
-
-    stepper = make_stepper(config.scheme, problem, config.tau)
 
     record_mass = config.record in ("mass", "mass+energy")
     record_energy = config.record == "mass+energy"
@@ -249,17 +229,20 @@ class ReferenceConfig:
     """How table cells obtain their reference solution.
 
     kind "tsfp": Strang-split run at (h_e, tau_e); unset values default to
-    (finest test h)/space_factor and (finest test tau)/time_factor.
-    kind "exact": exact free evolution (free problems only).
+    (finest test h)/space_factor and (finest test tau)/time_factor, and
+    tau_e must be min_time_ratio x finer than the finest test tau.
+    kind "exact": exact free evolution (free problems only) sampled at h_e.
+    Either kind must be min_space_ratio x finer in space than each test grid.
     """
+
+    space_factor: ClassVar[float] = 4.0
+    time_factor: ClassVar[float] = 8.0
+    min_time_ratio: ClassVar[float] = 4.0
 
     kind: str = "tsfp"
     h_e: Optional[float] = None
     tau_e: Optional[float] = None
-    space_factor: float = 4.0
-    time_factor: float = 8.0
     min_space_ratio: float = 4.0
-    min_time_ratio: float = 4.0
     allow_interpolation: bool = False
     cache: Optional[ReferenceCache] = None
 
@@ -272,10 +255,9 @@ def build_reference(setup: ProblemSetup, ref_cfg: ReferenceConfig,
                     h_finest: float, tau_finest: float,
                     t_targets: Sequence[float]):
     """Materialize the reference for one epsilon row of a table."""
-    if ref_cfg.kind == "exact":
-        h_e = ref_cfg.h_e if ref_cfg.h_e is not None else h_finest / ref_cfg.space_factor
-        return ExactFreeReference(setup, h_e=h_e)
     h_e = ref_cfg.h_e if ref_cfg.h_e is not None else h_finest / ref_cfg.space_factor
+    if ref_cfg.kind == "exact":
+        return exact_free_reference(setup, h_e, t_targets)
     tau_e = ref_cfg.tau_e if ref_cfg.tau_e is not None else tau_finest / ref_cfg.time_factor
     if tau_e > tau_finest / ref_cfg.min_time_ratio * (1 + 1e-12):
         raise ConfigurationError(
@@ -487,19 +469,19 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
     t_final = setup.T0 / setup.epsilon if setup.epsilon > 0 else setup.T0
     snap_times = [t_final * (j + 1) / n_snapshots for j in range(n_snapshots)]
     steps = [_steps_for(t, tau) for t in snap_times]
+    steppers = [_checked_stepper(setup.discretize(h=h), SchemeConfig(scheme, tau, t_final=t_final))[0]
+                for scheme in schemes]
     ref = build_reference(setup, ref_cfg, h, tau, snap_times)
 
     out = []
-    for scheme in schemes:
-        problem = setup.discretize(h=h)
-        stepper = make_stepper(scheme, problem, tau)
+    for scheme, stepper in zip(schemes, steppers):
         values = []
         done = 0
         for t_snap, k in zip(snap_times, steps):
             for _ in range(k - done):
                 stepper.advance()
             done = k
-            ref_field = ref.restricted(t_snap, problem.grid,
+            ref_field = ref.restricted(t_snap, stepper.grid,
                                        allow_interpolation=ref_cfg.allow_interpolation,
                                        min_space_ratio=ref_cfg.min_space_ratio)
             values.append(measure_errors(stepper.phi, ref_field).e_phi)

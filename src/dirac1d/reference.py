@@ -55,7 +55,7 @@ from .stepping import Stepper
 
 __all__ = [
     "free_dirac_exact", "TSFPStepper",
-    "ReferenceSolution", "ExactFreeReference", "reference_solution",
+    "ReferenceSolution", "exact_free_reference", "reference_solution",
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
 
@@ -232,18 +232,13 @@ class ReferenceSolution:
         min_space_ratio guards how much finer the reference must be.
         """
         fine = self.snapshot(t)
-        if grid == self.grid:
-            if min_space_ratio > 1.0:
-                raise ConfigurationError(
-                    f"reference grid N={self.grid.N} is not {min_space_ratio:g}x finer "
-                    f"than the test grid N={grid.N}"
-                )
-            return fine
         if self.grid.N < min_space_ratio * grid.N:
             raise ConfigurationError(
                 f"reference grid N={self.grid.N} is not {min_space_ratio:g}x finer "
                 f"than the test grid N={grid.N}"
             )
+        if grid == self.grid:
+            return fine
         if self.grid.N % grid.N == 0:
             return subsample(fine, grid)
         if allow_interpolation:
@@ -254,34 +249,14 @@ class ReferenceSolution:
         )
 
 
-class ExactFreeReference:
-    """Exact evolution for the free problem (eps = 0), evaluated on demand."""
-
-    def __init__(self, setup: ProblemSetup, h_e: Optional[float] = None,
-                 n_fine: Optional[int] = None):
-        if setup.epsilon != 0.0 and (setup.potentials.v_max or setup.potentials.a_max):
-            raise ConfigurationError("exact reference requires the free problem")
-        if n_fine is not None:
-            self.grid = setup.grid_with_nodes(n_fine)
-        elif h_e is not None:
-            self.grid = setup.grid_for_mesh(h_e)
-        else:
-            raise ConfigurationError("give h_e or n_fine for the exact reference")
-        self.phi0 = SpinorField(self.grid, np.asarray(setup.phi0_func(self.grid.x),
-                                                      dtype=np.complex128))
-        self.manifest = {"kind": "exact-free", "N": self.grid.N}
-
-    def restricted(self, t: float, grid: TorusGrid,
-                   allow_interpolation: bool = False,
-                   min_space_ratio: float = 1.0) -> SpinorField:
-        fine = free_dirac_exact(self.phi0, t)
-        if grid == self.grid:
-            return fine
-        if self.grid.N % grid.N == 0:
-            return subsample(fine, grid)
-        if allow_interpolation:
-            return trig_resample(fine, grid)
-        raise ConfigurationError("grids do not nest and interpolation is not enabled")
+def exact_free_reference(setup: ProblemSetup, h_e: float,
+                         t_targets: Sequence[float]) -> ReferenceSolution:
+    """Snapshots of the exact free flow of the data sampled at h_e (eps = 0)."""
+    if setup.epsilon != 0.0 and (setup.potentials.v_max or setup.potentials.a_max):
+        raise ConfigurationError("exact reference requires the free problem")
+    phi0 = setup.discretize(h=h_e).phi0
+    fields = {float(t): free_dirac_exact(phi0, t) for t in t_targets}
+    return ReferenceSolution(phi0.grid, 0.0, fields, {"kind": "exact-free", "N": phi0.grid.N})
 
 
 def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,

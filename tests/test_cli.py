@@ -134,6 +134,16 @@ class TestTables:
         err = capsys.readouterr().err
         assert "Permission denied" in err and str(cache_dir) in err
 
+    def test_unknown_reference_keys_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51",
+            "scheme": "cnfd", "eps_list": [1.0], "h0": np.pi / 8, "tau0": 0.05,
+            "levels": 2, "reference": {"tau_e": 0.005, "min_time_ratio": 2.0, "h_E": 0.1},
+        })
+        assert main(["converge", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'h_E'" in err and "'min_time_ratio'" in err
+
 
 class TestStabilityCommand:
     def test_prints_all_schemes(self, tmp_path, capsys):
@@ -165,3 +175,13 @@ class TestCompare:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,cnfd,lffp"
         assert len(lines) == 5
+
+    def test_unstable_step_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51", "epsilon": 1.0,
+            "schemes": ["lffd"], "h": np.pi / 16, "tau": 0.5, "snapshots": 4,
+        })
+        out = tmp_path / "compare.csv"
+        assert main(["compare", cfg, "--out", str(out)]) == 3
+        assert "stability violation" in capsys.readouterr().err
+        assert not out.exists()

@@ -85,13 +85,6 @@ class TestRunSimulation:
         with pytest.raises(ConfigurationError, match="integer"):
             run_simulation(prob, SchemeConfig("cnfd", 0.3, t_final=1.0))
 
-    def test_config_cross_checks(self):
-        prob = preset("periodic-s51", 1.0).discretize(N=32)
-        with pytest.raises(ConfigurationError, match="does not match"):
-            run_simulation(prob, SchemeConfig("cnfd", 0.05, h=0.1, t_final=0.1))
-        with pytest.raises(ConfigurationError, match="does not match"):
-            run_simulation(prob, SchemeConfig("cnfd", 0.05, epsilon=0.5, t_final=0.1))
-
     def test_record_none_skips_series(self):
         prob = preset("periodic-s51", 1.0).discretize(N=32)
         res = run_simulation(prob, SchemeConfig("cnfd", 0.05, t_final=0.5, record="none"))
@@ -219,6 +212,13 @@ class TestConvergenceTables:
             convergence_table(setup, "cnfd", [1.0], np.pi / 8, 0.1, 1,
                               reference=ReferenceConfig(tau_e=0.05))
 
+    @pytest.mark.parametrize("kind", ["exact", "tsfp"])
+    def test_reference_space_ratio_enforced_for_both_kinds(self, kind):
+        # h_e = h/2 is only 2x finer than the test grid; the default guard asks 4x
+        with pytest.raises(ConfigurationError, match="4x finer"):
+            convergence_table(bandlimited_free_setup(), "cnfd", [0.0], np.pi / 8, 0.05, 1,
+                              reference=ReferenceConfig(kind=kind, h_e=np.pi / 16))
+
     def test_worker_pool_matches_serial(self):
         setup = bandlimited_free_setup()
         kw = dict(reference=ReferenceConfig(kind="exact"))
@@ -299,6 +299,11 @@ class TestEmission:
         # the free solution is band-limited: the spectral scheme is far more
         # accurate in space, and both errors grow along the run
         assert series[1].values[-1] < series[0].values[-1]
+
+    def test_compare_over_time_refuses_unstable_steps(self):
+        # tau = 0.5 is ~4x the lffd bound at h = pi/16; run_simulation refuses it too
+        with pytest.raises(StabilityError):
+            compare_over_time(preset("periodic-s51", 1.0), ["lffd"], np.pi / 16, 0.5, 4)
 
 
 class TestBenchmarkOrders:

@@ -30,7 +30,7 @@ from dirac1d import (
     save_reference,
     zero_potentials,
 )
-from dirac1d.reference import ExactFreeReference, TSFPStepper, dense_power_pays
+from dirac1d.reference import TSFPStepper, dense_power_pays, exact_free_reference
 
 from test_fdtd import free_problem
 
@@ -269,7 +269,20 @@ class TestReferenceSolution:
 
     def test_exact_free_reference_requires_free_problem(self):
         with pytest.raises(ConfigurationError, match="free"):
-            ExactFreeReference(preset("periodic-s51", 1.0), h_e=np.pi / 32)
+            exact_free_reference(preset("periodic-s51", 1.0), np.pi / 32, [1.0])
+
+    def test_exact_free_reference_is_snapshots_of_the_free_flow(self):
+        setup = preset("periodic-s51", 0.0)
+        ref = exact_free_reference(setup, np.pi / 32, [0.5, 2.0])
+        phi0 = setup.discretize(h=np.pi / 32).phi0
+        assert ref.manifest == {"kind": "exact-free", "N": 64}
+        assert ref.times == [0.5, 2.0]
+        for t in ref.times:
+            np.testing.assert_array_equal(ref.snapshot(t).values,
+                                          free_dirac_exact(phi0, t).values)
+        coarse = setup.grid_with_nodes(16)
+        np.testing.assert_array_equal(ref.restricted(2.0, coarse).values,
+                                      ref.snapshot(2.0).values[:, ::4])
 
 
 class TestCache:

@@ -9,6 +9,7 @@ from dirac1d import (
     ALL_SCHEMES,
     UNBOUNDED,
     ConfigurationError,
+    preset,
     tau_max,
     validate,
 )
@@ -112,25 +113,12 @@ class TestValidate:
             v = validate(scheme, 0.1, 1e-4, 1.0, 2.0)
             assert v.ok, scheme
 
-
-class TestValidateConfig:
-    def test_uses_config_fields_and_declared_bounds(self):
-        from dirac1d import SchemeConfig, preset, validate_config
-
+    def test_declared_bounds_of_a_preset(self):
         pots = preset("periodic-s51", 1.0).potentials
-        cfg = SchemeConfig("sifd2", tau=0.5, h=0.1)
-        v = validate_config(cfg, pots)
-        assert not v.ok  # 0.5 > 1/(V_max + A_max) ~ 0.362
-        cfg_ok = SchemeConfig("sifd2", tau=0.3, h=0.1)
-        assert validate_config(cfg_ok, pots).ok
+        # 0.5 > 1/(V_max + A_max) ~ 0.362
+        assert not validate("sifd2", 0.1, 0.5, pots.v_max, pots.a_max).ok
+        assert validate("sifd2", 0.1, 0.3, pots.v_max, pots.a_max).ok
 
-    def test_explicit_h_overrides(self):
-        from dirac1d import SchemeConfig, validate_config, zero_potentials
-        from dirac1d.errors import ConfigurationError
-        import pytest as _pytest
-
-        cfg = SchemeConfig("lffd", tau=0.2)
-        with _pytest.raises(ConfigurationError):
-            validate_config(cfg, zero_potentials())
-        assert validate_config(cfg, zero_potentials(), h=0.1).ok is False
-        assert validate_config(cfg, zero_potentials(), h=0.5).ok is True
+    def test_lffd_verdict_follows_h(self):
+        assert validate("lffd", 0.1, 0.2, 0.0, 0.0).ok is False
+        assert validate("lffd", 0.5, 0.2, 0.0, 0.0).ok is True
