@@ -53,7 +53,7 @@ from .model import (
     sample_potential_matrix,
     zero_potentials,
 )
-from .stepping import SolverDiagnostics, Stepper, StepperState, first_step
+from .stepping import SolverDiagnostics, Stepper, StepperState
 from .schemes import make_stepper
 from .stability import (
     ALL_SCHEMES,

@@ -18,7 +18,7 @@ from .errors import ConfigurationError
 
 
 class ExpressionError(ConfigurationError):
-    """Malformed expression string."""
+    """Malformed expression, or one whose evaluation fails."""
 
 
 _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
@@ -92,6 +92,8 @@ class Expression:
     """A compiled expression in the variables t and x."""
 
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise ExpressionError(f"an expression must be a string, got {text!r}")
         self.text = text
         self.ast = _parse(text)
 
@@ -99,7 +101,7 @@ class Expression:
         with np.errstate(divide="raise", invalid="raise"):
             try:
                 out = _evaluate(self.ast, t, x)
-            except FloatingPointError as exc:
+            except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
                 raise ExpressionError(f"expression {self.text!r} failed: {exc}") from exc
         return np.broadcast_to(out, np.shape(x)).astype(float) if np.shape(x) else out
 

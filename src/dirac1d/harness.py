@@ -78,6 +78,7 @@ class SimulationResult:
     wall_time: float
     blew_up: bool = False
     blowup_step: Optional[int] = None
+    propagation: str = "none"  # "dense-power", "stepwise", both joined by "+"
 
     @property
     def max_norm_ratio(self) -> float:
@@ -121,7 +122,10 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     Refuses configurations outside the scheme's stability region unless
     config.override_stability is set (needed for blow-up witness runs).
     Solution blow-up (non-finite values, or norm beyond stop_norm_ratio)
-    ends the run early and is reported, not raised.
+    ends the run early and is reported, not raised.  A run that records
+    nothing, watches no norm, keeps the stability check and for which the
+    matrix pays (`Stepper.takes_dense_power`) powers the one-step matrix
+    instead; only its final state is then checked for blow-up.
     """
     stepper, n_steps = _checked_stepper(problem, config)
     pots = problem.potentials
@@ -151,23 +155,29 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     blew_up = False
     blowup_step = None
     t0 = time.perf_counter()
-    for k in range(1, n_steps + 1):
-        stepper.advance()
-        values = stepper._curr
-        if k % config.record_every == 0 or k == n_steps:
-            observe(values, stepper.t)
-            # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
-            if not np.isfinite(values.sum()):
-                blew_up, blowup_step = True, k
-                break
-        if watch:
-            m = h * float((np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2).sum())
-            if not math.isfinite(m) or m > stop_mass:
-                blew_up, blowup_step = True, k
-                if record_mass and (not times or times[-1] != stepper.t):
-                    times.append(stepper.t)
-                    masses.append(m)
-                break
+    if (config.record == "none" and not watch and not config.override_stability
+            and stepper.takes_dense_power(n_steps)):
+        stepper.propagate(n_steps)
+    else:
+        if n_steps:
+            stepper.propagation.add("stepwise")
+        for k in range(1, n_steps + 1):
+            stepper.advance()
+            values = stepper._curr
+            if k % config.record_every == 0 or k == n_steps:
+                observe(values, stepper.t)
+                # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
+                if not np.isfinite(values.sum()):
+                    blew_up, blowup_step = True, k
+                    break
+            if watch:
+                m = h * float((np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2).sum())
+                if not math.isfinite(m) or m > stop_mass:
+                    blew_up, blowup_step = True, k
+                    if record_mass and (not times or times[-1] != stepper.t):
+                        times.append(stepper.t)
+                        masses.append(m)
+                    break
     wall = time.perf_counter() - t0
     if not blew_up and not np.all(np.isfinite(stepper._curr)):
         blew_up, blowup_step = True, n_steps
@@ -183,6 +193,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
         wall_time=wall,
         blew_up=blew_up,
         blowup_step=blowup_step,
+        propagation=stepper.propagation_label,
     )
 
 
@@ -478,8 +489,7 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
         values = []
         done = 0
         for t_snap, k in zip(snap_times, steps):
-            for _ in range(k - done):
-                stepper.advance()
+            stepper.propagate(k - done)
             done = k
             ref_field = ref.restricted(t_snap, stepper.grid,
                                        allow_interpolation=ref_cfg.allow_interpolation,

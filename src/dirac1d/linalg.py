@@ -80,11 +80,10 @@ class CyclicBlockTridiagSolver:
             raise SolverError(f"cyclic correction is singular: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for one right-hand side of length 2N."""
+        """Solve A x = rhs for a right-hand side of length 2N, or for each
+        column of a (2N, k) array."""
         y, info = self._gbtrs(self._lu, _KL, _KU, rhs, self._ipiv)
         if info != 0:
             raise SolverError(f"banded solve failed (gbtrs info={info})")
-        wy = np.empty(4, dtype=np.complex128)
-        wy[0:2] = self._bm @ y[self.n - 2:self.n]
-        wy[2:4] = self._bp @ y[0:2]
+        wy = np.concatenate((self._bm @ y[self.n - 2:self.n], self._bp @ y[0:2]))
         return y - self._z @ lu_solve(self._cap_lu, wy)

@@ -15,23 +15,10 @@ between this free flow and the pointwise potential flow
 applied potential-first (half, free, half); both sub-flows preserve the mass
 exactly.
 
-For time-independent potentials one TSFP step is a fixed 2N x 2N matrix M,
-so n steps are Phi^n = M^n Phi^0.  `TSFPStepper.propagate` then forms M by
-applying the Strang step to blocks of identity columns and applies M^n by
-binary powering: bit_length(n) - 1 squarings (kept on the stepper for later
-calls) and one mat-vec per set bit of n.  The result is the same discrete
-solution as the step loop up to rounding.  It takes this path when
-
-    N <= DENSE_MAX_NODES  and
-    2 * bit_length(n) * (2N)^3 / MATMUL_MAC_PER_S < n * (STEP_S + STEP_S_PER_NODE * N),
-
-i.e. when the complex multiply-adds of the squarings (twice, as a margin
-for the build and the mat-vecs) at the measured single-thread matmul rate
-cost less than the measured per-step time of the FFT loop.  The node cap
-bounds the memory of the kept squares, bit_length(n) * (2N)^2 * 16 bytes
-(18 MB at N = 128, n = 256000).  Time-dependent potentials, larger grids
-and short runs keep the loop.  The reference manifest records the path
-taken under "propagation".
+For time-independent potentials `TSFPStepper.propagate` powers the one-step
+matrix (:mod:`dirac1d.stepping`); its step loop merges the interior
+potential half steps, and the reference manifest records the path taken
+under "propagation".
 
 Reference snapshots can be cached to disk in a simple binary format (magic
 "DREF2", header, complex128 node pairs) with a JSON manifest; the round
@@ -62,25 +49,6 @@ __all__ = [
 MAGIC = b"DREF2"
 SUBSTEP_ORDER = "potential-first"
 
-# Dense-power rule (see the module docstring).  The rates are measured with
-# one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
-# matmul at 2N = 128 .. 512 runs 6.3e9 .. 6.6e9 multiply-adds per second,
-# the merged TSFP loop 35 us + 0.05 us * N per step (N = 8 .. 512).
-DENSE_MAX_NODES = 256
-MATMUL_MAC_PER_S = 6e9
-STEP_S = 35e-6
-STEP_S_PER_NODE = 0.05e-6
-BUILD_BLOCK = 64  # identity columns per Strang step while forming M
-
-
-def dense_power_pays(n_nodes: int, n_steps: int) -> bool:
-    """True when M^n by binary powering beats n FFT steps (module docstring)."""
-    if n_nodes > DENSE_MAX_NODES:
-        return False
-    dense = 2 * n_steps.bit_length() * (2 * n_nodes) ** 3 / MATMUL_MAC_PER_S
-    return dense < n_steps * (STEP_S + STEP_S_PER_NODE * n_nodes)
-
-
 def _free_multipliers(grid: TorusGrid, t: float):
     mu = grid.mu_fft
     delta = np.sqrt(1.0 + mu * mu)
@@ -106,8 +74,7 @@ class TSFPStepper(Stepper):
 
     potential half step (t + tau/4), full free step, potential half step
     (t + 3*tau/4); potentials at the half-interval midpoints matter only in
-    the time-dependent case.  `propagation` names the paths `propagate`
-    has taken ("dense-power", "stepwise").
+    the time-dependent case.
     """
 
     scheme = "tsfp"
@@ -115,15 +82,11 @@ class TSFPStepper(Stepper):
 
     def _prepare(self):
         self._free_mult = _free_multipliers(self.grid, self.tau)
-        self._time_indep = (self.problem.potentials.time_independent
-                            or self.problem.epsilon == 0.0)
-        if self._time_indep:
+        if self._time_independent:
             self._half = self._potential_multipliers(0.5 * self.tau, 0.0)
             self._full = self._potential_multipliers(self.tau, 0.0)
         else:
             self._half = self._full = None
-        self._squares = []  # M^(2^k) for k = 0, 1, ...
-        self.propagation = set()
 
     def _potential_multipliers(self, s: float, t: float):
         ev, ea = self._eps_potentials(t)
@@ -142,61 +105,23 @@ class TSFPStepper(Stepper):
         x = _apply_free(x, self._free_mult)
         return self._apply_pointwise(x, self._half)
 
-    def _step(self) -> np.ndarray:
-        if self._time_indep:
-            return self._strang(self._curr)
+    def _step(self, prev, curr, t) -> np.ndarray:
+        if self._time_independent:
+            return self._strang(curr)
         x = self._apply_pointwise(
-            self._curr, self._potential_multipliers(0.5 * self.tau, self.t + 0.25 * self.tau))
+            curr, self._potential_multipliers(0.5 * self.tau, t + 0.25 * self.tau))
         x = _apply_free(x, self._free_mult)
         return self._apply_pointwise(
-            x, self._potential_multipliers(0.5 * self.tau, self.t + 0.75 * self.tau))
+            x, self._potential_multipliers(0.5 * self.tau, t + 0.75 * self.tau))
 
-    def _one_step_matrix(self) -> np.ndarray:
-        """M with Phi^{n+1}.ravel() = M @ Phi^n.ravel(), built column block by
-        column block so that no full identity is ever held."""
-        n = 2 * self.grid.N
-        m = np.empty((n, n), dtype=np.complex128)
-        for j in range(0, n, BUILD_BLOCK):
-            cols = min(BUILD_BLOCK, n - j)
-            unit = np.zeros((cols, n), dtype=np.complex128)
-            unit[np.arange(cols), j + np.arange(cols)] = 1.0
-            out = self._strang(unit.reshape(cols, 2, self.grid.N).transpose(1, 0, 2))
-            m[:, j:j + cols] = out.transpose(0, 2, 1).reshape(n, cols)
-        return m
-
-    def _dense_power(self, n_steps: int) -> np.ndarray:
-        """M^n_steps applied to the current field by binary powering."""
-        squares = self._squares
-        if not squares:
-            squares.append(self._one_step_matrix())
-        v = self._curr.reshape(-1)
-        for k in range(n_steps.bit_length()):
-            if k == len(squares):
-                squares.append(squares[-1] @ squares[-1])
-            if n_steps >> k & 1:
-                v = squares[k] @ v
-        return v.reshape(2, self.grid.N)
-
-    def propagate(self, n_steps: int) -> None:
-        """Advance n_steps: by M^n when time-independent and `dense_power_pays`,
-        else by the step loop with interior potential half steps merged."""
-        if n_steps <= 0:
-            return
-        if not self._time_indep or n_steps == 1:
-            self.propagation.add("stepwise")
-            for _ in range(n_steps):
-                self.advance()
-            return
-        if dense_power_pays(self.grid.N, n_steps):
-            self.propagation.add("dense-power")
-            x = self._dense_power(n_steps)
-        else:
-            self.propagation.add("stepwise")
-            x = self._apply_pointwise(self._curr, self._half)
-            for _ in range(n_steps - 1):
-                x = self._apply_pointwise(_apply_free(x, self._free_mult), self._full)
-            x = self._apply_pointwise(_apply_free(x, self._free_mult), self._half)
-        self._curr = x
+    def _loop(self, n_steps: int) -> None:
+        """The step loop with interior potential half steps merged."""
+        if not self._time_independent:
+            return super()._loop(n_steps)
+        x = self._apply_pointwise(self._curr, self._half)
+        for _ in range(n_steps - 1):
+            x = self._apply_pointwise(_apply_free(x, self._free_mult), self._full)
+        self._curr = self._apply_pointwise(_apply_free(x, self._free_mult), self._half)
         self.n += n_steps
         self.t += n_steps * self.tau
 
@@ -286,7 +211,7 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
     manifest = {
         "kind": "tsfp",
         "substep_order": SUBSTEP_ORDER,
-        "propagation": "+".join(sorted(stepper.propagation)) or "none",
+        "propagation": stepper.propagation_label,
         "h_e": problem.grid.h,
         "tau_e": tau_e,
         "N": problem.grid.N,

@@ -10,7 +10,9 @@ The space operator D (:mod:`dirac1d.grid`) is the centered difference,
 symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
 mu_l; each time discretization is one class below, written with
 K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1).  Three-level schemes
-launch with the shared Taylor first step (:func:`dirac1d.stepping.first_step`).
+launch with the shared Taylor first step (:mod:`dirac1d.stepping`).  Each
+`_step` maps (Phi^{n-1}, Phi^n, t_n) to Phi^{n+1} with no state of its own
+and over any batch of fields, which is how `Stepper.propagate` probes it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,26 @@ class _SpaceTimeStepper(Stepper):
         k2 = -1j * d[0] + (ev - 1.0) * v[1] - ea * v[0]
         return np.stack((k1, k2))
 
+    def _per_mode(self, c: float):
+        """Per-mode entries (m11, m12, m22) of L^{-1} and of 2i I2 - L for
+        L = i I2 - c*(s_l*sigma1 + sigma3), s_l the symbol of D.  2i I2 - L is
+        the adjugate of L, and det L = -1 - c^2 (1 + s_l^2) is real and <= -1,
+        so L is never singular."""
+        s = self.space.symbol
+        det = -1.0 - c * c * (1.0 + s * s)
+        adjugate = (1j + c, c * s, 1j - c)
+        return tuple(m / det for m in adjugate), adjugate
+
+    @staticmethod
+    def _apply_per_mode(m, v_hat: np.ndarray) -> np.ndarray:
+        m11, m12, m22 = m
+        return np.stack((m11 * v_hat[0] + m12 * v_hat[1], m12 * v_hat[0] + m22 * v_hat[1]))
+
+
+def _field_norms(v: np.ndarray):
+    """l2 norm of each field of a (2, ..., N) batch; a scalar for one field."""
+    return np.linalg.norm(v) if v.ndim == 2 else np.linalg.norm(v, axis=(0, -1))
+
 
 class CNStepper(_SpaceTimeStepper):
     """Crank-Nicolson: (i*I - tau/2*K) Phi^{n+1} = (i*I + tau/2*K) Phi^n, K at
@@ -72,25 +94,18 @@ class CNStepper(_SpaceTimeStepper):
         pots = self.problem.potentials
         if self.space.name == "fd":
             self._banded = None
-            if pots.time_independent or self.problem.epsilon == 0.0:
+            if self._time_independent:
                 ev, ea = self._eps_potentials(0.0)
                 self._banded = (ev, ea, self._factor(ev, ea))
         else:
-            mu = self.space.symbol
-            half = 0.5 * self.tau
-            det = -1.0 - half * half * (1.0 + mu * mu)
-            self._i11 = (1j + half) / det
-            self._i22 = (1j - half) / det
-            self._i12 = half * mu / det
-            self._r11 = 1j + half
-            self._r22 = 1j - half
-            self._r12 = half * mu
-            self._hat_curr = None
+            self._inverse, self._rhs = self._per_mode(0.5 * self.tau)
             self._free_run = (self.problem.epsilon == 0.0
                               or (pots.v_max == 0.0 and pots.a_max == 0.0))
 
-    def _step(self) -> np.ndarray:
-        return self._banded_step() if self.space.name == "fd" else self._fixed_point_step()
+    def _step(self, prev, curr, t) -> np.ndarray:
+        if self.space.name == "fd":
+            return self._banded_step(curr, t)
+        return self._fixed_point_step(curr, t)
 
     # -- fd: banded cyclic LU ------------------------------------------------
     def _factor(self, ev: np.ndarray, ea: np.ndarray) -> CyclicBlockTridiagSolver:
@@ -106,23 +121,25 @@ class CNStepper(_SpaceTimeStepper):
         b_minus = -b_plus
         return CyclicBlockTridiagSolver(diag, b_plus, b_minus)
 
-    def _banded_step(self) -> np.ndarray:
+    def _banded_step(self, curr: np.ndarray, t: float) -> np.ndarray:
         half = 0.5 * self.tau
         if self._banded is not None:
             ev, ea, solver = self._banded
         else:
-            ev, ea = self._eps_potentials(self.t + half)
+            ev, ea = self._eps_potentials(t + half)
             solver = self._factor(ev, ea)
-        rhs = 1j * self._curr + half * self._apply_k(self._curr, ev, ea)
+        rhs = 1j * curr + half * self._apply_k(curr, ev, ea)
 
-        flat = np.empty(2 * self.grid.N, dtype=np.complex128)
-        flat[0::2], flat[1::2] = rhs[0], rhs[1]
+        # unknowns interleaved per node; a batch of fields (2, k, N) is
+        # solved as k right-hand-side columns
+        flat = np.empty((2 * self.grid.N,) + rhs.shape[1:-1], dtype=np.complex128)
+        flat[0::2], flat[1::2] = rhs[0].T, rhs[1].T
         sol = solver.solve(flat)
-        new = np.stack((sol[0::2], sol[1::2]))
+        new = np.stack((sol[0::2].T, sol[1::2].T))
 
+        # relative residual of every solve, each field of a batch on its own
         lhs = 1j * new - half * self._apply_k(new, ev, ea)
-        scale = np.linalg.norm(rhs)
-        resid = float(np.linalg.norm(lhs - rhs) / scale) if scale > 0 else 0.0
+        resid = float((_field_norms(lhs - rhs) / (_field_norms(rhs) + 1e-300)).max())
         self.diagnostics = SolverDiagnostics(resid, 1)
         if resid > RESIDUAL_TOL:
             raise SolverError(
@@ -132,40 +149,32 @@ class CNStepper(_SpaceTimeStepper):
         return new
 
     # -- fp: per-mode free inverse plus fixed point ----------------------------
-    def _solve_free(self, rhs_hat: np.ndarray) -> np.ndarray:
-        return np.stack((self._i11 * rhs_hat[0] + self._i12 * rhs_hat[1],
-                         self._i12 * rhs_hat[0] + self._i22 * rhs_hat[1]))
-
-    def _fixed_point_step(self) -> np.ndarray:
-        if self._hat_curr is None:
-            self._hat_curr = np.fft.fft(self._curr, axis=1)
-        c1, c2 = self._hat_curr
-        y = np.stack((self._r11 * c1 + self._r12 * c2,
-                      self._r12 * c1 + self._r22 * c2))
-
+    def _fixed_point_step(self, curr: np.ndarray, t: float) -> np.ndarray:
         if self._free_run:
-            new_hat = self._solve_free(y)
-            self._hat_curr = new_hat
             self.diagnostics = SolverDiagnostics(0.0, 1)
-            return np.fft.ifft(new_hat, axis=1)
+            y = self._apply_per_mode(self._rhs, np.fft.fft(curr, axis=-1))
+            return np.fft.ifft(self._apply_per_mode(self._inverse, y), axis=-1)
 
         half = 0.5 * self.tau
-        ev, ea = self._eps_potentials(self.t + half)
-        norm_curr = np.linalg.norm(self._curr)
-        tol = FIXED_POINT_TOL * max(norm_curr, 1e-300)
+        ev, ea = self._eps_potentials(t + half)
+        # each field of a batch is converged against its own norm
+        norm_curr = np.maximum(_field_norms(curr), 1e-300)
+        tol = FIXED_POINT_TOL * norm_curr
 
-        x = self._curr
+        x, y = curr, None
         for it in range(1, FIXED_POINT_MAX_SWEEPS + 1):
-            s1 = x[0] + self._curr[0]
-            s2 = x[1] + self._curr[1]
-            p = np.stack((half * (ev * s1 - ea * s2), half * (ev * s2 - ea * s1)))
-            new_hat = self._solve_free(y + np.fft.fft(p, axis=1))
-            x_new = np.fft.ifft(new_hat, axis=1)
-            change = np.linalg.norm(x_new - x)
+            s = x + curr
+            p = half * (ev * s - ea * s[::-1])
+            if y is None:  # first sweep: Phi^n and the potential term in one call
+                c_hat, p_hat = np.fft.fft(np.stack((curr, p)), axis=-1)
+                y = self._apply_per_mode(self._rhs, c_hat)
+            else:
+                p_hat = np.fft.fft(p, axis=-1)
+            x_new = np.fft.ifft(self._apply_per_mode(self._inverse, y + p_hat), axis=-1)
+            change = _field_norms(x_new - x)
             x = x_new
-            if change <= tol:
-                self._hat_curr = new_hat
-                self.diagnostics = SolverDiagnostics(float(change / max(norm_curr, 1e-300)), it)
+            if (change <= tol).all():
+                self.diagnostics = SolverDiagnostics(float((change / norm_curr).max()), it)
                 return x
         pots = self.problem.potentials
         contraction = self.problem.epsilon * abs(self.tau) * (pots.v_max + pots.a_max) / 2.0
@@ -199,7 +208,7 @@ class SI1Stepper(_SpaceTimeStepper):
                 f"|tau|*(1 + eps*(V_max + A_max)) = {guard:.3g} >= 0.5; reduce tau"
             )
         self._inv_cache = None
-        if pots.time_independent or eps == 0.0:
+        if self._time_independent:
             ev, ea = self._eps_potentials(0.0)
             self._inv_cache = self._invert(ev, ea)
 
@@ -215,15 +224,15 @@ class SI1Stepper(_SpaceTimeStepper):
                               node=int(np.argmax(bad)))
         return m22 / det, -m12 / det, m11 / det  # i11, i12, i22
 
-    def _step(self) -> np.ndarray:
+    def _step(self, prev, curr, t) -> np.ndarray:
         tau = self.tau
-        ev, ea = self._eps_potentials(self.t)
+        ev, ea = self._eps_potentials(t)
         if self._inv_cache is not None:
             i11, i12, i22 = self._inv_cache
         else:
             i11, i12, i22 = self._invert(ev, ea)
-        d = self.space.apply(self._curr)
-        p1, p2 = self._prev
+        d = self.space.apply(curr)
+        p1, p2 = prev
         h1 = -2j * tau * d[1] + (1j + tau * ev + tau) * p1 - tau * ea * p2
         h2 = -2j * tau * d[0] + (1j + tau * ev - tau) * p2 - tau * ea * p1
         return np.stack((i11 * h1 + i12 * h2, i12 * h1 + i22 * h2))
@@ -232,47 +241,23 @@ class SI1Stepper(_SpaceTimeStepper):
 class SI2Stepper(_SpaceTimeStepper):
     """Semi-implicit scheme: implicit transport and mass, explicit potential.
 
-    (i I2 - tau*s_l*sigma1 - tau*sigma3) hat(Phi)^{n+1}_l =
-        (i I2 + tau*s_l*sigma1 + tau*sigma3) hat(Phi)^{n-1}_l
-        + 2*tau*hat(G^n Phi^n)_l,     s_l the symbol of D.
+    L hat(Phi)^{n+1}_l = (2i - L) hat(Phi)^{n-1}_l + 2*tau*hat(G^n Phi^n)_l,
+    L = i I2 - tau*(s_l*sigma1 + sigma3), s_l the symbol of D,
 
-    One forward transform of G^n Phi^n and one inverse transform per step;
-    spectral history is carried along to avoid re-transforming.
+    i.e. Phi^{n+1} = 2 L^{-1} (i Phi^{n-1} + tau G^n Phi^n) - Phi^{n-1}:
+    one forward and one inverse transform per step, of one field.
     """
 
     pattern = "si{}2"
 
     def _prepare(self):
-        tau = self.tau
-        s = self.space.symbol
-        det = -1.0 - tau * tau - (tau * s) ** 2
-        # det is real and <= -1: the per-mode matrix can never be singular
-        assert np.all(np.abs(det) >= 1.0)
-        self._i11 = (1j + tau) / det
-        self._i22 = (1j - tau) / det
-        self._i12 = tau * s / det
-        self._r11 = 1j + tau
-        self._r22 = 1j - tau
-        self._r12 = tau * s
-        self._hat_prev = None
-        self._hat_curr = None
+        self._inverse = self._per_mode(self.tau)[0]
 
-    def _step(self) -> np.ndarray:
-        tau = self.tau
-        if self._hat_prev is None:
-            self._hat_prev = np.fft.fft(self._prev, axis=1)
-        ev, ea = self._eps_potentials(self.t)
-        w1 = ev * self._curr[0] - ea * self._curr[1]
-        w2 = ev * self._curr[1] - ea * self._curr[0]
-        what = np.fft.fft(np.stack((w1, w2)), axis=1)
-        p1, p2 = self._hat_prev
-        l1 = self._r11 * p1 + self._r12 * p2 + 2.0 * tau * what[0]
-        l2 = self._r12 * p1 + self._r22 * p2 + 2.0 * tau * what[1]
-        new_hat = np.stack((self._i11 * l1 + self._i12 * l2,
-                            self._i12 * l1 + self._i22 * l2))
-        self._hat_prev = self._hat_curr
-        self._hat_curr = new_hat
-        return np.fft.ifft(new_hat, axis=1)
+    def _step(self, prev, curr, t) -> np.ndarray:
+        ev, ea = self._eps_potentials(t)
+        g_curr = ev * curr - ea * curr[::-1]  # eps*(V I2 - A1 sigma1) Phi^n
+        z_hat = np.fft.fft(1j * prev + self.tau * g_curr, axis=-1)
+        return 2.0 * np.fft.ifft(self._apply_per_mode(self._inverse, z_hat), axis=-1) - prev
 
 
 class LFStepper(_SpaceTimeStepper):
@@ -280,9 +265,9 @@ class LFStepper(_SpaceTimeStepper):
 
     pattern = "lf{}"
 
-    def _step(self) -> np.ndarray:
-        ev, ea = self._eps_potentials(self.t)
-        return self._prev - 2j * self.tau * self._apply_k(self._curr, ev, ea)
+    def _step(self, prev, curr, t) -> np.ndarray:
+        ev, ea = self._eps_potentials(t)
+        return prev - 2j * self.tau * self._apply_k(curr, ev, ea)
 
 
 _SCHEMES = {cls.pattern.format(space): partial(cls, space)

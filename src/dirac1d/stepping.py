@@ -1,4 +1,5 @@
-"""Shared time-stepping machinery: state, diagnostics, Taylor first step.
+"""Shared time-stepping machinery: state, diagnostics, Taylor first step,
+and long runs by powering the one-step matrix.
 
 Every scheme is a Stepper subclass owning its state; `advance()` moves one
 step of size tau.  Three-level schemes take their first step with the
@@ -10,6 +11,27 @@ first-order Taylor formula
 using the analytic derivative of the initial data when the problem supplies
 one and the spectral derivative otherwise.  Its local error is O(tau^2),
 which keeps the three-level schemes globally second order.
+
+For time-independent potentials every scheme is a fixed linear map: CN and
+TSFP advance Phi^n by a 2N x 2N matrix M, and the three-level schemes, once
+launched, advance the pair [Phi^n; Phi^n-1] by the 4N x 4N companion
+M = [[A, B], [I, 0]].  `Stepper.propagate(n)` forms M by applying the
+scheme's own `_step` to blocks of identity columns, so M is the loop's
+operator by construction, and applies M^n by binary powering:
+bit_length(n) - 1 squarings (kept on the stepper for later calls) and one
+mat-vec per set bit of n.  The result is the same discrete solution as the
+step loop up to rounding.  With m the matrix size it takes this path when
+
+    m <= DENSE_MAX_SIZE  and
+    2 * bit_length(n) * m^3 / MATMUL_MAC_PER_S < n * (STEP_S + STEP_S_PER_NODE * N),
+
+i.e. when the complex multiply-adds of the squarings (twice, as a margin
+for the build and the mat-vecs) at the measured single-thread matmul rate
+cost less than the measured per-step time of the TSFP loop, the cheapest
+step loop here, so the rule errs towards the loop for every other scheme.
+The size cap bounds the memory of the kept squares, bit_length(n) * m^2 * 16
+bytes (18 MB at m = 256, n = 256000).  Time-dependent potentials, larger
+grids and short runs keep the loop.  `propagation` names the paths taken.
 """
 
 from __future__ import annotations
@@ -22,6 +44,25 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import SpinorField, spectral_derivative
 from .model import DiracProblem
+
+# Dense-power rule (see the module docstring).  The rates are measured with
+# one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
+# matmul at m = 128 .. 512 runs 6.3e9 .. 6.6e9 multiply-adds per second,
+# the merged TSFP loop 35 us + 0.05 us * N per step (N = 8 .. 512).
+DENSE_MAX_SIZE = 512
+MATMUL_MAC_PER_S = 6e9
+STEP_S = 35e-6
+STEP_S_PER_NODE = 0.05e-6
+BUILD_BLOCK = 64  # identity columns per `_step` call while forming M
+
+
+def dense_power_pays(size: int, n_steps: int, n_nodes: int) -> bool:
+    """True when M^n for a size x size M beats n steps on N = n_nodes nodes
+    (module docstring)."""
+    if size > DENSE_MAX_SIZE:
+        return False
+    dense = 2 * n_steps.bit_length() * size ** 3 / MATMUL_MAC_PER_S
+    return dense < n_steps * (STEP_S + STEP_S_PER_NODE * n_nodes)
 
 
 @dataclass
@@ -46,14 +87,10 @@ class StepperState:
             raise ConfigurationError("state fields must share one grid")
 
 
-def first_step(problem: DiracProblem, tau: float) -> SpinorField:
-    """First-order Taylor launch Phi^1 (local error O(tau^2)) shared by all
-    three-level schemes."""
-    return SpinorField(problem.grid, Stepper(problem, tau)._taylor_first())
-
-
 class Stepper:
-    """Base class: owns (phi_prev, phi_curr, t, n) and the advance loop."""
+    """Base class: owns (phi_prev, phi_curr, t, n), the advance loop and
+    `propagate`.  `propagation` names the paths `propagate` has taken
+    ("dense-power", "stepwise")."""
 
     scheme = "base"
     needs_history = True  # three-level schemes start with the Taylor step
@@ -83,15 +120,27 @@ class Stepper:
                 and state.t_n == 0.0
                 and np.array_equal(state.phi_curr.values, problem.phi0.values)
             )
+        self._time_independent = (problem.potentials.time_independent
+                                  or problem.epsilon == 0.0)
         self.diagnostics = SolverDiagnostics()
+        self.propagation = set()
+        self._squares = []  # M^(2^k) for k = 0, 1, ...
         self._prepare()
 
     # -- hooks -------------------------------------------------------------
     def _prepare(self):
         """Subclass precomputation (per-mode multipliers, factorizations)."""
 
-    def _step(self) -> np.ndarray:
+    def _step(self, prev: Optional[np.ndarray], curr: np.ndarray, t: float) -> np.ndarray:
+        """Phi^{n+1} from (Phi^{n-1}, Phi^n) at t = t_n, a function of its
+        arguments alone.  The fields are shaped (2, ..., N): any axes between
+        the component and node axes are a batch of independent fields."""
         raise NotImplementedError
+
+    def _loop(self, n_steps: int) -> None:
+        """n_steps by the step loop."""
+        for _ in range(n_steps):
+            self.advance()
 
     # -- shared helpers ----------------------------------------------------
     def _eps_potentials(self, t: float):
@@ -122,18 +171,87 @@ class Stepper:
         new2 = v2 - tau * d1 - 1j * tau * ((ev - 1.0) * v2 - ea * v1)
         return np.stack((new1, new2))
 
+    # -- the one-step matrix -----------------------------------------------
+    @property
+    def _matrix_size(self) -> int:
+        """Length of the state M acts on: Phi^n, or [Phi^n; Phi^n-1]."""
+        return (4 if self.needs_history else 2) * self.grid.N
+
+    def _one_step_matrix(self) -> np.ndarray:
+        """M acting on the flattened state, built column block by column
+        block so that no full identity is ever held."""
+        n_nodes, size = self.grid.N, self._matrix_size
+        levels = size // (2 * n_nodes)
+        m = np.empty((size, size), dtype=np.complex128)
+        for j in range(0, size, BUILD_BLOCK):
+            cols = min(BUILD_BLOCK, size - j)
+            unit = np.zeros((cols, size), dtype=np.complex128)
+            unit[np.arange(cols), j + np.arange(cols)] = 1.0
+            state = unit.reshape(cols, levels, 2, n_nodes).transpose(1, 2, 0, 3)
+            new = self._step(state[1] if self.needs_history else None, state[0], self.t)
+            out = np.stack((new, state[0])) if self.needs_history else new[None]
+            m[:, j:j + cols] = out.transpose(0, 1, 3, 2).reshape(size, cols)
+        return m
+
+    def _dense_power(self, n_steps: int) -> None:
+        """Apply M^n_steps to the state by binary powering."""
+        squares = self._squares
+        if not squares:
+            squares.append(self._one_step_matrix())
+        v = self._curr.reshape(-1)
+        if self.needs_history:
+            v = np.concatenate((v, self._prev.reshape(-1)))
+        for k in range(n_steps.bit_length()):
+            if k == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if n_steps >> k & 1:
+                v = squares[k] @ v
+        fields = v.reshape(-1, 2, self.grid.N)
+        self._curr = fields[0]
+        if self.needs_history:
+            self._prev = fields[1]
+        self.n += n_steps
+        self.t += n_steps * self.tau
+
     # -- public API ----------------------------------------------------------
     def advance(self) -> None:
         """Advance the solution one step of size tau."""
         if self.needs_history and self._prev is None:
             new = self._taylor_first()
         else:
-            new = self._step()
+            new = self._step(self._prev, self._curr, self.t)
         if self.needs_history:
             self._prev = self._curr
         self._curr = new
         self.n += 1
         self.t += self.tau
+
+    def takes_dense_power(self, n_steps: int) -> bool:
+        """True when `propagate(n_steps)` powers the one-step matrix."""
+        rest = n_steps - (self.needs_history and self._prev is None)  # after a launch
+        return (self._time_independent and rest > 1
+                and dense_power_pays(self._matrix_size, rest, self.grid.N))
+
+    def propagate(self, n_steps: int) -> None:
+        """Advance n_steps: by M^n when `takes_dense_power`, else by the step
+        loop.  A three-level scheme without history first takes its Taylor
+        launch through `advance`."""
+        if n_steps <= 0:
+            return
+        if not self.takes_dense_power(n_steps):
+            self.propagation.add("stepwise")
+            self._loop(n_steps)
+            return
+        self.propagation.add("dense-power")
+        if self.needs_history and self._prev is None:
+            self.advance()
+            n_steps -= 1
+        self._dense_power(n_steps)
+
+    @property
+    def propagation_label(self) -> str:
+        """`propagation` as one string: the paths joined by "+", or "none"."""
+        return "+".join(sorted(self.propagation)) or "none"
 
     @property
     def phi(self) -> SpinorField:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import dirac1d.reference as reference
 from dirac1d.cli import main
@@ -77,6 +78,16 @@ class TestRun:
         cfg = write_config(tmp_path, {"problem": bad, "scheme": "cnfd",
                                       "N": 16, "tau": 0.1})
         assert main(["run", cfg]) == 2
+
+    @pytest.mark.parametrize("potential", ["1/(t-0)", "10^(t+400)", 0],
+                             ids=["division-by-zero", "overflow", "number"])
+    def test_failing_expression_exits_2(self, tmp_path, capsys, potential):
+        bad = dict(INLINE_FREE, potentials=dict(INLINE_FREE["potentials"], V=potential,
+                                                V_max=1.0))
+        cfg = write_config(tmp_path, {"problem": bad, "epsilon": 1.0, "scheme": "cnfd",
+                                      "N": 16, "tau": 0.1})
+        assert main(["run", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestTables:

@@ -11,7 +11,6 @@ from dirac1d import (
     StepperState,
     energy_fd,
     field_from_function,
-    first_step,
     make_grid,
     make_stepper,
     mass,
@@ -68,13 +67,13 @@ class TestFirstStep:
     def test_zero_data_stays_zero(self):
         grid = make_grid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.zeros((2, len(x)), dtype=complex))
-        assert np.abs(first_step(prob, 0.05).values).max() == 0.0
+        assert np.abs(one_step("lffd", None, prob, 0.05).values).max() == 0.0
 
     def test_constant_up_spinor_free(self):
         grid = make_grid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.stack((np.ones_like(x, complex),
                                                       np.zeros_like(x, complex))))
-        phi1 = first_step(prob, 0.05)
+        phi1 = one_step("lffd", None, prob, 0.05)
         np.testing.assert_allclose(phi1.values[0], 1.0 - 0.05j, atol=1e-15)
         np.testing.assert_allclose(phi1.values[1], 0.0, atol=1e-15)
 
@@ -82,7 +81,7 @@ class TestFirstStep:
         # frozen from a 50-digit arbitrary-precision evaluation of the
         # Taylor launch formula at x = 0, eps = 1, tau = 0.05
         prob = benchmark_problem(N=64, eps=1.0)
-        phi1 = first_step(prob, 0.05)
+        phi1 = one_step("lffd", None, prob, 0.05)
         assert phi1.values[0, 0] == pytest.approx(1.0 - 0.0875j, abs=1e-14)
         assert phi1.values[1, 0] == pytest.approx(0.25 + 0.05j, abs=1e-14)
 
@@ -90,8 +89,8 @@ class TestFirstStep:
         prob = benchmark_problem(N=256)
         no_deriv = DiracProblem(prob.grid, prob.epsilon, prob.potentials, prob.phi0,
                                 phi0_deriv=None, T0=prob.T0)
-        np.testing.assert_allclose(first_step(no_deriv, 0.02).values,
-                                   first_step(prob, 0.02).values, atol=1e-10)
+        np.testing.assert_allclose(one_step("lffd", None, no_deriv, 0.02).values,
+                                   one_step("lffd", None, prob, 0.02).values, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,8 @@ class TestStepFunctions:
         prob = benchmark_problem(N=32)
         state = StepperState(prob.phi0)
         out = one_step("sifd1", state, prob, 0.05)
-        np.testing.assert_allclose(out.values, first_step(prob, 0.05).values, atol=1e-14)
+        np.testing.assert_allclose(out.values, one_step("lffd", None, prob, 0.05).values,
+                                   atol=1e-14)
 
     def test_state_grid_mismatch_rejected(self):
         prob = benchmark_problem(N=32)

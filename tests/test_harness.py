@@ -25,6 +25,7 @@ from dirac1d import (
     field_from_function,
     make_grid,
     measure_errors,
+    norm,
     preset,
     run_simulation,
     tau_max,
@@ -90,6 +91,17 @@ class TestRunSimulation:
         res = run_simulation(prob, SchemeConfig("cnfd", 0.05, t_final=0.5, record="none"))
         assert res.mass_series is None and res.times is None
         assert res.wall_time >= 0.0
+
+    def test_propagation_records_the_path(self):
+        prob = preset("periodic-s51", 0.25).discretize(N=16)
+        dense = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=4.0, record="none"))
+        loop = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=4.0))
+        assert (dense.propagation, loop.propagation) == ("dense-power", "stepwise")
+        assert dense.n_steps == loop.n_steps == 4_000
+        dist = norm(SpinorField(prob.grid, dense.final.values - loop.final.values), "l2")
+        assert dist <= 1e-15 * 4_000 * norm(prob.phi0, "l2")
+        short = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=0.01, record="none"))
+        assert short.propagation == "stepwise"
 
     def test_local_nan_reported_at_its_step(self, monkeypatch):
         # node 3 lies between the nodes a stride-N/8 sample would look at;

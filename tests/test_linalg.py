@@ -38,6 +38,15 @@ def test_matches_dense_solve(n):
                                rtol=1e-10, atol=1e-12)
 
 
+def test_columns_solved_at_once(n=16):
+    diag, bp, bm = random_system(n)
+    A = dense_oracle(diag, bp, bm)
+    b = RNG.standard_normal((2 * n, 5)) + 1j * RNG.standard_normal((2 * n, 5))
+    solver = CyclicBlockTridiagSolver(diag, bp, bm)
+    np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+                               rtol=1e-10, atol=1e-12)
+
+
 def test_factorization_reused_across_solves(n=32):
     diag, bp, bm = random_system(n)
     A = dense_oracle(diag, bp, bm)

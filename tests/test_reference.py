@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirac1d.reference as reference
+import dirac1d.stepping as stepping
 from dirac1d import (
     ConfigurationError,
     DiracProblem,
@@ -30,7 +31,8 @@ from dirac1d import (
     save_reference,
     zero_potentials,
 )
-from dirac1d.reference import TSFPStepper, dense_power_pays, exact_free_reference
+from dirac1d.reference import TSFPStepper, exact_free_reference
+from dirac1d.stepping import dense_power_pays
 
 from test_fdtd import free_problem
 
@@ -156,7 +158,7 @@ class TestTSFP:
         a.propagate(n)
         for _ in range(n):
             b.advance()
-        dense = n > 1 and dense_power_pays(N, n)
+        dense = n > 1 and dense_power_pays(2 * N, n, N)
         assert a.propagation == {"dense-power" if dense else "stepwise"}
         assert (a.n, a.t) == (b.n, pytest.approx(b.t))
         dist = norm(SpinorField(prob.grid, a._curr - b._curr), "l2")
@@ -165,10 +167,10 @@ class TestTSFP:
     def test_dense_power_matches_loop_on_long_run(self, monkeypatch):
         prob = preset("periodic-s51", 0.25).discretize(N=64)
         n = 20_000
-        assert dense_power_pays(64, n)
+        assert dense_power_pays(128, n, 64)
         dense = TSFPStepper(prob, 1e-4)
         dense.propagate(n)
-        monkeypatch.setattr(reference, "dense_power_pays", lambda n_nodes, n_steps: False)
+        monkeypatch.setattr(stepping, "dense_power_pays", lambda size, n_steps, n_nodes: False)
         loop = TSFPStepper(prob, 1e-4)
         loop.propagate(n)
         assert dense.propagation == {"dense-power"} and loop.propagation == {"stepwise"}

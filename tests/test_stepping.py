@@ -1,0 +1,182 @@
+"""`Stepper.propagate` and identities of the one-step matrix M.
+
+With a time-independent potential every scheme is a fixed linear map, and
+`Stepper._one_step_matrix` is that map: 2N x 2N on Phi^n for CN and TSFP,
+the 4N x 4N companion on [Phi^n; Phi^n-1] for SI1, SI2 and LF.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from dirac1d import (
+    ConfigurationError,
+    DiracProblem,
+    PotentialPair,
+    SolverError,
+    SpinorField,
+    StepperState,
+    make_grid,
+    make_stepper,
+    norm,
+    preset,
+    tau_max,
+)
+from dirac1d.linalg import CyclicBlockTridiagSolver
+from dirac1d.stepping import dense_power_pays
+
+SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp", "tsfp"]
+THREE_LEVEL = {"sifd1", "sifd2", "lffd", "sifp1", "sifp2", "lffp"}
+
+
+def random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    return SpinorField(grid, rng.standard_normal((2, grid.N))
+                       + 1j * rng.standard_normal((2, grid.N)))
+
+
+def smooth_problem(n_nodes, eps, v, a, shift):
+    """Time-independent smooth potentials with declared bounds |V| <= v, |A1| <= a."""
+    grid = make_grid(0.0, 2 * np.pi, n_nodes)
+    pots = PotentialPair(lambda t, x: v * np.cos(x + shift) ** 2,
+                         lambda t, x: a * np.sin(2 * x - shift), True, v, a)
+    return DiracProblem(grid, eps, pots, random_field(grid, 0), T0=1.0)
+
+
+def launched_matrix(scheme, problem, tau):
+    stepper = make_stepper(scheme, problem, tau)
+    stepper.advance()  # three-level schemes: M acts after the Taylor launch
+    return stepper._one_step_matrix()
+
+
+def spectral_radius(m):
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @settings(max_examples=6, deadline=None)
+    @given(half_n=st.integers(4, 16), n=st.integers(1, 1000),
+           eps=st.sampled_from([0.0, 0.25, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(half_n=8, n=1000, eps=1.0, seed=0)   # dense power
+    @example(half_n=16, n=40, eps=0.25, seed=1)   # step loop
+    def test_equals_advance_loop(self, scheme, half_n, n, eps, seed):
+        N = 2 * half_n
+        prob = preset("periodic-s51", eps).discretize(N=N)
+        phi0 = random_field(prob.grid, seed)
+        a = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
+        b = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
+        a.propagate(n)
+        for _ in range(n):
+            b.advance()
+        rest = n - (scheme in THREE_LEVEL)
+        size = (4 if scheme in THREE_LEVEL else 2) * N
+        dense = rest > 1 and dense_power_pays(size, rest, N)
+        assert a.propagation == {"dense-power" if dense else "stepwise"}
+        assert (a.n, a.t) == (b.n, pytest.approx(b.t))
+        dist = norm(SpinorField(prob.grid, a._curr - b._curr), "l2")
+        assert dist <= 1e-15 * n * norm(phi0, "l2") + 1e-13
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_time_dependent_potential_keeps_the_loop(self, scheme):
+        grid = make_grid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(lambda t, x: np.cos(t) / (1 + np.sin(x) ** 2),
+                             lambda t, x: np.sin(2 * t) * np.cos(x), False, 1.0, 1.0)
+        prob = DiracProblem(grid, 1.0, pots, random_field(grid, 3), T0=2.0)
+        a = make_stepper(scheme, prob, 1e-2)
+        b = make_stepper(scheme, prob, 1e-2)
+        a.propagate(300)
+        for _ in range(300):
+            b.advance()
+        assert a.propagation == {"stepwise"}
+        np.testing.assert_array_equal(a._curr, b._curr)
+
+    @pytest.mark.parametrize("scheme", ["lffp", "cnfd"])
+    def test_later_calls_reuse_the_squares(self, scheme):
+        prob = preset("periodic-s51", 0.25).discretize(N=16)
+        split = make_stepper(scheme, prob, 1e-3)
+        split.propagate(3_000)
+        kept = list(split._squares)
+        split.propagate(1_000)
+        assert all(a is b for a, b in zip(kept, split._squares))
+        whole = make_stepper(scheme, prob, 1e-3)
+        whole.propagate(4_000)
+        assert split.propagation == whole.propagation == {"dense-power"}
+        dist = norm(SpinorField(prob.grid, split._curr - whole._curr), "l2")
+        assert dist <= 1e-15 * 4_000 * norm(prob.phi0, "l2")
+
+    def test_cnfd_residual_guard_checks_every_column(self, monkeypatch):
+        solve = CyclicBlockTridiagSolver.solve
+
+        def last_column_off(solver, rhs):
+            out = solve(solver, rhs)
+            if out.ndim == 2:
+                out[:, -1] *= 1.0 + 1e-9
+            return out
+
+        monkeypatch.setattr(CyclicBlockTridiagSolver, "solve", last_column_off)
+        stepper = make_stepper("cnfd", preset("periodic-s51", 1.0).discretize(N=16), 1e-3)
+        with pytest.raises(SolverError, match="CNFD linear residual"):
+            stepper.propagate(4_000)
+        assert stepper.propagation == {"dense-power"} and stepper.n == 0
+
+    def test_cnfp_convergence_test_runs_in_the_build(self, monkeypatch):
+        import dirac1d.schemes as schemes
+
+        monkeypatch.setattr(schemes, "FIXED_POINT_MAX_SWEEPS", 1)
+        stepper = make_stepper("cnfp", preset("periodic-s51", 1.0).discretize(N=16), 1e-3)
+        with pytest.raises(SolverError, match="did not converge"):
+            stepper.propagate(4_000)
+        assert stepper.propagation == {"dense-power"} and stepper.n == 0
+
+    def test_cnfp_batch_converges_field_by_field(self):
+        # a zero field converges in one sweep; the other field must not stop with it
+        prob = preset("periodic-s51", 1.0).discretize(N=16)
+        stepper = make_stepper("cnfp", prob, 1e-2)
+        alone = stepper._step(None, prob.phi0.values, 0.0)
+        batch = np.stack((np.zeros_like(prob.phi0.values), prob.phi0.values), axis=1)
+        out = stepper._step(None, batch, 0.0)
+        assert stepper.diagnostics.iterations > 1
+        np.testing.assert_array_equal(out[:, 0], 0.0)
+        np.testing.assert_allclose(out[:, 1], alone, rtol=0, atol=1e-13)
+
+    def test_size_cap_keeps_the_loop(self):
+        assert not dense_power_pays(1024, 10 ** 6, 256)
+        assert dense_power_pays(512, 10 ** 6, 128)
+
+
+class TestOneStepMatrix:
+    """Identities of M (mutants each rejects: CHANGES.md)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(scheme=st.sampled_from(["cnfd", "cnfp", "tsfp"]), half_n=st.integers(4, 16),
+           eps=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0), a=st.floats(0.0, 1.0),
+           shift=st.floats(0.0, 2 * np.pi), tau=st.floats(1e-3, 0.25))
+    def test_crank_nicolson_and_tsfp_are_unitary(self, scheme, half_n, eps, v, a, shift, tau):
+        m = launched_matrix(scheme, smooth_problem(2 * half_n, eps, v, a, shift), tau)
+        assert np.abs(m.conj().T @ m - np.eye(len(m))).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(scheme=st.sampled_from(["lffd", "lffp", "sifd1", "sifp1"]),
+           half_n=st.integers(4, 16), eps=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+           a=st.floats(0.0, 1.0), shift=st.floats(0.0, 2 * np.pi))
+    @example(scheme="lffd", half_n=16, eps=0.0, v=1.0, a=1.0, shift=0.0)
+    @example(scheme="sifp1", half_n=16, eps=0.0, v=1.0, a=1.0, shift=0.0)
+    def test_companion_stable_below_tau_max(self, scheme, half_n, eps, v, a, shift):
+        prob = smooth_problem(2 * half_n, eps, v, a, shift)
+        # eps*V and eps*A1 are the potentials K sees
+        tau = 0.99 * tau_max(scheme, prob.grid.h, eps * v, eps * a)
+        try:
+            m = launched_matrix(scheme, prob, tau)
+        except ConfigurationError:  # SI1's pointwise solve guard
+            assume(False)
+        assert spectral_radius(m) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("scheme", ["lffd", "lffp", "sifd1", "sifp1"])
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_tau_max_is_sharp_at_eps_zero(self, scheme, N):
+        prob = preset("periodic-s51", 0.0).discretize(N=N)
+        tau = tau_max(scheme, prob.grid.h, 0.0, 0.0)
+        assert spectral_radius(launched_matrix(scheme, prob, 0.99 * tau)) <= 1.0 + 1e-12
+        assert spectral_radius(launched_matrix(scheme, prob, 1.01 * tau)) > 1.1
