@@ -22,13 +22,10 @@ from .errors import (
     StabilityError,
 )
 from .grid import (
-    SpectralCoeffs,
     SpinorField,
     TorusGrid,
     centered_difference,
-    dft,
     field_from_function,
-    idft,
     make_grid,
     norm,
     spectral_derivative,
@@ -37,20 +34,15 @@ from .grid import (
 )
 from .model import (
     DiracProblem,
-    Observables,
     PotentialPair,
     ProblemSetup,
     check_bounds,
-    continuity_residual,
     current,
     density,
     energy_fd,
     energy_fp,
     mass,
-    observables,
     preset,
-    preset_names,
-    sample_potential_matrix,
     zero_potentials,
 )
 from .stepping import SolverDiagnostics, Stepper, StepperState

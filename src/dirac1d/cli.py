@@ -223,16 +223,17 @@ def _cmd_stability(cfg: dict, args) -> int:
     setup = _build_setup(cfg)
     grid = _discretize(setup, cfg).grid
     tau = float(cfg["tau"])
-    pots = setup.potentials
+    eps, pots = setup.epsilon, setup.potentials
+    v_max, a_max = eps * pots.v_max, eps * pots.a_max  # what the operator sees
     lines = []
     requested = cfg.get("scheme")
     for scheme in stability.ALL_SCHEMES:
-        verdict = stability.validate(scheme, grid.h, tau, pots.v_max, pots.a_max)
+        verdict = stability.validate(scheme, grid.h, tau, v_max, a_max)
         marker = " <-- requested" if requested and scheme == requested.lower() else ""
         lines.append(str(verdict) + marker)
     _write("\n".join(lines) + "\n", args)
     if requested:
-        verdict = stability.validate(requested, grid.h, tau, pots.v_max, pots.a_max)
+        verdict = stability.validate(requested, grid.h, tau, v_max, a_max)
         if not verdict.ok:
             raise StabilityError(f"requested scheme is unstable: {verdict}", verdict=verdict)
     return EXIT_OK

@@ -1,14 +1,13 @@
-"""Periodic grid, discrete Fourier transforms, differentiation and norms.
+"""Periodic grid, the two space operators, restriction and norms.
 
 All fields live on a uniform grid over the torus [a, b] with N nodes
 x_j = a + j*h, j = 0..N-1 (node N is identified with node 0).  A spinor
 field stores a complex (2, N) array: row 0 is the first component, row 1
-the second.  Fourier coefficients use the signed mode set
-l = -N/2, ..., N/2-1 with frequencies mu_l = 2*pi*l/(b - a) and the 1/N
-normalization on the forward transform, so that
+the second.  Fourier work uses numpy's FFT along the node axis, whose
+storage index k holds the signed mode l = 0..N/2-1, -N/2..-1 with
+frequency `mu_fft[k]` = 2*pi*l/(b - a), so that
 
-    f_j = sum_l  c_l exp(i*mu_l*(x_j - a)),
-    c_l = (1/N) sum_j f_j exp(-2i*pi*j*l/N).
+    f_j = sum_k  c_k exp(i*mu_fft[k]*(x_j - a)),    c = fft(f)/N.
 
 The l = -N/2 mode is kept as-is everywhere (no symmetrization).
 """
@@ -30,12 +29,11 @@ class TorusGrid:
         N: node count (even, >= 4); nodes 0..N-1 are stored, node N aliases 0
         h: mesh size (b - a)/N
         x: node coordinates, shape (N,)
-        mode_numbers: signed integer modes -N/2..N/2-1, ascending
-        frequencies: mu_l = 2*pi*l/(b - a) in the same ascending order
-        mu_fft: frequencies in FFT storage order [0..N/2-1, -N/2..-1]
+        mu_fft: frequencies mu_l = 2*pi*l/(b - a) in FFT storage order
+            l = 0..N/2-1, -N/2..-1
     """
 
-    __slots__ = ("a", "b", "N", "h", "x", "mode_numbers", "frequencies", "mu_fft")
+    __slots__ = ("a", "b", "N", "h", "x", "mu_fft")
 
     def __init__(self, a: float, b: float, N: int):
         if not b > a:
@@ -47,8 +45,6 @@ class TorusGrid:
         self.N = int(N)
         self.h = (self.b - self.a) / self.N
         self.x = self.a + self.h * np.arange(self.N)
-        self.mode_numbers = np.arange(-self.N // 2, self.N // 2)
-        self.frequencies = 2.0 * np.pi * self.mode_numbers / (self.b - self.a)
         # fftfreq(N, 1/N) is exactly [0, 1, ..., N/2-1, -N/2, ..., -1]
         self.mu_fft = 2.0 * np.pi * np.fft.fftfreq(self.N, d=1.0 / self.N) / (self.b - self.a)
 
@@ -91,44 +87,9 @@ class SpinorField:
         return SpinorField(self.grid, self.values.copy())
 
 
-@dataclass
-class SpectralCoeffs:
-    """Fourier coefficients per signed mode l = -N/2..N/2-1; shape (2, N)."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2, self.grid.N):
-            raise ConfigurationError(
-                f"coefficients must have shape (2, {self.grid.N}), got {c.shape}"
-            )
-        self.coeffs = c
-
-    def coeff(self, l: int) -> np.ndarray:
-        """Coefficient 2-vector of mode l (signed)."""
-        half = self.grid.N // 2
-        if not -half <= l < half:
-            raise ConfigurationError(f"mode {l} outside [-{half}, {half})")
-        return self.coeffs[:, l + half]
-
-
 def field_from_function(grid: TorusGrid, f) -> SpinorField:
     """Sample a callable f(x) -> (2, len(x)) complex array onto the grid."""
     return SpinorField(grid, np.asarray(f(grid.x), dtype=np.complex128))
-
-
-def dft(f: SpinorField) -> SpectralCoeffs:
-    """Forward transform with the 1/N normalization, modes ascending."""
-    c = np.fft.fft(f.values, axis=1) / f.grid.N
-    return SpectralCoeffs(f.grid, np.fft.fftshift(c, axes=1))
-
-
-def idft(c: SpectralCoeffs) -> SpinorField:
-    """Inverse of :func:`dft`."""
-    v = np.fft.ifft(np.fft.ifftshift(c.coeffs, axes=1), axis=1) * c.grid.N
-    return SpinorField(c.grid, v)
 
 
 # The two space operators act along the last axis; apply(v) multiplies

@@ -99,11 +99,13 @@ def _steps_for(t_final: float, tau: float) -> int:
 
 def _checked_stepper(problem: DiracProblem, config: SchemeConfig):
     """(stepper, step count) for a run request, after the checks every run
-    passes: the stability verdict from the declared potential bounds (never
-    sampled, so verdicts are deterministic), a whole number of steps to the
-    horizon, and a dense sample of the potentials against those bounds."""
-    pots = problem.potentials
-    verdict = validate(config.scheme, problem.grid.h, config.tau, pots.v_max, pots.a_max)
+    passes: the stability verdict from the declared potential bounds scaled
+    by eps, as the operator sees them (never sampled, so verdicts are
+    deterministic), a whole number of steps to the horizon, and a dense
+    sample of the potentials against those bounds."""
+    pots, eps = problem.potentials, problem.epsilon
+    verdict = validate(config.scheme, problem.grid.h, config.tau,
+                       eps * pots.v_max, eps * pots.a_max)
     if not verdict.ok and not config.override_stability:
         raise StabilityError(
             f"unstable configuration: {verdict}; pass override_stability to force",

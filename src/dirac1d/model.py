@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import (
-    CenteredDifference,
     SpinorField,
     TorusGrid,
     centered_difference,
@@ -76,17 +75,6 @@ def zero_potentials() -> PotentialPair:
     return PotentialPair(_zero_evaluator, _zero_evaluator, True, 0.0, 0.0)
 
 
-def sample_potential_matrix(p: PotentialPair, eps: float, t: float, grid: TorusGrid) -> np.ndarray:
-    """Per-node coupling matrix G_j = eps*(V_j I2 - A1_j sigma1), shape (N, 2, 2)."""
-    v, a = p.evaluate(t, grid.x)
-    g = np.zeros((grid.N, 2, 2), dtype=np.complex128)
-    g[:, 0, 0] = eps * v
-    g[:, 1, 1] = eps * v
-    g[:, 0, 1] = -eps * a
-    g[:, 1, 0] = -eps * a
-    return g
-
-
 def check_bounds(p: PotentialPair, grid: TorusGrid, t_final: float,
                  space_factor: int = 16, time_samples: int = 100) -> bool:
     """Sample |V|, |A1| densely and warn if a declared bound is exceeded."""
@@ -110,18 +98,12 @@ def check_bounds(p: PotentialPair, grid: TorusGrid, t_final: float,
 
 @dataclass
 class DiracProblem:
-    """A fully discretized problem instance bound to one grid.
-
-    phi0_deriv, when given, evaluates the exact spatial derivative of the
-    initial data at the nodes (used by the Taylor first step of the
-    three-level schemes); otherwise the spectral derivative of phi0 is used.
-    """
+    """A fully discretized problem instance bound to one grid."""
 
     grid: TorusGrid
     epsilon: float
     potentials: PotentialPair
     phi0: SpinorField
-    phi0_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     T0: float = 2.0
 
     def __post_init__(self):
@@ -136,12 +118,6 @@ class DiracProblem:
     def t_final(self) -> float:
         """Run horizon T0/eps (T0 itself for the free problem eps = 0)."""
         return self.T0 / self.epsilon if self.epsilon > 0 else self.T0
-
-    def phi0_derivative_values(self) -> np.ndarray:
-        if self.phi0_deriv is not None:
-            return np.asarray(self.phi0_deriv(self.grid.x), dtype=np.complex128)
-        return spectral_derivative(self.phi0).values
-
 
 def mass(f: SpinorField) -> float:
     """Total probability h*sum_j |Phi_j|^2 (the squared l2 norm)."""
@@ -189,42 +165,6 @@ def energy_fp(f: SpinorField, p: PotentialPair, eps: float) -> float:
     return _energy_from_derivative(f, spectral_derivative(f).values, p, eps)
 
 
-@dataclass
-class Observables:
-    """Bundle of the physical observables of one field snapshot."""
-
-    mass: float
-    energy: float
-    rho: np.ndarray
-    current: np.ndarray
-
-
-def observables(f: SpinorField, p: PotentialPair, eps: float,
-                kinetic: str = "fd") -> Observables:
-    """Mass, discrete energy (kinetic = "fd" or "fp") and the densities."""
-    if kinetic == "fd":
-        e = energy_fd(f, p, eps)
-    elif kinetic == "fp":
-        e = energy_fp(f, p, eps)
-    else:
-        raise ConfigurationError(f"unknown kinetic term {kinetic!r} (use 'fd' or 'fp')")
-    return Observables(mass=mass(f), energy=e, rho=density(f), current=current(f))
-
-
-def continuity_residual(f_prev: SpinorField, f_next: SpinorField, tau: float) -> float:
-    """Max-norm residual of the discrete continuity law between two snapshots.
-
-    Uses (rho_next - rho_prev)/tau + delta_x of the time-averaged current;
-    O(h^2 + tau^2) on consistent scheme output.
-    """
-    if f_prev.grid != f_next.grid:
-        raise ConfigurationError("snapshots must share a grid")
-    drho = (density(f_next) - density(f_prev)) / tau
-    jmid = 0.5 * (current(f_prev) + current(f_next))
-    dj = CenteredDifference(f_prev.grid).apply(jmid)
-    return float(np.abs(drho + dj).max())
-
-
 # ---------------------------------------------------------------------------
 # problem setups (grid-independent descriptions) and named presets
 # ---------------------------------------------------------------------------
@@ -244,7 +184,6 @@ class ProblemSetup:
     T0: float
     potentials: PotentialPair
     phi0_func: Callable[[np.ndarray], np.ndarray]
-    phi0_deriv_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
     expand_with_horizon: bool = False
     key: Optional[dict] = field(default=None)
 
@@ -272,14 +211,12 @@ class ProblemSetup:
             raise ConfigurationError("give exactly one of h or N")
         grid = self.grid_for_mesh(h) if h is not None else self.grid_with_nodes(N)
         phi0 = SpinorField(grid, np.asarray(self.phi0_func(grid.x), dtype=np.complex128))
-        return DiracProblem(grid, self.epsilon, self.potentials, phi0,
-                            phi0_deriv=self.phi0_deriv_func, T0=self.T0)
+        return DiracProblem(grid, self.epsilon, self.potentials, phi0, T0=self.T0)
 
     def with_epsilon(self, epsilon: float) -> "ProblemSetup":
         key = dict(self.key, epsilon=epsilon) if self.key is not None else None
         return ProblemSetup(self.a, self.b, epsilon, self.T0, self.potentials,
-                            self.phi0_func, self.phi0_deriv_func,
-                            self.expand_with_horizon, key)
+                            self.phi0_func, self.expand_with_horizon, key)
 
 
 # preset evaluators live at module level so problem setups pickle cleanly
@@ -298,17 +235,11 @@ def _torus_phi0(x):
                      1.0 / (3.0 + np.cos(x))], dtype=np.complex128)
 
 
-def _torus_phi0_deriv(x):
-    return np.array([-np.sin(2.0 * x) / (1.0 + np.sin(x) ** 2) ** 2,
-                     np.sin(x) / (3.0 + np.cos(x)) ** 2], dtype=np.complex128)
-
-
 def _torus_benchmark(epsilon: float) -> ProblemSetup:
     """Smooth periodic benchmark on (0, 2*pi) with horizon 2/eps."""
     pots = PotentialPair(_torus_V, _torus_A1, time_independent=True,
                          v_max=1.0, a_max=_COS_PLUS_SIN2_MAX)
-    return ProblemSetup(0.0, 2.0 * np.pi, epsilon, 2.0, pots,
-                        _torus_phi0, _torus_phi0_deriv,
+    return ProblemSetup(0.0, 2.0 * np.pi, epsilon, 2.0, pots, _torus_phi0,
                         key={"preset": "periodic-s51", "epsilon": epsilon})
 
 
@@ -328,23 +259,10 @@ def _packet_s0p(x):
     return -(np.pi / 20.0) * np.sin(2.0 * np.pi * x)
 
 
-def _packet_s0pp(x):
-    return -(np.pi ** 2 / 10.0) * np.cos(2.0 * np.pi * x)
-
-
 def _packet_phi0(x):
     g = 0.5 * np.exp(-4.0 * x ** 2) * np.exp(1j * _packet_s0(x))
     sp = _packet_s0p(x)
     return np.array([g * (1.0 + np.sqrt(1.0 + sp ** 2)), g * sp])
-
-
-def _packet_phi0_deriv(x):
-    sp, spp = _packet_s0p(x), _packet_s0pp(x)
-    g = 0.5 * np.exp(-4.0 * x ** 2) * np.exp(1j * _packet_s0(x))
-    root = np.sqrt(1.0 + sp ** 2)
-    lead = -8.0 * x + 1j * sp
-    return np.array([g * (lead * (1.0 + root) + sp * spp / root),
-                     g * (lead * sp + spp)])
 
 
 def _wavepacket_expanding(epsilon: float) -> ProblemSetup:
@@ -356,8 +274,7 @@ def _wavepacket_expanding(epsilon: float) -> ProblemSetup:
     pots = PotentialPair(_packet_V, _packet_A1, time_independent=True,
                          v_max=_RATIONAL_V_MAX, a_max=2.0)
     return ProblemSetup(-7.0, 7.0, epsilon, 1.0, pots,
-                        _packet_phi0, _packet_phi0_deriv,
-                        expand_with_horizon=True,
+                        _packet_phi0, expand_with_horizon=True,
                         key={"preset": "whole-space-s52", "epsilon": epsilon})
 
 
@@ -376,7 +293,3 @@ def preset(name: str, epsilon: float) -> ProblemSetup:
             f"unknown preset {name!r}; available: {sorted(_PRESETS)}"
         ) from None
     return builder(epsilon)
-
-
-def preset_names() -> list[str]:
-    return sorted(_PRESETS)

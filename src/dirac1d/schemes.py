@@ -10,7 +10,13 @@ The space operator D (:mod:`dirac1d.grid`) is the centered difference,
 symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
 mu_l; each time discretization is one class below, written with
 K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1).  Three-level schemes
-launch with the shared Taylor first step (:mod:`dirac1d.stepping`).  Each
+launch by forward Euler with the same K,
+
+    Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
+
+from the initial data (n = 0) or from a restarted one-field state alike.
+Its local error O(tau^2) is measured against the scheme's own semi-discrete
+flow, so every scheme is second order in tau towards that flow.  Each
 `_step` maps (Phi^{n-1}, Phi^n, t_n) to Phi^{n+1} with no state of its own
 and over any batch of fields, which is how `Stepper.propagate` probes it.
 """
@@ -52,6 +58,10 @@ class _SpaceTimeStepper(Stepper):
         k1 = -1j * d[1] + (1.0 + ev) * v[0] - ea * v[1]
         k2 = -1j * d[0] + (ev - 1.0) * v[1] - ea * v[0]
         return np.stack((k1, k2))
+
+    def _launch(self) -> np.ndarray:
+        ev, ea = self._eps_potentials(self.t)
+        return self._curr - 1j * self.tau * self._apply_k(self._curr, ev, ea)
 
     def _per_mode(self, c: float):
         """Per-mode entries (m11, m12, m22) of L^{-1} and of 2i I2 - L for

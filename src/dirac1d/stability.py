@@ -1,7 +1,8 @@
 """Maximal stable time steps per scheme and pre-run validation.
 
-Von Neumann bounds for the eight schemes (V_max, A_max are the declared
-sup norms of the potentials; eps <= 1 is absorbed into them):
+Von Neumann bounds for the eight schemes.  V_max, A_max bound the
+potentials the operator sees, eps*|V| and eps*|A1|: callers pass the
+declared sup norms times eps.
 
     cnfd, cnfp   unconditional
     sifd1        tau <= h

@@ -1,16 +1,11 @@
-"""Shared time-stepping machinery: state, diagnostics, Taylor first step,
-and long runs by powering the one-step matrix.
+"""Shared time-stepping machinery: state, diagnostics, the launch hook of
+the three-level schemes, and long runs by powering the one-step matrix.
 
 Every scheme is a Stepper subclass owning its state; `advance()` moves one
-step of size tau.  Three-level schemes take their first step with the
-first-order Taylor formula
-
-    Phi^1 = Phi0 - tau*sigma1*Phi0' - i*tau*(sigma3 + eps*V0*I2
-            - eps*A0*sigma1)*Phi0,
-
-using the analytic derivative of the initial data when the problem supplies
-one and the spectral derivative otherwise.  Its local error is O(tau^2),
-which keeps the three-level schemes globally second order.
+step of size tau.  A three-level scheme with no previous field (fresh from
+the initial data or restarted from a one-field `StepperState`) takes its
+first step through the `_launch` hook, which the schemes implement as
+forward Euler with their own space operator (:mod:`dirac1d.schemes`).
 
 For time-independent potentials every scheme is a fixed linear map: CN and
 TSFP advance Phi^n by a 2N x 2N matrix M, and the three-level schemes, once
@@ -42,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SpinorField, spectral_derivative
+from .grid import SpinorField
 from .model import DiracProblem
 
 # Dense-power rule (see the module docstring).  The rates are measured with
@@ -93,7 +88,7 @@ class Stepper:
     ("dense-power", "stepwise")."""
 
     scheme = "base"
-    needs_history = True  # three-level schemes start with the Taylor step
+    needs_history = True  # three-level schemes start with `_launch`
 
     def __init__(self, problem: DiracProblem, tau: float,
                  state: Optional[StepperState] = None):
@@ -107,7 +102,6 @@ class Stepper:
             self._prev = None
             self.n = 0
             self.t = 0.0
-            self._from_initial_data = True
         else:
             if state.phi_curr.grid != self.grid:
                 raise ConfigurationError("state grid does not match the problem grid")
@@ -115,11 +109,6 @@ class Stepper:
             self._prev = None if state.phi_prev is None else state.phi_prev.values.copy()
             self.n = state.n
             self.t = state.t_n
-            self._from_initial_data = (
-                state.n == 0
-                and state.t_n == 0.0
-                and np.array_equal(state.phi_curr.values, problem.phi0.values)
-            )
         self._time_independent = (problem.potentials.time_independent
                                   or problem.epsilon == 0.0)
         self.diagnostics = SolverDiagnostics()
@@ -135,6 +124,10 @@ class Stepper:
         """Phi^{n+1} from (Phi^{n-1}, Phi^n) at t = t_n, a function of its
         arguments alone.  The fields are shaped (2, ..., N): any axes between
         the component and node axes are a batch of independent fields."""
+        raise NotImplementedError
+
+    def _launch(self) -> np.ndarray:
+        """Phi^{n+1} from Phi^n alone, for a three-level scheme without history."""
         raise NotImplementedError
 
     def _loop(self, n_steps: int) -> None:
@@ -159,17 +152,6 @@ class Stepper:
             return cached
         v, a = pots.evaluate(t, self.grid.x)
         return eps * v, eps * a
-
-    def _taylor_first(self) -> np.ndarray:
-        if self._from_initial_data:
-            deriv = self.problem.phi0_derivative_values()
-        else:
-            deriv = spectral_derivative(SpinorField(self.grid, self._curr)).values
-        ev, ea = self._eps_potentials(self.t)
-        (v1, v2), (d1, d2), tau = self._curr, deriv, self.tau
-        new1 = v1 - tau * d2 - 1j * tau * ((1.0 + ev) * v1 - ea * v2)
-        new2 = v2 - tau * d1 - 1j * tau * ((ev - 1.0) * v2 - ea * v1)
-        return np.stack((new1, new2))
 
     # -- the one-step matrix -----------------------------------------------
     @property
@@ -217,7 +199,7 @@ class Stepper:
     def advance(self) -> None:
         """Advance the solution one step of size tau."""
         if self.needs_history and self._prev is None:
-            new = self._taylor_first()
+            new = self._launch()
         else:
             new = self._step(self._prev, self._curr, self.t)
         if self.needs_history:
@@ -234,8 +216,8 @@ class Stepper:
 
     def propagate(self, n_steps: int) -> None:
         """Advance n_steps: by M^n when `takes_dense_power`, else by the step
-        loop.  A three-level scheme without history first takes its Taylor
-        launch through `advance`."""
+        loop.  A three-level scheme without history first takes its launch
+        step through `advance`."""
         if n_steps <= 0:
             return
         if not self.takes_dense_power(n_steps):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config parsing, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +197,17 @@ class TestCompare:
         assert main(["compare", cfg, "--out", str(out)]) == 3
         assert "stability violation" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDemoConfigs:
+    """Every config shipped in demos/configs runs through the CLI."""
+
+    DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+    @pytest.mark.parametrize("name, command", [("torus_run", "run"),
+                                               ("inline_problem", "run"),
+                                               ("refinement_table", "converge")])
+    def test_demo_config_runs(self, tmp_path, name, command):
+        config = self.DEMO_CONFIGS / f"{name}.json"
+        assert main([command, str(config), "--out", str(tmp_path / "out.csv")]) == 0
+        assert (tmp_path / "out.csv").read_text().strip()

@@ -269,7 +269,7 @@ class TestStepFunctions:
         state = StepperState(prob.phi0)
         a = one_step("lffp", state, prob, 0.01)
         b = one_step("lffd", state, prob, 0.01)
-        assert np.abs(a.values - b.values).max() < 1e-12  # first step is shared
+        assert np.abs(a.values - b.values).max() > 1e-6  # each launches with its own D
 
         st_p = make_stepper("lffp", prob, 0.01)
         st_d = make_stepper("lffd", prob, 0.01)

@@ -1,5 +1,5 @@
 """Finite-difference scheme tests: defining equations, per-mode oracles,
-conservation, and the shared Taylor first step."""
+conservation, and the forward-Euler launch of the three-level schemes."""
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ def single_mode_problem(N, l, u):
 
 
 def one_step(scheme, state, problem, tau):
-    """One step of the scheme from the given state (Taylor launch if the
+    """One step of the scheme from the given state (the launch step if the
     state has no history)."""
     stepper = make_stepper(scheme, problem, tau, state=state)
     stepper.advance()
@@ -54,13 +54,8 @@ def centered(v, h):
     return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * h)
 
 
-def taylor_launch(u, symbol, tau):
-    """Per-mode Taylor first step with the exact derivative i*mu*u."""
-    return u - tau * (SIGMA1 @ (1j * symbol("exact") * u)) - 1j * tau * (SIGMA3 @ u)
-
-
 # ---------------------------------------------------------------------------
-# shared first step
+# the launch step
 # ---------------------------------------------------------------------------
 
 class TestFirstStep:
@@ -79,18 +74,12 @@ class TestFirstStep:
 
     def test_benchmark_value_at_origin(self):
         # frozen from a 50-digit arbitrary-precision evaluation of the
-        # Taylor launch formula at x = 0, eps = 1, tau = 0.05
+        # launch formula at x = 0, eps = 1, tau = 0.05 (the initial data are
+        # even about x = 0, so their centered difference vanishes there)
         prob = benchmark_problem(N=64, eps=1.0)
         phi1 = one_step("lffd", None, prob, 0.05)
         assert phi1.values[0, 0] == pytest.approx(1.0 - 0.0875j, abs=1e-14)
         assert phi1.values[1, 0] == pytest.approx(0.25 + 0.05j, abs=1e-14)
-
-    def test_spectral_derivative_fallback_agrees(self):
-        prob = benchmark_problem(N=256)
-        no_deriv = DiracProblem(prob.grid, prob.epsilon, prob.potentials, prob.phi0,
-                                phi0_deriv=None, T0=prob.T0)
-        np.testing.assert_allclose(one_step("lffd", None, no_deriv, 0.02).values,
-                                   one_step("lffd", None, prob, 0.02).values, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +174,13 @@ class TestFreeModeRecurrences:
         s = np.sin(mu * grid.h) / grid.h
         return mu, s
 
-    def _oracle(self, advance, launch_symbol):
-        """Run the dense 2x2 recurrence with the Taylor launch."""
+    def _oracle(self, advance):
+        """Run the dense 2x2 recurrence after the forward-Euler launch with
+        the stencil symbol s."""
         prob, grid = single_mode_problem(self.N, self.L, self.U0)
         mu, s = self._symbols(grid)
         u_prev = self.U0.copy()
-        u_curr = (self.U0 - self.TAU * (SIGMA1 @ (1j * mu * self.U0))
+        u_curr = (self.U0 - self.TAU * (SIGMA1 @ (1j * s * self.U0))
                   - 1j * self.TAU * (SIGMA3 @ self.U0))
         seq = [u_curr]
         for _ in range(self.STEPS - 1):
@@ -207,7 +197,7 @@ class TestFreeModeRecurrences:
             rhs = 2 * tau * s * (SIGMA1 @ u_curr) + (1j * I2 + tau * SIGMA3) @ u_prev
             return np.linalg.solve(lhs, rhs)
 
-        for got, want in zip(self._mode_sequence("sifd1"), self._oracle(advance, "stencil")):
+        for got, want in zip(self._mode_sequence("sifd1"), self._oracle(advance)):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_sifd2_matches_recurrence(self):
@@ -218,7 +208,7 @@ class TestFreeModeRecurrences:
             rhs = (1j * I2 + tau * s * SIGMA1 + tau * SIGMA3) @ u_prev
             return np.linalg.solve(lhs, rhs)
 
-        for got, want in zip(self._mode_sequence("sifd2"), self._oracle(advance, "stencil")):
+        for got, want in zip(self._mode_sequence("sifd2"), self._oracle(advance)):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_lffd_matches_recurrence(self):
@@ -227,7 +217,7 @@ class TestFreeModeRecurrences:
         def advance(u_prev, u_curr, mu, s):
             return u_prev - 2j * tau * ((s * SIGMA1 + SIGMA3) @ u_curr)
 
-        for got, want in zip(self._mode_sequence("lffd"), self._oracle(advance, "stencil")):
+        for got, want in zip(self._mode_sequence("lffd"), self._oracle(advance)):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_lffd_constant_field_scalar_recurrence(self):

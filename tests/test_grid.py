@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from dirac1d import (
     ConfigurationError,
-    SpectralCoeffs,
     SpinorField,
     centered_difference,
-    dft,
     field_from_function,
-    idft,
     make_grid,
     norm,
     spectral_derivative,
@@ -32,27 +29,6 @@ def random_field(grid, rng=RNG):
 # ---------------------------------------------------------------------------
 # brute-force oracles (O(N^2) sums straight from the definitions)
 # ---------------------------------------------------------------------------
-
-def dft_oracle(field):
-    """c_l = (1/N) sum_j f_j exp(-2i pi j l / N), l = -N/2..N/2-1."""
-    g = field.grid
-    out = np.zeros((2, g.N), dtype=complex)
-    for idx, l in enumerate(range(-g.N // 2, g.N // 2)):
-        for j in range(g.N):
-            out[:, idx] += field.values[:, j] * np.exp(-2j * np.pi * j * l / g.N)
-    return out / g.N
-
-
-def idft_oracle(coeffs):
-    """f_j = sum_l c_l exp(i mu_l (x_j - a))."""
-    g = coeffs.grid
-    out = np.zeros((2, g.N), dtype=complex)
-    for j in range(g.N):
-        for idx, l in enumerate(range(-g.N // 2, g.N // 2)):
-            mu = 2 * np.pi * l / (g.b - g.a)
-            out[:, j] += coeffs.coeffs[:, idx] * np.exp(1j * mu * (g.x[j] - g.a))
-    return out
-
 
 def spectral_derivative_oracle(field):
     """(i/N) sum_k sum_l mu_l exp(2i (j-k) l pi / N) f_k."""
@@ -74,7 +50,7 @@ class TestMakeGrid:
     def test_unit_torus_frequencies_are_integers(self):
         g = make_grid(0.0, 2 * np.pi, 4)
         assert g.h == pytest.approx(np.pi / 2)
-        np.testing.assert_allclose(g.frequencies, [-2, -1, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(g.mu_fft, [0, 1, -2, -1], atol=1e-15)
 
     def test_benchmark_resolution(self):
         g = make_grid(0.0, 2 * np.pi, 128)
@@ -83,7 +59,8 @@ class TestMakeGrid:
     def test_scaled_interval(self):
         g = make_grid(-9.0, 9.0, 36)
         assert g.h == pytest.approx(0.5)
-        np.testing.assert_allclose(g.frequencies, np.pi * np.arange(-18, 18) / 9, atol=1e-14)
+        np.testing.assert_allclose(g.mu_fft, np.pi * np.fft.ifftshift(np.arange(-18, 18)) / 9,
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("N", [3, 5, 2, 0, -4])
     def test_rejects_bad_node_counts(self, N):
@@ -96,7 +73,16 @@ class TestMakeGrid:
 
     def test_highest_mode_frequency(self):
         g = make_grid(0.0, 2 * np.pi, 16)
-        assert g.frequencies[0] == pytest.approx(-np.pi / g.h)
+        assert g.mu_fft[g.N // 2] == pytest.approx(-np.pi / g.h)
+
+    def test_mu_fft_labels_fft_storage_order(self):
+        # c = fft(f)/N holds the coefficient of exp(i*mu_fft[k]*(x - a)) at k
+        g = make_grid(-1.0, 3.0, 8)
+        f = random_field(g)
+        c = np.fft.fft(f.values, axis=1) / g.N
+        waves = np.exp(1j * np.outer(g.mu_fft, g.x - g.a))  # (k, j)
+        np.testing.assert_allclose(c @ waves, f.values, atol=1e-13)
+        np.testing.assert_allclose(c, f.values @ np.conj(waves).T / g.N, atol=1e-13)
 
 
 class TestFieldValidation:
@@ -104,70 +90,6 @@ class TestFieldValidation:
         g = make_grid(0.0, 1.0, 8)
         with pytest.raises(ConfigurationError):
             SpinorField(g, np.zeros((2, 6)))
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-class TestDFT:
-    def test_constant_field_is_mode_zero(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
-        f = SpinorField(g, np.stack((np.full(8, 2.0 + 1j), np.full(8, -3.0 + 0j))))
-        c = dft(f)
-        np.testing.assert_allclose(c.coeff(0), [2.0 + 1j, -3.0], atol=1e-14)
-        others = np.delete(c.coeffs, 4, axis=1)
-        assert np.abs(others).max() < 1e-14
-
-    def test_single_mode(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
-        f = field_from_function(g, lambda x: np.stack((np.exp(1j * x), np.zeros_like(x, dtype=complex))))
-        c = dft(f)
-        np.testing.assert_allclose(c.coeff(1), [1.0, 0.0], atol=1e-14)
-        assert np.abs(c.coeffs).sum() == pytest.approx(1.0, abs=1e-13)
-
-    def test_matches_direct_summation(self):
-        g = make_grid(-1.0, 3.0, 8)
-        f = random_field(g)
-        np.testing.assert_allclose(dft(f).coeffs, dft_oracle(f), atol=1e-13)
-
-    def test_idft_matches_direct_summation(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
-        c = SpectralCoeffs(g, RNG.standard_normal((2, 8)) + 1j * RNG.standard_normal((2, 8)))
-        np.testing.assert_allclose(idft(c).values, idft_oracle(c), atol=1e-12)
-
-    def test_idft_of_zero_and_constant(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
-        zero = idft(SpectralCoeffs(g, np.zeros((2, 8))))
-        assert np.abs(zero.values).max() == 0.0
-        c = np.zeros((2, 8), dtype=complex)
-        c[:, 4] = [1.5, -2j]  # mode l = 0
-        const = idft(SpectralCoeffs(g, c))
-        np.testing.assert_allclose(const.values[0], 1.5, atol=1e-14)
-        np.testing.assert_allclose(const.values[1], -2j, atol=1e-14)
-
-    @pytest.mark.parametrize("N", [4, 8, 16, 64])
-    def test_round_trip(self, N):
-        g = make_grid(0.0, 2 * np.pi, N)
-        f = random_field(g)
-        back = idft(dft(f))
-        assert norm(SpinorField(g, back.values - f.values), "l2") <= 1e-13 * norm(f, "l2")
-
-    def test_round_trip_from_coefficients(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
-        c = SpectralCoeffs(g, RNG.standard_normal((2, 16)) + 1j * RNG.standard_normal((2, 16)))
-        back = dft(idft(c))
-        scale = np.abs(c.coeffs).max()
-        np.testing.assert_allclose(back.coeffs, c.coeffs, atol=1e-13 * scale)
-
-    @pytest.mark.parametrize("N", [8, 32])
-    def test_parseval(self, N):
-        g = make_grid(-2.0, 5.0, N)
-        f = random_field(g)
-        c = dft(f)
-        lhs = g.h * (np.abs(f.values) ** 2).sum()
-        rhs = (g.b - g.a) * (np.abs(c.coeffs) ** 2).sum()
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +133,7 @@ class TestCenteredDifference:
     def test_single_mode_symbol(self):
         # acting on exp(i mu x) the stencil multiplies by i sin(mu h)/h
         g = make_grid(0.0, 2 * np.pi, 16)
-        mu = g.frequencies[g.N // 2 + 1]  # l = 1
+        mu = g.mu_fft[1]  # l = 1
         f = field_from_function(g, lambda x: np.stack((np.exp(1j * mu * x),
                                                        np.exp(1j * mu * x))))
         df = centered_difference(f)

@@ -11,19 +11,15 @@ from dirac1d import (
     PotentialPair,
     SpinorField,
     check_bounds,
-    continuity_residual,
     current,
     density,
     energy_fd,
     energy_fp,
     field_from_function,
-    free_dirac_exact,
     make_grid,
     mass,
     norm,
     preset,
-    preset_names,
-    sample_potential_matrix,
     zero_potentials,
 )
 
@@ -55,34 +51,6 @@ def energy_fd_oracle(f, pots, eps):
         j1 = 2 * np.real(np.conj(phi[0]) * phi[1])
         total += kin + sig3 + eps * vq[j] * rho - eps * aq[j] * j1
     return float((g.h * total).real)
-
-
-class TestPotentialMatrix:
-    def test_zero_potentials(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
-        G = sample_potential_matrix(zero_potentials(), 1.0, 0.0, g)
-        assert np.abs(G).max() == 0.0
-
-    def test_constant_electric_gives_identity(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
-        pots = PotentialPair(lambda t, x: np.ones_like(x), lambda t, x: np.zeros_like(x),
-                             True, 1.0, 0.0)
-        G = sample_potential_matrix(pots, 1.0, 0.0, g)
-        np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), (8, 2, 2)), atol=1e-15)
-
-    def test_benchmark_value_at_origin(self):
-        # V(0) = 1, A1(0) = 1, so G_0 = (I - sigma1)/4 at eps = 1/4
-        setup = preset("periodic-s51", 0.25)
-        g = make_grid(0.0, 2 * np.pi, 8)
-        G = sample_potential_matrix(setup.potentials, 0.25, 0.0, g)
-        np.testing.assert_allclose(G[0], 0.25 * (np.eye(2) - np.array([[0, 1], [1, 0]])),
-                                   atol=1e-14)
-
-    def test_matrices_are_hermitian(self):
-        setup = preset("periodic-s51", 0.5)
-        g = make_grid(0.0, 2 * np.pi, 16)
-        G = sample_potential_matrix(setup.potentials, 0.5, 0.0, g)
-        np.testing.assert_allclose(G, np.conj(np.swapaxes(G, 1, 2)), atol=1e-15)
 
 
 class TestMass:
@@ -193,48 +161,6 @@ class TestEnergies:
         assert diffs[1] <= diffs[0] / 4.0 * 1.2
 
 
-class TestObservablesBundle:
-    def test_fields_and_invariants(self):
-        from dirac1d import observables
-
-        setup = preset("periodic-s51", 1.0)
-        prob = setup.discretize(N=64)
-        for kinetic in ("fd", "fp"):
-            obs = observables(prob.phi0, setup.potentials, 1.0, kinetic=kinetic)
-            assert obs.mass >= 0 and np.all(obs.rho >= 0)
-            assert np.all(np.abs(obs.current) <= obs.rho * (1 + 1e-12))
-            assert obs.mass == pytest.approx(mass(prob.phi0), rel=1e-14)
-        with pytest.raises(ConfigurationError):
-            observables(prob.phi0, setup.potentials, 1.0, kinetic="spectral")
-
-
-class TestContinuityResidual:
-    def test_identical_currentless_snapshots(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
-        f = SpinorField(g, np.stack((np.ones(16, complex), np.zeros(16, complex))))
-        assert continuity_residual(f, f, 0.1) == 0.0
-
-    def test_free_solution_second_order(self):
-        ratios = []
-        prev = None
-        for N, tau in ((32, 0.02), (64, 0.01)):
-            g = make_grid(0.0, 2 * np.pi, N)
-            f0 = field_from_function(g, lambda x: np.stack((np.exp(1j * x) / (2 + np.cos(x)),
-                                                            np.exp(-1j * x) / (2 + np.sin(x)))))
-            fa = free_dirac_exact(f0, 1.0)
-            fb = free_dirac_exact(f0, 1.0 + tau)
-            r = continuity_residual(fa, fb, tau)
-            if prev is not None:
-                ratios.append(prev / r)
-            prev = r
-        assert ratios[0] == pytest.approx(4.0, abs=1.2)
-
-    def test_unrelated_fields_give_finite_positive(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
-        r = continuity_residual(random_field(g), random_field(g), 0.1)
-        assert np.isfinite(r) and r > 0
-
-
 class TestBoundsCheck:
     def test_valid_bounds_quiet(self):
         setup = preset("periodic-s51", 1.0)
@@ -254,8 +180,9 @@ class TestBoundsCheck:
 
 class TestProblemAndPresets:
     def test_preset_names(self):
-        assert preset_names() == ["periodic-s51", "whole-space-s52"]
-        with pytest.raises(ConfigurationError):
+        for name in ("periodic-s51", "whole-space-s52"):
+            assert preset(name, 1.0).key == {"preset": name, "epsilon": 1.0}
+        with pytest.raises(ConfigurationError, match="periodic-s51"):
             preset("unknown", 1.0)
 
     def test_epsilon_range_enforced(self):
@@ -271,16 +198,6 @@ class TestProblemAndPresets:
         assert setup.potentials.v_max == 1.0
         prob = setup.discretize(N=64)
         assert prob.t_final == pytest.approx(8.0)
-
-    @pytest.mark.parametrize("name", ["periodic-s51", "whole-space-s52"])
-    def test_preset_analytic_derivative_matches_fd(self, name):
-        # central finite differences as an independent check of the
-        # hand-derived initial-data derivatives
-        setup = preset(name, 1.0)
-        xs = np.linspace(setup.a, setup.b, 41)
-        dx = 1e-6
-        fd = (setup.phi0_func(xs + dx) - setup.phi0_func(xs - dx)) / (2 * dx)
-        np.testing.assert_allclose(setup.phi0_deriv_func(xs), fd, atol=1e-7, rtol=1e-7)
 
     def test_wavepacket_domain_expands_with_horizon(self):
         assert preset("whole-space-s52", 1.0).domain() == (-8.0, 8.0)
@@ -319,12 +236,3 @@ class TestProblemAndPresets:
             DiracProblem(other, 1.0, setup.potentials, prob.phi0)
         with pytest.raises(ConfigurationError):
             DiracProblem(prob.grid, 1.0, setup.potentials, prob.phi0, T0=0.0)
-
-    def test_spectral_fallback_for_initial_derivative(self):
-        setup = preset("periodic-s51", 1.0)
-        prob = setup.discretize(N=128)
-        analytic = prob.phi0_derivative_values()
-        prob_no_deriv = DiracProblem(prob.grid, 1.0, setup.potentials, prob.phi0,
-                                     phi0_deriv=None, T0=2.0)
-        np.testing.assert_allclose(prob_no_deriv.phi0_derivative_values(), analytic,
-                                   atol=1e-9)

@@ -1,5 +1,6 @@
 """Closed-form step-size bounds and the run validator."""
 
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,14 @@ from dirac1d import (
     ALL_SCHEMES,
     UNBOUNDED,
     ConfigurationError,
+    SchemeConfig,
+    StabilityError,
     preset,
+    run_simulation,
     tau_max,
     validate,
 )
+from dirac1d.cli import main
 from dirac1d.stability import Unbounded
 
 
@@ -122,3 +127,37 @@ class TestValidate:
     def test_lffd_verdict_follows_h(self):
         assert validate("lffd", 0.1, 0.2, 0.0, 0.0).ok is False
         assert validate("lffd", 0.5, 0.2, 0.0, 0.0).ok is True
+
+
+class TestEpsScaledBounds:
+    """Runs are judged by the potentials the operator sees, eps*V and eps*A1:
+    at eps = 0 LFFD on periodic-s51 (N = 32) keeps the free bound
+    h/sqrt(h^2 + 1) = 0.193, not the eps = 1 bound 0.126."""
+
+    def problem(self):
+        return preset("periodic-s51", 0.0).discretize(N=32)
+
+    def taus(self, prob):
+        pots, h = prob.potentials, prob.grid.h
+        return (1.01 * tau_max("lffd", h, pots.v_max, pots.a_max),
+                1.01 * tau_max("lffd", h, 0.0, 0.0))
+
+    def test_run_past_the_unscaled_bound_stays_bounded(self):
+        prob = self.problem()
+        tau, _ = self.taus(prob)
+        res = run_simulation(prob, SchemeConfig("lffd", tau, t_final=2000 * tau))
+        assert not res.blew_up and res.max_norm_ratio <= 1.5
+
+    def test_free_bound_still_refused(self):
+        prob = self.problem()
+        _, tau = self.taus(prob)
+        with pytest.raises(StabilityError):
+            run_simulation(prob, SchemeConfig("lffd", tau, t_final=2000 * tau))
+
+    def test_cli_stability_verdicts(self, tmp_path):
+        for tau, code in zip(self.taus(self.problem()), (0, 3)):
+            path = tmp_path / "stability.json"
+            path.write_text(json.dumps({"problem": "periodic-s51", "epsilon": 0.0,
+                                        "N": 32, "tau": tau, "scheme": "lffd"}))
+            out = tmp_path / "verdicts.txt"
+            assert main(["stability", str(path), "--out", str(out)]) == code

@@ -1,4 +1,5 @@
-"""`Stepper.propagate` and identities of the one-step matrix M.
+"""`Stepper.propagate`, identities of the one-step matrix M, and the launch
+of the three-level schemes.
 
 With a time-independent potential every scheme is a fixed linear map, and
 `Stepper._one_step_matrix` is that map: 2N x 2N on Phi^n for CN and TSFP,
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from dirac1d import (
     ConfigurationError,
@@ -17,6 +19,8 @@ from dirac1d import (
     SolverError,
     SpinorField,
     StepperState,
+    energy_fd,
+    energy_fp,
     make_grid,
     make_stepper,
     norm,
@@ -46,8 +50,37 @@ def smooth_problem(n_nodes, eps, v, a, shift):
 
 def launched_matrix(scheme, problem, tau):
     stepper = make_stepper(scheme, problem, tau)
-    stepper.advance()  # three-level schemes: M acts after the Taylor launch
+    stepper.advance()  # three-level schemes: M acts after the launch
     return stepper._one_step_matrix()
+
+
+def k_matrix(stepper):
+    """K = -i sigma1 D + sigma3 + eps (V - A1 sigma1) on flattened (2, N)
+    fields, from the stepper's own `_apply_k` on identity columns."""
+    size = 2 * stepper.grid.N
+    cols = np.eye(size, dtype=complex).reshape(size, 2, -1).transpose(1, 0, 2)
+    out = stepper._apply_k(cols, *stepper._eps_potentials(stepper.t))
+    return out.transpose(1, 0, 2).reshape(size, size).T
+
+
+def energy_form(energy, problem):
+    """Hermitian Q with energy(phi) = phi^H Q phi on flattened (2, N) fields,
+    recovered from the energy function itself by polarization."""
+    grid, size = problem.grid, 2 * problem.grid.N
+
+    def e(v):
+        return energy(SpinorField(grid, v.reshape(2, -1)), problem.potentials,
+                      problem.epsilon)
+
+    unit = np.eye(size)
+    diag = np.array([e(u) for u in unit])
+    q = np.diag(diag).astype(complex)
+    for j in range(size):
+        for k in range(j + 1, size):
+            re = (e(unit[j] + unit[k]) - diag[j] - diag[k]) / 2
+            im = -(e(unit[j] + 1j * unit[k]) - diag[j] - diag[k]) / 2
+            q[j, k], q[k, j] = re + 1j * im, re - 1j * im
+    return q
 
 
 def spectral_radius(m):
@@ -173,6 +206,27 @@ class TestOneStepMatrix:
             assume(False)
         assert spectral_radius(m) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("scheme", ["cnfd", "cnfp"])
+    @settings(max_examples=6, deadline=None)
+    @given(half_n=st.integers(4, 16), eps=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+           a=st.floats(0.0, 1.0), shift=st.floats(0.0, 2 * np.pi), tau=st.floats(1e-3, 0.25))
+    def test_crank_nicolson_conserves_its_energy(self, scheme, half_n, eps, v, a, shift, tau):
+        # M^H E M = E with E the quadratic form of the scheme's discrete energy
+        prob = smooth_problem(2 * half_n, eps, v, a, shift)
+        m = launched_matrix(scheme, prob, tau)
+        q = energy_form(energy_fd if scheme == "cnfd" else energy_fp, prob)
+        assert np.abs(m.conj().T @ q @ m - q).max() <= 1e-12 * np.abs(q).max()
+
+    @pytest.mark.parametrize("scheme", ["cnfd", "cnfp", "tsfp"])
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(4, 16), eps=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+           a=st.floats(0.0, 1.0), shift=st.floats(0.0, 2 * np.pi), tau=st.floats(1e-3, 0.25))
+    def test_time_reversal(self, scheme, half_n, eps, v, a, shift, tau):
+        # M(-tau) M(tau) = I
+        prob = smooth_problem(2 * half_n, eps, v, a, shift)
+        back = launched_matrix(scheme, prob, -tau) @ launched_matrix(scheme, prob, tau)
+        assert np.abs(back - np.eye(len(back))).max() <= 1e-12
+
     @pytest.mark.parametrize("scheme", ["lffd", "lffp", "sifd1", "sifp1"])
     @pytest.mark.parametrize("N", [16, 32])
     def test_tau_max_is_sharp_at_eps_zero(self, scheme, N):
@@ -180,3 +234,37 @@ class TestOneStepMatrix:
         tau = tau_max(scheme, prob.grid.h, 0.0, 0.0)
         assert spectral_radius(launched_matrix(scheme, prob, 0.99 * tau)) <= 1.0 + 1e-12
         assert spectral_radius(launched_matrix(scheme, prob, 1.01 * tau)) > 1.1
+
+
+class TestLaunch:
+    """Three-level schemes launch by forward Euler with their own K."""
+
+    @pytest.mark.parametrize("scheme", sorted(THREE_LEVEL))
+    def test_second_order_towards_own_semi_discrete_flow(self, scheme):
+        prob = preset("periodic-s51", 1.0).discretize(N=64)
+        t = 2.0
+        k = k_matrix(make_stepper(scheme, prob, 4e-3))
+        exact = expm(-1j * t * k) @ prob.phi0.values.reshape(-1)
+        errors = []
+        for tau in (4e-3, 2e-3):
+            stepper = make_stepper(scheme, prob, tau)
+            stepper.propagate(round(t / tau))
+            errors.append(np.linalg.norm(stepper._curr.reshape(-1) - exact))
+        order = np.log2(errors[0] / errors[1])
+        assert abs(order - 2.0) <= 0.01, (errors, order)
+
+    @pytest.mark.parametrize("scheme", sorted(THREE_LEVEL))
+    def test_first_advance_is_forward_euler(self, scheme):
+        # one launch whether the stepper starts from the problem's initial
+        # data, from a state holding that same data, or from a restart
+        prob = preset("periodic-s51", 0.25).discretize(N=32)
+        tau = 1e-2
+        states = (None, StepperState(prob.phi0),
+                  StepperState(random_field(prob.grid, 5), t_n=0.3, n=30))
+        for state in states:
+            stepper = make_stepper(scheme, prob, tau, state=state)
+            phi = stepper._curr.reshape(-1).copy()
+            want = phi - 1j * tau * (k_matrix(stepper) @ phi)
+            stepper.advance()
+            np.testing.assert_allclose(stepper._curr.reshape(-1), want, rtol=0,
+                                       atol=1e-13 * np.abs(phi).max())
