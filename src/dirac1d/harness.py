@@ -10,6 +10,17 @@ Tables refine (h, tau) -> (h, tau)/2^k and report order = log2(e_k / e_{k+1})
 between consecutive levels (plain cell ratios, no fitting); the "diagonal"
 marks the level where the mesh matches sqrt(eps) scaling relative to the
 first row (level = log4(eps_0/eps)).
+
+A table is split into independent tasks: one per eps-row reference and one
+per cell.  A cell's run does not need the reference, only its error does,
+so the parent process checks every cell against its row's reference grid
+(node ratio and nesting) before any task starts, runs the tasks, and then
+restricts each reference and measures each cell itself.  Tasks run
+longest first by the static estimate steps x nodes: (t/tau_e) N_e for a
+reference (one step for the exact kind), (t/tau) N for a cell.  Since
+t = T0/eps, the smallest-eps reference usually leads.  With workers > 1 the
+same tasks go to a process pool in that order; the first task that raises
+cancels the ones still queued, and its error is raised as in a serial run.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -27,7 +38,8 @@ from .errors import ConfigurationError, Dirac1DError, StabilityError
 from .grid import SpinorField, norm, scalar_norm
 from .model import (DiracProblem, ProblemSetup, check_bounds, current, density, energy_fd,
                     energy_fp)
-from .reference import ReferenceCache, exact_free_reference, reference_solution
+from .reference import (ReferenceCache, check_restriction, exact_free_reference,
+                        reference_solution)
 from .schemes import make_stepper
 from .stability import validate
 
@@ -264,19 +276,28 @@ class ReferenceConfig:
             raise ConfigurationError(f"unknown reference kind {self.kind!r}")
 
 
-def build_reference(setup: ProblemSetup, ref_cfg: ReferenceConfig,
-                    h_finest: float, tau_finest: float,
-                    t_targets: Sequence[float]):
-    """Materialize the reference for one epsilon row of a table."""
+def _reference_mesh(ref_cfg: ReferenceConfig, h_finest: float,
+                    tau_finest: float) -> tuple:
+    """(h_e, tau_e) of a row's reference; tau_e is None for the exact kind."""
     h_e = ref_cfg.h_e if ref_cfg.h_e is not None else h_finest / ref_cfg.space_factor
     if ref_cfg.kind == "exact":
-        return exact_free_reference(setup, h_e, t_targets)
+        return h_e, None
     tau_e = ref_cfg.tau_e if ref_cfg.tau_e is not None else tau_finest / ref_cfg.time_factor
     if tau_e > tau_finest / ref_cfg.min_time_ratio * (1 + 1e-12):
         raise ConfigurationError(
             f"reference tau_e={tau_e} is not {ref_cfg.min_time_ratio:g}x finer than "
             f"the finest test tau={tau_finest}"
         )
+    return h_e, tau_e
+
+
+def build_reference(setup: ProblemSetup, ref_cfg: ReferenceConfig,
+                    h_finest: float, tau_finest: float,
+                    t_targets: Sequence[float]):
+    """Materialize the reference for one epsilon row of a table."""
+    h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
+    if tau_e is None:
+        return exact_free_reference(setup, h_e, t_targets)
     if ref_cfg.cache is not None:
         return ref_cfg.cache.fetch(setup, h_e, tau_e, t_targets)
     return reference_solution(setup, h_e, tau_e, t_targets)
@@ -318,36 +339,47 @@ class ConvergenceTable:
 
 
 def _run_cell(setup: ProblemSetup, scheme: str, h: float, tau: float,
-              t_target: float, reference, ref_cfg: ReferenceConfig) -> ErrorReport:
+              t_target: float) -> Optional[SpinorField]:
+    """A cell's state at t_target, or None if its run was unstable, failed or
+    blew up; a ConfigurationError propagates."""
     problem = setup.discretize(h=h)
     config = SchemeConfig(scheme=scheme, tau=tau, record="none",
                           verify_potential_bounds=False)
     try:
         result = run_simulation(problem, config)
-        if result.blew_up:
-            raise Dirac1DError(f"blow-up at step {result.blowup_step}")
-        ref_field = reference.restricted(
-            t_target, problem.grid,
-            allow_interpolation=ref_cfg.allow_interpolation,
-            min_space_ratio=ref_cfg.min_space_ratio,
-        )
-        return measure_errors(result.final, ref_field, t=t_target, scheme=scheme,
-                              tau=tau, epsilon=setup.epsilon)
-    except (StabilityError, Dirac1DError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        nan = float("nan")
-        return ErrorReport(nan, nan, nan, t=t_target, scheme=scheme, h=h,
-                           tau=tau, epsilon=setup.epsilon)
+    except ConfigurationError:
+        raise
+    except Dirac1DError:  # StabilityError, SolverError
+        return None
+    return None if result.blew_up else result.final
 
 
-def _run_row(setup: ProblemSetup, scheme: str, pairs: Sequence[tuple],
-             t_target: float, ref_cfg: ReferenceConfig) -> list:
-    h_finest = min(p[0] for p in pairs)
-    tau_finest = min(p[1] for p in pairs)
-    reference = build_reference(setup, ref_cfg, h_finest, tau_finest, [t_target])
-    return [_run_cell(setup, scheme, h, tau, t_target, reference, ref_cfg)
-            for (h, tau) in pairs]
+def _run_row(task: str, *args) -> list:
+    """One pool task, its result as a one-item list: a row's reference
+    ("reference", build_reference's arguments) or a cell's final state
+    ("cell", _run_cell's arguments)."""
+    return [build_reference(*args) if task == "reference" else _run_cell(*args)]
+
+
+def _run_row_star(args):
+    return _run_row(*args)
+
+
+def _run_tasks(tasks: list, workers: int) -> list:
+    """`_run_row` of each task, in order.  With workers > 1 they run in a
+    process pool; the first task (in this order) that raises has its error
+    raised, and the tasks still queued when one raises are cancelled."""
+    if workers <= 1:
+        return [_run_row(*task) for task in tasks]
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_run_row_star, task) for task in tasks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # a task runs only after every task before it has started, and shutdown
+    # waits for started tasks: the first failure in this order is not cancelled
+    return [future.result() for future in futures]
 
 
 def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
@@ -359,30 +391,48 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
     table = ConvergenceTable(scheme=scheme.lower(), eps_list=list(eps_list),
                              levels=levels, kind=kind)
     h_finest = min(p[0] for p in pairs)
-    jobs = []
-    for eps in eps_list:
+    tau_finest = min(p[1] for p in pairs)
+    h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
+    rows, tasks = [], []  # tasks: (estimated steps x nodes, key, task)
+    for i, eps in enumerate(eps_list):
         s_eps = setup.with_epsilon(eps)
         t_target = s_eps.T0 / eps if eps > 0 else s_eps.T0
         if eps > 0:
             # cells skip this check; run it once per row, here in the parent
             # process, so that its warning reaches the caller with workers > 1
             check_bounds(s_eps.potentials, s_eps.grid_for_mesh(h_finest), t_target)
-        jobs.append((s_eps, scheme, pairs, t_target, ref_cfg))
+        rows.append((s_eps, t_target))
+        n_e = s_eps.grid_for_mesh(h_e).N
+        ref_steps = t_target / tau_e if tau_e is not None else 1.0
+        tasks.append((ref_steps * n_e, i,
+                      ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
+        for k, (h, tau) in enumerate(pairs):
+            n = s_eps.grid_for_mesh(h).N
+            check_restriction(n_e, n, ref_cfg.allow_interpolation, ref_cfg.min_space_ratio)
+            tasks.append((t_target / tau * n, (i, k),
+                          ("cell", s_eps, scheme, h, tau, t_target)))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_row_star, jobs))
-    else:
-        rows = [_run_row(*job) for job in jobs]
+    tasks.sort(key=lambda task: -task[0])  # longest first; stable on ties
+    done = dict(zip([key for _, key, _ in tasks],
+                    _run_tasks([task for _, _, task in tasks], workers)))
 
-    for i, row in enumerate(rows):
-        for k, rep in enumerate(row):
-            table.cells[(i, k)] = rep
+    for i, (s_eps, t_target) in enumerate(rows):
+        [reference] = done[i]
+        for k, (h, tau) in enumerate(pairs):
+            [final] = done[(i, k)]
+            if final is None:
+                nan = float("nan")
+                table.cells[(i, k)] = ErrorReport(nan, nan, nan, t=t_target, scheme=scheme,
+                                                  h=h, tau=tau, epsilon=s_eps.epsilon)
+                continue
+            ref_field = reference.restricted(
+                t_target, final.grid,
+                allow_interpolation=ref_cfg.allow_interpolation,
+                min_space_ratio=ref_cfg.min_space_ratio,
+            )
+            table.cells[(i, k)] = measure_errors(final, ref_field, t=t_target, scheme=scheme,
+                                                 tau=tau, epsilon=s_eps.epsilon)
     return table
-
-
-def _run_row_star(args):
-    return _run_row(*args)
 
 
 def convergence_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],

@@ -157,20 +157,27 @@ class ReferenceSolution:
         min_space_ratio guards how much finer the reference must be.
         """
         fine = self.snapshot(t)
-        if self.grid.N < min_space_ratio * grid.N:
-            raise ConfigurationError(
-                f"reference grid N={self.grid.N} is not {min_space_ratio:g}x finer "
-                f"than the test grid N={grid.N}"
-            )
+        check_restriction(self.grid.N, grid.N, allow_interpolation, min_space_ratio)
         if grid == self.grid:
             return fine
         if self.grid.N % grid.N == 0:
             return subsample(fine, grid)
-        if allow_interpolation:
-            return trig_resample(fine, grid)
+        return trig_resample(fine, grid)
+
+
+def check_restriction(n_e: int, n: int, allow_interpolation: bool,
+                      min_space_ratio: float) -> None:
+    """Raise unless a reference on N_e nodes can serve a test grid of N nodes:
+    N_e must be min_space_ratio x N, and the grids must nest unless
+    interpolation is allowed."""
+    if n_e < min_space_ratio * n:
         raise ConfigurationError(
-            f"grids do not nest (N_e={self.grid.N}, N={grid.N}) and interpolation "
-            "is not enabled"
+            f"reference grid N={n_e} is not {min_space_ratio:g}x finer "
+            f"than the test grid N={n}"
+        )
+    if n_e % n and not allow_interpolation:
+        raise ConfigurationError(
+            f"grids do not nest (N_e={n_e}, N={n}) and interpolation is not enabled"
         )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -186,13 +187,14 @@ class TestConvergenceTables:
         for k in range(2):
             assert t1.cell(0, k).e_phi == pytest.approx(t2.cell(0, k).e_phi, rel=1e-10)
 
-    def test_failed_cells_recorded_as_nan(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cells_recorded_as_nan(self, workers):
         # lffd above its CFL bound at every level: cells must be NaN, table intact
         setup = bandlimited_free_setup()
         h0 = np.pi / 8
         bad_tau = 4.0 * tau_max("lffd", h0 / 2, 0.0, 0.0)
         table = convergence_table(setup, "lffd", [0.0], h0, bad_tau, 2,
-                                  reference=ReferenceConfig(kind="exact"))
+                                  reference=ReferenceConfig(kind="exact"), workers=workers)
         assert not table.cell(0, 0).is_finite()
         assert not table.cell(0, 1).is_finite()
         text = emit_csv(table)
@@ -225,20 +227,86 @@ class TestConvergenceTables:
                               reference=ReferenceConfig(tau_e=0.05))
 
     @pytest.mark.parametrize("kind", ["exact", "tsfp"])
-    def test_reference_space_ratio_enforced_for_both_kinds(self, kind):
+    def test_reference_space_ratio_enforced_for_both_kinds(self, kind, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the guard")
+
+        # the guard runs in the parent before any reference or cell is started
+        for name in ("run_simulation", "reference_solution", "exact_free_reference"):
+            monkeypatch.setattr(harness, name, no_work)
         # h_e = h/2 is only 2x finer than the test grid; the default guard asks 4x
         with pytest.raises(ConfigurationError, match="4x finer"):
             convergence_table(bandlimited_free_setup(), "cnfd", [0.0], np.pi / 8, 0.05, 1,
                               reference=ReferenceConfig(kind=kind, h_e=np.pi / 16))
 
-    def test_worker_pool_matches_serial(self):
-        setup = bandlimited_free_setup()
-        kw = dict(reference=ReferenceConfig(kind="exact"))
-        serial = convergence_table(setup, "cnfd", [0.0], np.pi / 8, 0.05, 2, **kw)
-        parallel = convergence_table(setup, "cnfd", [0.0], np.pi / 8, 0.05, 2,
-                                     workers=2, **kw)
-        for k in range(2):
-            assert serial.cell(0, k).e_phi == parallel.cell(0, k).e_phi
+    def test_reference_error_same_for_any_worker_count(self):
+        # tau_e = 0.003 divides neither horizon (t = 2 and 8); the eps = 1/4
+        # reference is the longest task, so its error is the one raised
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="tau_e=0.003") as caught:
+                convergence_table(preset("periodic-s51", 1.0), "cnfd", [1.0, 0.25],
+                                  np.pi / 8, 0.05, 1,
+                                  reference=ReferenceConfig(tau_e=0.003), workers=workers)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert "snapshot time 8.0" in messages[0]
+
+    def test_worker_pool_matches_serial(self, tmp_path):
+        setup = preset("periodic-s51", 1.0)
+        for cache in (None, ReferenceCache(str(tmp_path))):
+            kw = dict(reference=ReferenceConfig(tau_e=0.005, cache=cache))
+            serial = convergence_table(setup, "cnfd", [1.0, 0.5], np.pi / 8, 0.05, 2, **kw)
+            parallel = convergence_table(setup, "cnfd", [1.0, 0.5], np.pi / 8, 0.05, 2,
+                                         workers=2, **kw)
+            for which in ("e_phi", "e_rho", "e_j"):
+                np.testing.assert_array_equal(serial.errors(which), parallel.errors(which))
+            assert emit_csv(serial) == emit_csv(parallel)
+
+    def test_pool_tasks_submitted_once_longest_first(self, monkeypatch):
+        pools = []
+
+        class SyncPool:
+            """Runs each task at submission, in this process, and records it."""
+
+            def __init__(self, max_workers):
+                self.tasks = []
+                pools.append(self)
+
+            def submit(self, fn, task):
+                self.tasks.append(task)
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SyncPool)
+        setup, eps_list, h0, tau = preset("periodic-s51", 1.0), [1.0, 0.5, 0.25], np.pi / 4, 0.02
+        tau_e = 0.005
+        table = epsilon_sweep_spatial(setup, "lffp", eps_list, h0, 2, tau,
+                                      reference=ReferenceConfig(tau_e=tau_e), workers=2)
+        assert np.all(np.isfinite(table.errors("e_phi")))
+        [pool] = pools
+        refs = [task for task in pool.tasks if task[0] == "reference"]
+        cells = [task for task in pool.tasks if task[0] == "cell"]
+        assert len(refs) + len(cells) == len(pool.tasks)
+        assert sorted(task[1].epsilon for task in refs) == sorted(eps_list)
+        assert sorted((task[1].epsilon, task[3]) for task in cells) == sorted(
+            (eps, h) for eps in eps_list for h in (h0, h0 / 2))
+        assert pool.tasks[0][0] == "reference" and pool.tasks[0][1].epsilon == 0.25
+
+        def steps_times_nodes(task):
+            # (t / tau_e) N_e for a reference on h_e = (finest h) / 4, (t / tau) N for a cell
+            s_eps = task[1]
+            t = s_eps.T0 / s_eps.epsilon
+            if task[0] == "reference":
+                return t / tau_e * s_eps.grid_for_mesh(h0 / 2 / 4).N
+            return t / task[4] * s_eps.grid_for_mesh(task[3]).N
+
+        estimates = [steps_times_nodes(task) for task in pool.tasks]
+        assert estimates == sorted(estimates, reverse=True)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_declared_bounds_checked_once_per_row(self, workers):
