@@ -160,18 +160,6 @@ def norm(f: SpinorField, kind: str = "l2") -> float:
     raise ConfigurationError(f"unknown norm kind {kind!r} (expected l1, l2 or linf)")
 
 
-def scalar_norm(u: np.ndarray, h: float, kind: str = "l1") -> float:
-    """Discrete norm of a per-node scalar array (densities, currents)."""
-    u = np.asarray(u)
-    if kind == "l1":
-        return float(h * np.abs(u).sum())
-    if kind == "l2":
-        return float(np.sqrt(h * (np.abs(u) ** 2).sum()))
-    if kind == "linf":
-        return float(np.abs(u).max())
-    raise ConfigurationError(f"unknown norm kind {kind!r} (expected l1, l2 or linf)")
-
-
 def _same_interval(g1: TorusGrid, g2: TorusGrid) -> bool:
     scale = max(1.0, abs(g1.a), abs(g1.b))
     return abs(g1.a - g2.a) <= 1e-12 * scale and abs(g1.b - g2.b) <= 1e-12 * scale

@@ -2,26 +2,24 @@
 
 The matrix has per-node diagonal blocks D_j and constant off-diagonal
 blocks B+ (coupling to node j+1) and B- (to node j-1), with periodic wrap
-blocks at (0, N-1) and (N-1, 0).  The wrap is split off as a block-rank-2
-update A = A_band + U W, the banded interior is LU-factorized once
-(LAPACK gbtrf, bandwidth 3 in scalar form), and each solve costs one
-banded back-substitution plus a 4x4 capacitance correction.
+blocks at (0, N-1) and (N-1, 0).  The nodes are renumbered in zig-zag order
+0, N-1, 1, N-2, 2, ...: node j sits at position 2j for 2j < N and at
+2(N-1-j)+1 otherwise, so every periodic neighbour, the wrap included, is at
+most two positions away.  Two positions of 2x2 blocks span at most five
+scalar rows or columns, so the whole periodic matrix is banded with
+kl = ku = 5 in that order.  It is LU-factorized once (LAPACK gbtrf), and
+each solve is one banded back-substitution (gbtrs) with no wrap correction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import SolverError
 
-_KL = 3
-_KU = 3
-
-
-def _band_row(i_minus_j: int) -> int:
-    # gbtrf storage: entry (i, j) sits at row kl + ku + i - j
-    return _KL + _KU + i_minus_j
+_KL = 5
+_KU = 5
 
 
 class CyclicBlockTridiagSolver:
@@ -33,57 +31,37 @@ class CyclicBlockTridiagSolver:
         if diag.shape != (n_blocks, 2, 2):
             raise SolverError(f"diag blocks must have shape (N, 2, 2), got {diag.shape}")
         if n_blocks < 3:
-            raise SolverError("need at least 3 blocks for the cyclic split")
+            raise SolverError("need at least 3 blocks for distinct periodic neighbours")
         self.n = 2 * n_blocks
-        bp = np.asarray(b_plus, dtype=np.complex128)
-        bm = np.asarray(b_minus, dtype=np.complex128)
 
+        nodes = np.arange(n_blocks)
+        position = np.where(2 * nodes < n_blocks, 2 * nodes, 2 * (n_blocks - 1 - nodes) + 1)
+        # band index 2p + c holds the interleaved unknown 2j + c of the node j at position p
+        self._order = (2 * np.argsort(position)[:, None] + np.arange(2)).ravel()
+
+        # the 3N blocks (j, j), (j, j+1) and (j, j-1), each scattered as its
+        # four scalar entries; entry (i, k) of the matrix sits at row
+        # kl + ku + i - k, column k of gbtrf's band storage
+        blocks = np.concatenate((diag, np.broadcast_to(b_plus, diag.shape),
+                                 np.broadcast_to(b_minus, diag.shape)))
+        col_pos = np.concatenate((position, np.roll(position, -1), np.roll(position, 1)))
+        rows = 2 * np.tile(position, 3)[:, None, None] + np.arange(2)[:, None]
+        cols = 2 * col_pos[:, None, None] + np.arange(2)
         ab = np.zeros((2 * _KL + _KU + 1, self.n), dtype=np.complex128)
-        even = np.arange(0, self.n, 2)
-        odd = even + 1
-        # diagonal blocks
-        ab[_band_row(0), even] = diag[:, 0, 0]
-        ab[_band_row(-1), odd] = diag[:, 0, 1]
-        ab[_band_row(1), even] = diag[:, 1, 0]
-        ab[_band_row(0), odd] = diag[:, 1, 1]
-        # B+ blocks (j, j+1), j = 0..N-2: rows 2j,2j+1 against cols 2j+2,2j+3
-        ab[_band_row(-2), even[1:]] = bp[0, 0]
-        ab[_band_row(-3), odd[1:]] = bp[0, 1]
-        ab[_band_row(-1), even[1:]] = bp[1, 0]
-        ab[_band_row(-2), odd[1:]] = bp[1, 1]
-        # B- blocks (j, j-1), j = 1..N-1: rows 2j,2j+1 against cols 2j-2,2j-1
-        ab[_band_row(2), even[:-1]] = bm[0, 0]
-        ab[_band_row(1), odd[:-1]] = bm[0, 1]
-        ab[_band_row(3), even[:-1]] = bm[1, 0]
-        ab[_band_row(2), odd[:-1]] = bm[1, 1]
+        ab[_KL + _KU + rows - cols, cols] = blocks
 
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         lu, ipiv, info = gbtrf(ab, _KL, _KU)
         if info != 0:
             raise SolverError(f"banded factorization failed (gbtrf info={info})")
         self._lu, self._ipiv, self._gbtrs = lu, ipiv, gbtrs
-        self._bp, self._bm = bp, bm
-
-        # wrap blocks as A_band + U W with U = [e0 e1 | e_{n-2} e_{n-1}]
-        unit = np.zeros((self.n, 4), dtype=np.complex128)
-        unit[0, 0] = unit[1, 1] = unit[self.n - 2, 2] = unit[self.n - 1, 3] = 1.0
-        z, info = gbtrs(lu, _KL, _KU, unit, ipiv)
-        if info != 0:
-            raise SolverError(f"banded solve failed (gbtrs info={info})")
-        self._z = z
-        cap = np.eye(4, dtype=np.complex128)
-        cap[0:2, :] += bm @ z[self.n - 2:self.n, :]
-        cap[2:4, :] += bp @ z[0:2, :]
-        try:
-            self._cap_lu = lu_factor(cap)
-        except Exception as exc:  # singular capacitance: wrapped matrix singular
-            raise SolverError(f"cyclic correction is singular: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs for a right-hand side of length 2N, or for each
         column of a (2N, k) array."""
-        y, info = self._gbtrs(self._lu, _KL, _KU, rhs, self._ipiv)
+        y, info = self._gbtrs(self._lu, _KL, _KU, rhs[self._order], self._ipiv)
         if info != 0:
             raise SolverError(f"banded solve failed (gbtrs info={info})")
-        wy = np.concatenate((self._bm @ y[self.n - 2:self.n], self._bp @ y[0:2]))
-        return y - self._z @ lu_solve(self._cap_lu, wy)
+        x = np.empty_like(y)
+        x[self._order] = y
+        return x

@@ -75,11 +75,15 @@ def zero_potentials() -> PotentialPair:
     return PotentialPair(_zero_evaluator, _zero_evaluator, True, 0.0, 0.0)
 
 
-def check_bounds(p: PotentialPair, grid: TorusGrid, t_final: float,
-                 space_factor: int = 16, time_samples: int = 100) -> bool:
+BOUNDS_SPACE_FACTOR = 16  # check_bounds samples this many points per grid cell
+BOUNDS_TIME_SAMPLES = 100  # and this many times over [0, t_final]
+
+
+def check_bounds(p: PotentialPair, grid: TorusGrid, t_final: float) -> bool:
     """Sample |V|, |A1| densely and warn if a declared bound is exceeded."""
-    xs = grid.a + (grid.b - grid.a) * np.arange(space_factor * grid.N) / (space_factor * grid.N)
-    ts = [0.0] if p.time_independent else np.linspace(0.0, t_final, time_samples)
+    n_x = BOUNDS_SPACE_FACTOR * grid.N
+    xs = grid.a + (grid.b - grid.a) * np.arange(n_x) / n_x
+    ts = [0.0] if p.time_independent else np.linspace(0.0, t_final, BOUNDS_TIME_SAMPLES)
     ok = True
     for t in ts:
         v, a = p.evaluate(float(t), xs)

@@ -22,13 +22,13 @@ def dense_oracle(diag, bp, bm):
 
 def random_system(n, rng=RNG):
     diag = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
-    diag += 4.0 * np.eye(2)  # keep the interior band nonsingular
+    diag += 4.0 * np.eye(2)  # keep the whole matrix well conditioned
     bp = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     bm = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     return diag, bp, bm
 
 
-@pytest.mark.parametrize("n", [4, 5, 16, 64])
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 64])
 def test_matches_dense_solve(n):
     diag, bp, bm = random_system(n)
     A = dense_oracle(diag, bp, bm)
@@ -69,6 +69,19 @@ def test_crank_nicolson_shaped_system():
     solver = CyclicBlockTridiagSolver(diag, bp, bm)
     np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
                                rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_cyclic_shift_solved(n):
+    # D = 0, B+ = I, B- = 0: a nonsingular periodic shift whose interior
+    # band without the wrap blocks is singular
+    diag = np.zeros((n, 2, 2), dtype=complex)
+    bp, bm = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    A = dense_oracle(diag, bp, bm)
+    b = RNG.standard_normal(2 * n) + 1j * RNG.standard_normal(2 * n)
+    solver = CyclicBlockTridiagSolver(diag, bp, bm)
+    np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+                               rtol=1e-14, atol=1e-14)
 
 
 def test_singular_band_reported():

@@ -227,6 +227,33 @@ class TestOneStepMatrix:
         back = launched_matrix(scheme, prob, -tau) @ launched_matrix(scheme, prob, tau)
         assert np.abs(back - np.eye(len(back))).max() <= 1e-12
 
+    @pytest.mark.parametrize("scheme", ["cnfd", "cnfp"])
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
+           a0=st.floats(-1.0, 1.0), tau=st.floats(-0.25, 0.25).filter(lambda t: abs(t) >= 1e-3))
+    def test_crank_nicolson_closed_form_per_mode(self, scheme, half_n, eps, v0, a0, tau):
+        # constant potentials: M is block diagonal in Fourier space, mode l
+        # carrying (i - tau/2 K_l)^{-1} (i + tau/2 K_l) with
+        # K_l = (s_l - eps A0) sigma1 + sigma3 + eps V0 and s_l the symbol of D
+        N = 2 * half_n
+        grid = make_grid(0.0, 2 * np.pi, N)
+        pots = PotentialPair(lambda t, x: np.full_like(x, v0), lambda t, x: np.full_like(x, a0),
+                             True, abs(v0), abs(a0))
+        prob = DiracProblem(grid, eps, pots, random_field(grid, 0), T0=1.0)
+        stepper = make_stepper(scheme, prob, tau)
+        m = stepper._one_step_matrix().reshape(2, N, 2, N)
+        m_hat = np.fft.ifft(np.fft.fft(m, axis=1), axis=3)  # F M F^{-1} per component
+
+        sig1 = np.array([[0, 1], [1, 0]])
+        sig3 = np.diag([1, -1])
+        k = ((stepper.space.symbol - eps * a0)[:, None, None] * sig1 + sig3
+             + eps * v0 * np.eye(2))
+        want = np.linalg.solve(1j * np.eye(2) - tau / 2 * k, 1j * np.eye(2) + tau / 2 * k)
+        per_mode = np.einsum("cldl->lcd", m_hat)
+        np.testing.assert_allclose(per_mode, want, rtol=0, atol=1e-12)
+        off_mode = m_hat * (1 - np.eye(N))[None, :, None, :]
+        assert np.abs(off_mode).max() <= 1e-12
+
     @pytest.mark.parametrize("scheme", ["lffd", "lffp", "sifd1", "sifp1"])
     @pytest.mark.parametrize("N", [16, 32])
     def test_tau_max_is_sharp_at_eps_zero(self, scheme, N):
