@@ -108,7 +108,12 @@ class CenteredDifference:
         return np.sin(self.grid.mu_fft * self.grid.h) / self.grid.h
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * self.grid.h)
+        # v_{j+1} - v_{j-1} by slices into one array; nodes 0 and N-1 wrap
+        out = np.empty(v.shape, np.result_type(v, 1.0))
+        np.subtract(v[..., 2:], v[..., :-2], out=out[..., 1:-1])
+        out[..., 0], out[..., -1] = v[..., 1] - v[..., -1], v[..., 0] - v[..., -2]
+        out /= 2.0 * self.grid.h
+        return out
 
 
 class FourierDerivative:

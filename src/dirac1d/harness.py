@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, Dirac1DError, StabilityError
 from .grid import SpinorField, norm
-from .model import (DiracProblem, ProblemSetup, check_bounds, current, density, energy_fd,
-                    energy_fp)
+from .model import DiracProblem, ProblemSetup, check_bounds, current, density, discrete_energy
 from .reference import (ReferenceCache, check_restriction, exact_free_reference,
                         reference_solution)
 from .schemes import make_stepper
@@ -142,29 +141,30 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     instead; only its final state is then checked for blow-up.
     """
     stepper, n_steps = _checked_stepper(problem, config)
-    pots = problem.potentials
 
     record_mass = config.record in ("mass", "mass+energy")
     record_energy = config.record == "mass+energy"
-    if record_energy and not pots.time_independent:
+    if record_energy and not problem.potentials.time_independent:
         raise ConfigurationError("energy recording needs time-independent potentials")
-    energy_fn = energy_fd if stepper.space.name == "fd" else energy_fp
+    # the energy by the stepper's own K and its eps*V, eps*A1, sampled once
+    eps_pots = stepper._eps_potentials(0.0) if record_energy else None
 
     h = problem.grid.h
     times, masses, energies = [], [], []
 
+    def mass_of(values):
+        return h * float((np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2).sum())
+
     def observe(values, t):
         if record_mass:
             times.append(t)
-            masses.append(h * float((np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2).sum()))
+            masses.append(mass_of(values))
             if record_energy:
-                energies.append(energy_fn(SpinorField(problem.grid, values),
-                                          pots, problem.epsilon))
+                energies.append(discrete_energy(stepper.space, values, *eps_pots))
 
     observe(stepper._curr, 0.0)
-    mass0 = h * float((np.abs(stepper._curr[0]) ** 2 + np.abs(stepper._curr[1]) ** 2).sum())
     watch = config.stop_norm_ratio is not None
-    stop_mass = (config.stop_norm_ratio ** 2) * mass0 if watch else None
+    stop_mass = (config.stop_norm_ratio ** 2) * mass_of(stepper._curr) if watch else None
 
     blew_up = False
     blowup_step = None
@@ -185,7 +185,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
                     blew_up, blowup_step = True, k
                     break
             if watch:
-                m = h * float((np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2).sum())
+                m = mass_of(values)
                 if not math.isfinite(m) or m > stop_mass:
                     blew_up, blowup_step = True, k
                     if record_mass and (not times or times[-1] != stepper.t):

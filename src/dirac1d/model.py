@@ -8,7 +8,7 @@ Governing equation on the torus (a, b), for the 2-spinor Phi(t, x):
 with 0 < eps <= 1 scaling the electromagnetic potentials and runs extending
 to the horizon t = T0/eps.  Observables: mass h*sum|Phi_j|^2, probability
 density rho_j = |phi1|^2 + |phi2|^2, current J_j = 2 Re(conj(phi1) phi2),
-and the two discrete energies (centered-difference or spectral kinetic term)
+and the discrete energy h Re<Phi, K Phi> (K with either space operator),
 conserved by the Crank-Nicolson schemes for time-independent potentials.
 """
 
@@ -22,16 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (
-    SpinorField,
-    TorusGrid,
-    centered_difference,
-    make_grid,
-    spectral_derivative,
-)
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+from .grid import CenteredDifference, FourierDerivative, SpinorField, TorusGrid, make_grid
 
 # max over x of |cos(x) + sin(2x)|, attained at sin(x) = (sqrt(33)-1)/8
 _COS_PLUS_SIN2_MAX = 1.7601725930461
@@ -125,8 +116,7 @@ class DiracProblem:
 
 def mass(f: SpinorField) -> float:
     """Total probability h*sum_j |Phi_j|^2 (the squared l2 norm)."""
-    mag2 = np.abs(f.values[0]) ** 2 + np.abs(f.values[1]) ** 2
-    return float(f.grid.h * mag2.sum())
+    return float(f.grid.h * density(f).sum())
 
 
 def density(f: SpinorField) -> np.ndarray:
@@ -139,34 +129,45 @@ def current(f: SpinorField) -> np.ndarray:
     return 2.0 * np.real(np.conj(f.values[0]) * f.values[1])
 
 
-def _energy_from_derivative(f: SpinorField, deriv: np.ndarray,
-                            p: PotentialPair, eps: float) -> float:
-    if not p.time_independent:
-        raise ConfigurationError("the discrete energy is defined only for time-independent potentials")
-    phi1, phi2 = f.values
-    d1, d2 = deriv
-    kinetic = -1j * (np.conj(phi1) * d2 + np.conj(phi2) * d1)
-    rho = np.abs(phi1) ** 2 + np.abs(phi2) ** 2
-    sig3 = np.abs(phi1) ** 2 - np.abs(phi2) ** 2
-    j1 = 2.0 * np.real(np.conj(phi1) * phi2)
-    v, a = p.evaluate(0.0, f.grid.x)
-    total = f.grid.h * np.sum(kinetic + sig3 + eps * v * rho - eps * a * j1)
-    scale = max(1.0, abs(total.real))
-    if abs(total.imag) > 1e-12 * scale:
+def apply_k(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray) -> np.ndarray:
+    """K v for K = -i sigma1 D + sigma3 + ev I2 - ea sigma1 on fields shaped
+    (2, ..., N), D the space operator `space` and (ev, ea) = eps (V, A1) at the
+    nodes: the one written-out K, for every stepper and the discrete energy."""
+    out = space.apply(v)[::-1]  # D v with its components swapped, sigma1 D v
+    np.multiply(-1j, out, out=out)
+    out[0] += (1.0 + ev) * v[0]
+    out[0] -= ea * v[1]
+    out[1] += (ev - 1.0) * v[1]
+    out[1] -= ea * v[0]
+    return out
+
+
+def discrete_energy(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray) -> float:
+    """The discrete energy h Re<Phi, K Phi> of one field, K as in `apply_k`.
+    K is Hermitian, so an imaginary part above rounding is an assembly bug."""
+    total = space.grid.h * np.vdot(v, apply_k(space, v, ev, ea))
+    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise ConfigurationError(
             f"energy assembly produced imaginary part {total.imag:.3e} (assembly bug?)"
         )
     return float(total.real)
 
 
+def _energy(f: SpinorField, space, p: PotentialPair, eps: float) -> float:
+    if not p.time_independent:
+        raise ConfigurationError("the discrete energy is defined only for time-independent potentials")
+    v, a = p.evaluate(0.0, f.grid.x)
+    return discrete_energy(space, f.values, eps * v, eps * a)
+
+
 def energy_fd(f: SpinorField, p: PotentialPair, eps: float) -> float:
     """Discrete energy with the centered-difference kinetic term."""
-    return _energy_from_derivative(f, centered_difference(f).values, p, eps)
+    return _energy(f, CenteredDifference(f.grid), p, eps)
 
 
 def energy_fp(f: SpinorField, p: PotentialPair, eps: float) -> float:
     """Discrete energy with the spectral kinetic term."""
-    return _energy_from_derivative(f, spectral_derivative(f).values, p, eps)
+    return _energy(f, FourierDerivative(f.grid), p, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@
 The space operator D (:mod:`dirac1d.grid`) is the centered difference,
 symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
 mu_l; each time discretization is one class below, written with
-K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1).  Three-level schemes
-launch by forward Euler with the same K,
+K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1) (`model.apply_k`).
+Three-level schemes launch by forward Euler with the same K,
 
     Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
 
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, SolverError
 from .grid import SPACE_OPERATORS
 from .linalg import CyclicBlockTridiagSolver
-from .model import DiracProblem
+from .model import DiracProblem, apply_k
 from .reference import TSFPStepper
 from .stepping import SolverDiagnostics, Stepper, StepperState
 
@@ -53,15 +53,9 @@ class _SpaceTimeStepper(Stepper):
         self.scheme = self.pattern.format(space)
         super().__init__(problem, tau, state)
 
-    def _apply_k(self, v: np.ndarray, ev: np.ndarray, ea: np.ndarray) -> np.ndarray:
-        d = self.space.apply(v)
-        k1 = -1j * d[1] + (1.0 + ev) * v[0] - ea * v[1]
-        k2 = -1j * d[0] + (ev - 1.0) * v[1] - ea * v[0]
-        return np.stack((k1, k2))
-
     def _launch(self) -> np.ndarray:
         ev, ea = self._eps_potentials(self.t)
-        return self._curr - 1j * self.tau * self._apply_k(self._curr, ev, ea)
+        return self._curr - 1j * self.tau * apply_k(self.space, self._curr, ev, ea)
 
     def _per_mode(self, c: float):
         """Per-mode entries (m11, m12, m22) of L^{-1} and of 2i I2 - L for
@@ -138,7 +132,7 @@ class CNStepper(_SpaceTimeStepper):
         else:
             ev, ea = self._eps_potentials(t + half)
             solver = self._factor(ev, ea)
-        rhs = 1j * curr + half * self._apply_k(curr, ev, ea)
+        rhs = 1j * curr + half * apply_k(self.space, curr, ev, ea)
 
         # unknowns interleaved per node; a batch of fields (2, k, N) is
         # solved as k right-hand-side columns
@@ -148,7 +142,7 @@ class CNStepper(_SpaceTimeStepper):
         new = np.stack((sol[0::2].T, sol[1::2].T))
 
         # relative residual of every solve, each field of a batch on its own
-        lhs = 1j * new - half * self._apply_k(new, ev, ea)
+        lhs = 1j * new - half * apply_k(self.space, new, ev, ea)
         resid = float((_field_norms(lhs - rhs) / (_field_norms(rhs) + 1e-300)).max())
         self.diagnostics = SolverDiagnostics(resid, 1)
         if resid > RESIDUAL_TOL:
@@ -277,7 +271,7 @@ class LFStepper(_SpaceTimeStepper):
 
     def _step(self, prev, curr, t) -> np.ndarray:
         ev, ea = self._eps_potentials(t)
-        return prev - 2j * self.tau * self._apply_k(curr, ev, ea)
+        return prev - 2j * self.tau * apply_k(self.space, curr, ev, ea)
 
 
 _SCHEMES = {cls.pattern.format(space): partial(cls, space)

@@ -153,6 +153,18 @@ class TestCenteredDifference:
         rhs = -np.vdot(centered_difference(w).values, f.values)
         assert lhs == pytest.approx(rhs, abs=1e-12 * abs(lhs))
 
+    @pytest.mark.parametrize("N", [4, 90])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_slices_equal_the_roll_formula_bitwise(self, N, batch):
+        # every entry, the two wrapped ones included, is the same floating
+        # point expression as (v_{j+1} - v_{j-1}) / (2h) with np.roll
+        g = make_grid(-1.0, 2.5, N)
+        shape = (2,) + batch + (N,)
+        v = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+        want = (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * g.h)
+        got = SPACE_OPERATORS["fd"](g).apply(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestSpaceOperatorSymbols:
     """FD and FP are the same Fourier multiplier form with different symbols:

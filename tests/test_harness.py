@@ -11,7 +11,9 @@ import dirac1d.harness as harness
 import dirac1d.model as model
 from dirac1d import (
     ConfigurationError,
+    DiracProblem,
     ErrorSeries,
+    PotentialPair,
     ReferenceCache,
     ReferenceConfig,
     SchemeConfig,
@@ -21,10 +23,13 @@ from dirac1d import (
     convergence_table,
     emit_csv,
     emit_plot_data,
+    energy_fd,
+    energy_fp,
     epsilon_sweep_spatial,
     epsilon_sweep_temporal,
     field_from_function,
     make_grid,
+    make_stepper,
     measure_errors,
     norm,
     preset,
@@ -32,6 +37,7 @@ from dirac1d import (
     tau_max,
     zero_potentials,
 )
+from dirac1d.grid import CenteredDifference
 from dirac1d.harness import ConvergenceTable
 
 RNG = np.random.default_rng(17)
@@ -124,6 +130,62 @@ class TestRunSimulation:
         prob = preset("periodic-s51", 1.0).discretize(N=64)
         res = run_simulation(prob, SchemeConfig("lffd", 1e-3, t_final=0.05, record="none"))
         assert res.blew_up and res.blowup_step == 5
+
+
+SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp"]
+
+
+class TestRecordedEnergy:
+    """The recorded energy is h Re<Phi, K Phi> through the stepper's own K."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_series_equals_the_energy_of_each_recorded_state(self, scheme):
+        prob = preset("periodic-s51", 0.5).discretize(N=32)
+        tau, n_steps, every = 1e-2, 50, 7
+        res = run_simulation(prob, SchemeConfig(scheme, tau, t_final=n_steps * tau,
+                                                record="mass+energy", record_every=every))
+        energy = energy_fd if "fd" in scheme else energy_fp
+        stepper = make_stepper(scheme, prob, tau)
+        want = [energy(stepper.phi, prob.potentials, prob.epsilon)]
+        for k in range(1, n_steps + 1):
+            stepper.advance()
+            if k % every == 0 or k == n_steps:
+                want.append(energy(stepper.phi, prob.potentials, prob.epsilon))
+        assert len(res.energy_series) == len(want) == 9
+        np.testing.assert_allclose(res.energy_series, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_potentials_sampled_a_bounded_number_of_times(self, scheme):
+        calls = []
+
+        def counted_v(t, x):
+            calls.append(t)
+            return 1.0 / (1.0 + np.sin(x) ** 2)
+
+        grid = make_grid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(counted_v, lambda t, x: 0.5 * np.cos(x), True, 1.0, 0.5)
+        prob = DiracProblem(grid, 0.5, pots, field_from_function(grid, _bandlimited_phi0))
+        counts = []
+        for n_steps in (10, 1_000):
+            calls.clear()
+            run_simulation(prob, SchemeConfig(scheme, 1e-3, t_final=n_steps * 1e-3,
+                                              record="mass+energy"))
+            counts.append(len(calls))
+        # the bounds check and the stepper's cache: not one per step or record
+        assert counts[0] == counts[1] <= 2
+
+    def test_imaginary_part_guard_fires_on_a_non_skew_operator(self, monkeypatch):
+        # a one-sided difference is not skew-adjoint, so K is not Hermitian
+        # and <Phi, K Phi> has an imaginary part far above rounding
+        def one_sided(op, v):
+            return (np.roll(v, -1, axis=-1) - v) / op.grid.h
+
+        monkeypatch.setattr(CenteredDifference, "apply", one_sided)
+        prob = preset("periodic-s51", 1.0).discretize(N=32)
+        with pytest.raises(ConfigurationError, match="imaginary part"):
+            energy_fd(prob.phi0, prob.potentials, prob.epsilon)
+        with pytest.raises(ConfigurationError, match="imaginary part"):
+            run_simulation(prob, SchemeConfig("lffd", 1e-2, t_final=0.1, record="mass+energy"))
 
 
 class TestMeasureErrors:

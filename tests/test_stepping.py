@@ -28,6 +28,7 @@ from dirac1d import (
     tau_max,
 )
 from dirac1d.linalg import CyclicBlockTridiagSolver
+from dirac1d.model import apply_k
 from dirac1d.stepping import dense_power_pays
 
 SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp", "tsfp"]
@@ -56,10 +57,11 @@ def launched_matrix(scheme, problem, tau):
 
 def k_matrix(stepper):
     """K = -i sigma1 D + sigma3 + eps (V - A1 sigma1) on flattened (2, N)
-    fields, from the stepper's own `_apply_k` on identity columns."""
+    fields, from `apply_k` with the stepper's own operator and potentials on
+    identity columns."""
     size = 2 * stepper.grid.N
     cols = np.eye(size, dtype=complex).reshape(size, 2, -1).transpose(1, 0, 2)
-    out = stepper._apply_k(cols, *stepper._eps_potentials(stepper.t))
+    out = apply_k(stepper.space, cols, *stepper._eps_potentials(stepper.t))
     return out.transpose(1, 0, 2).reshape(size, size).T
 
 
@@ -252,6 +254,35 @@ class TestOneStepMatrix:
         per_mode = np.einsum("cldl->lcd", m_hat)
         np.testing.assert_allclose(per_mode, want, rtol=0, atol=1e-12)
         off_mode = m_hat * (1 - np.eye(N))[None, :, None, :]
+        assert np.abs(off_mode).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["lffd", "lffp"])
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
+           a0=st.floats(-1.0, 1.0), tau=st.floats(-0.25, 0.25).filter(lambda t: abs(t) >= 1e-3))
+    def test_leap_frog_closed_form_per_mode(self, scheme, half_n, eps, v0, a0, tau):
+        # constant potentials: the companion on [Phi^n; Phi^n-1] is block
+        # diagonal in Fourier space, mode l carrying [[-2i tau K_l, I], [I, 0]]
+        # with K_l = (s_l - eps A0) sigma1 + sigma3 + eps V0
+        N = 2 * half_n
+        grid = make_grid(0.0, 2 * np.pi, N)
+        pots = PotentialPair(lambda t, x: np.full_like(x, v0), lambda t, x: np.full_like(x, a0),
+                             True, abs(v0), abs(a0))
+        prob = DiracProblem(grid, eps, pots, random_field(grid, 0), T0=1.0)
+        stepper = make_stepper(scheme, prob, tau)
+        m = stepper._one_step_matrix().reshape(2, 2, N, 2, 2, N)  # (level, component, node)^2
+        m_hat = np.fft.ifft(np.fft.fft(m, axis=2), axis=5)
+
+        sig1 = np.array([[0, 1], [1, 0]])
+        sig3 = np.diag([1, -1])
+        k = ((stepper.space.symbol - eps * a0)[:, None, None] * sig1 + sig3
+             + eps * v0 * np.eye(2))
+        want = np.zeros((N, 4, 4), dtype=complex)
+        want[:, :2, :2] = -2j * tau * k
+        want[:, :2, 2:] = want[:, 2:, :2] = np.eye(2)
+        per_mode = np.einsum("aclbdl->lacbd", m_hat).reshape(N, 4, 4)
+        np.testing.assert_allclose(per_mode, want, rtol=0, atol=1e-12)
+        off_mode = m_hat * (1 - np.eye(N))[None, None, :, None, None, :]
         assert np.abs(off_mode).max() <= 1e-12
 
     @pytest.mark.parametrize("scheme", ["lffd", "lffp", "sifd1", "sifp1"])
