@@ -24,13 +24,10 @@ from .errors import (
 from .grid import (
     SpinorField,
     TorusGrid,
-    centered_difference,
     field_from_function,
     make_grid,
     norm,
-    spectral_derivative,
     subsample,
-    trig_resample,
 )
 from .model import (
     DiracProblem,

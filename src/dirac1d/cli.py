@@ -18,7 +18,7 @@ Config keys (subcommand-dependent):
     h | N      mesh size or node count        tau      time step
     t_final    optional horizon override (default T0/epsilon)
     reference  "exact" or an object with only kind, h_e, tau_e,
-               min_space_ratio, allow_interpolation      (tables/compare)
+               min_space_ratio                           (tables/compare)
     eps_list, levels and the step keys named as in the harness function:
                converge h0 tau0, sweep-spatial h0 tau, sweep-temporal tau0 h
     schemes, snapshots                        (compare)
@@ -121,7 +121,7 @@ def _build_setup(cfg: dict) -> model.ProblemSetup:
     )
 
 
-_REFERENCE_KEYS = ("kind", "h_e", "tau_e", "min_space_ratio", "allow_interpolation")
+_REFERENCE_KEYS = ("kind", "h_e", "tau_e", "min_space_ratio")
 
 
 def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
@@ -141,7 +141,6 @@ def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
             h_e=spec.get("h_e"),
             tau_e=spec.get("tau_e"),
             min_space_ratio=float(spec.get("min_space_ratio", 4.0)),
-            allow_interpolation=bool(spec.get("allow_interpolation", False)),
             cache=cache,
         )
     raise ConfigurationError("'reference' must be \"exact\" or an object")

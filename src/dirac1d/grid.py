@@ -1,4 +1,5 @@
-"""Periodic grid, the two space operators, restriction and norms.
+"""Periodic grid, the two space operators, the symmetric 2x2 multiply,
+restriction and norms.
 
 All fields live on a uniform grid over the torus [a, b] with N nodes
 x_j = a + j*h, j = 0..N-1 (node N is identified with node 0).  A spinor
@@ -136,14 +137,11 @@ class FourierDerivative:
 SPACE_OPERATORS = {"fd": CenteredDifference, "fp": FourierDerivative}
 
 
-def spectral_derivative(f: SpinorField) -> SpinorField:
-    """d/dx through the Fourier interpolant (:class:`FourierDerivative`)."""
-    return SpinorField(f.grid, FourierDerivative(f.grid).apply(f.values))
-
-
-def centered_difference(f: SpinorField) -> SpinorField:
-    """Periodic centered difference (:class:`CenteredDifference`)."""
-    return SpinorField(f.grid, CenteredDifference(f.grid).apply(f.values))
+def apply_sym2(m, v: np.ndarray) -> np.ndarray:
+    """Apply the symmetric 2x2 matrix m = (m11, m12, m22), entries scalar or
+    broadcast along the node (or mode) axis, to a spinor array v[0], v[1]."""
+    m11, m12, m22 = m
+    return np.stack((m11 * v[0] + m12 * v[1], m12 * v[0] + m22 * v[1]))
 
 
 def norm(f: SpinorField, kind: str = "l2") -> float:
@@ -181,16 +179,3 @@ def subsample(f: SpinorField, coarse: TorusGrid) -> SpinorField:
         )
     stride = fine.N // coarse.N
     return SpinorField(coarse, f.values[:, ::stride].copy())
-
-
-def trig_resample(f: SpinorField, target: TorusGrid) -> SpinorField:
-    """Evaluate the trigonometric interpolant of f at the nodes of target.
-
-    Used when grids share the interval but do not nest; O(N_src * N_dst).
-    """
-    src = f.grid
-    if not _same_interval(src, target):
-        raise ConfigurationError("trig_resample requires grids on the same interval")
-    c = np.fft.fft(f.values, axis=1) / src.N  # fft mode order
-    phase = np.exp(1j * np.outer(target.x - target.a, src.mu_fft))  # (N_dst, N_src)
-    return SpinorField(target, c @ phase.T)

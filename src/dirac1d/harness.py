@@ -257,7 +257,9 @@ class ReferenceConfig:
     (finest test h)/space_factor and (finest test tau)/time_factor, and
     tau_e must be min_time_ratio x finer than the finest test tau.
     kind "exact": exact free evolution (free problems only) sampled at h_e.
-    Either kind must be min_space_ratio x finer in space than each test grid.
+    Either kind must be min_space_ratio x finer in space than each test grid,
+    and nest with it: cells are compared with the reference subsampled onto
+    their nodes, never interpolated.
     """
 
     space_factor: ClassVar[float] = 4.0
@@ -268,7 +270,6 @@ class ReferenceConfig:
     h_e: Optional[float] = None
     tau_e: Optional[float] = None
     min_space_ratio: float = 4.0
-    allow_interpolation: bool = False
     cache: Optional[ReferenceCache] = None
 
     def __post_init__(self):
@@ -408,7 +409,7 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
                       ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
         for k, (h, tau) in enumerate(pairs):
             n = s_eps.grid_for_mesh(h).N
-            check_restriction(n_e, n, ref_cfg.allow_interpolation, ref_cfg.min_space_ratio)
+            check_restriction(n_e, n, ref_cfg.min_space_ratio)
             tasks.append((t_target / tau * n, (i, k),
                           ("cell", s_eps, scheme, h, tau, t_target)))
 
@@ -425,11 +426,8 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
                 table.cells[(i, k)] = ErrorReport(nan, nan, nan, t=t_target, scheme=scheme,
                                                   h=h, tau=tau, epsilon=s_eps.epsilon)
                 continue
-            ref_field = reference.restricted(
-                t_target, final.grid,
-                allow_interpolation=ref_cfg.allow_interpolation,
-                min_space_ratio=ref_cfg.min_space_ratio,
-            )
+            ref_field = reference.restricted(t_target, final.grid,
+                                             min_space_ratio=ref_cfg.min_space_ratio)
             table.cells[(i, k)] = measure_errors(final, ref_field, t=t_target, scheme=scheme,
                                                  tau=tau, epsilon=s_eps.epsilon)
     return table
@@ -544,7 +542,6 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
             stepper.propagate(k - done)
             done = k
             ref_field = ref.restricted(t_snap, stepper.grid,
-                                       allow_interpolation=ref_cfg.allow_interpolation,
                                        min_space_ratio=ref_cfg.min_space_ratio)
             values.append(measure_errors(stepper.phi, ref_field).e_phi)
         out.append(ErrorSeries(scheme.lower(), np.array(snap_times), np.array(values)))

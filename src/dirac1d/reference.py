@@ -12,8 +12,9 @@ between this free flow and the pointwise potential flow
     exp(-i s eps (V I2 - A1 sigma1))
         = exp(-i s eps V) [cos(s eps A1) I2 + i sin(s eps A1) sigma1],
 
-applied potential-first (half, free, half); both sub-flows preserve the mass
-exactly.
+applied potential-first (half, free, half).  Both sub-flows are symmetric
+2x2 multiplies (`grid.apply_sym2`), per mode and per node, and preserve
+the mass exactly.
 
 For time-independent potentials `TSFPStepper.propagate` powers the one-step
 matrix (:mod:`dirac1d.stepping`); its step loop merges the interior
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SpinorField, TorusGrid, make_grid, subsample, trig_resample
+from .grid import SpinorField, TorusGrid, apply_sym2, make_grid, subsample
 from .model import ProblemSetup
 from .stepping import Stepper
 
@@ -58,10 +59,7 @@ def _free_multipliers(grid: TorusGrid, t: float):
 
 
 def _apply_free(values: np.ndarray, multipliers) -> np.ndarray:
-    f11, f12, f22 = multipliers
-    hat = np.fft.fft(values, axis=-1)
-    out = np.stack((f11 * hat[0] + f12 * hat[1], f12 * hat[0] + f22 * hat[1]))
-    return np.fft.ifft(out, axis=-1)
+    return np.fft.ifft(apply_sym2(multipliers, np.fft.fft(values, axis=-1)), axis=-1)
 
 
 def free_dirac_exact(phi0: SpinorField, t: float) -> SpinorField:
@@ -85,43 +83,30 @@ class TSFPStepper(Stepper):
         if self._time_independent:
             self._half = self._potential_multipliers(0.5 * self.tau, 0.0)
             self._full = self._potential_multipliers(self.tau, 0.0)
-        else:
-            self._half = self._full = None
 
     def _potential_multipliers(self, s: float, t: float):
+        """(m11, m12, m22) of exp(-i s eps (V I2 - A1 sigma1)) at time t."""
         ev, ea = self._eps_potentials(t)
         phase = np.exp(-1j * s * ev)
-        return phase * np.cos(s * ea), 1j * phase * np.sin(s * ea)
-
-    @staticmethod
-    def _apply_pointwise(values: np.ndarray, mult) -> np.ndarray:
-        u, w = mult
-        return np.stack((u * values[0] + w * values[1],
-                         w * values[0] + u * values[1]))
-
-    def _strang(self, values: np.ndarray) -> np.ndarray:
-        """One time-independent step of values shaped (2, ..., N)."""
-        x = self._apply_pointwise(values, self._half)
-        x = _apply_free(x, self._free_mult)
-        return self._apply_pointwise(x, self._half)
+        u = phase * np.cos(s * ea)
+        return u, 1j * phase * np.sin(s * ea), u
 
     def _step(self, prev, curr, t) -> np.ndarray:
         if self._time_independent:
-            return self._strang(curr)
-        x = self._apply_pointwise(
-            curr, self._potential_multipliers(0.5 * self.tau, t + 0.25 * self.tau))
-        x = _apply_free(x, self._free_mult)
-        return self._apply_pointwise(
-            x, self._potential_multipliers(0.5 * self.tau, t + 0.75 * self.tau))
+            first = last = self._half
+        else:
+            first = self._potential_multipliers(0.5 * self.tau, t + 0.25 * self.tau)
+            last = self._potential_multipliers(0.5 * self.tau, t + 0.75 * self.tau)
+        return apply_sym2(last, _apply_free(apply_sym2(first, curr), self._free_mult))
 
     def _loop(self, n_steps: int) -> None:
         """The step loop with interior potential half steps merged."""
         if not self._time_independent:
             return super()._loop(n_steps)
-        x = self._apply_pointwise(self._curr, self._half)
+        x = apply_sym2(self._half, self._curr)
         for _ in range(n_steps - 1):
-            x = self._apply_pointwise(_apply_free(x, self._free_mult), self._full)
-        self._curr = self._apply_pointwise(_apply_free(x, self._free_mult), self._half)
+            x = apply_sym2(self._full, _apply_free(x, self._free_mult))
+        self._curr = apply_sym2(self._half, _apply_free(x, self._free_mult))
         self.n += n_steps
         self.t += n_steps * self.tau
 
@@ -148,36 +133,29 @@ class ReferenceSolution:
         raise ConfigurationError(f"no reference snapshot at t={t}; stored {self.times}")
 
     def restricted(self, t: float, grid: TorusGrid,
-                   allow_interpolation: bool = False,
                    min_space_ratio: float = 4.0) -> SpinorField:
-        """Snapshot at t on the given coarse grid.
+        """Snapshot at t on the given coarse grid, by exact node subsampling.
 
-        Nested grids are restricted by exact node subsampling; non-nesting
-        grids require allow_interpolation (trigonometric resampling).
-        min_space_ratio guards how much finer the reference must be.
+        The grids must nest, and min_space_ratio guards how much finer the
+        reference must be (`check_restriction`).
         """
         fine = self.snapshot(t)
-        check_restriction(self.grid.N, grid.N, allow_interpolation, min_space_ratio)
-        if grid == self.grid:
-            return fine
-        if self.grid.N % grid.N == 0:
-            return subsample(fine, grid)
-        return trig_resample(fine, grid)
+        check_restriction(self.grid.N, grid.N, min_space_ratio)
+        return fine if grid == self.grid else subsample(fine, grid)
 
 
-def check_restriction(n_e: int, n: int, allow_interpolation: bool,
-                      min_space_ratio: float) -> None:
+def check_restriction(n_e: int, n: int, min_space_ratio: float) -> None:
     """Raise unless a reference on N_e nodes can serve a test grid of N nodes:
-    N_e must be min_space_ratio x N, and the grids must nest unless
-    interpolation is allowed."""
+    N_e must be min_space_ratio x N and a multiple of N."""
     if n_e < min_space_ratio * n:
         raise ConfigurationError(
             f"reference grid N={n_e} is not {min_space_ratio:g}x finer "
             f"than the test grid N={n}"
         )
-    if n_e % n and not allow_interpolation:
+    if n_e % n:
         raise ConfigurationError(
-            f"grids do not nest (N_e={n_e}, N={n}) and interpolation is not enabled"
+            f"grids do not nest (N_e={n_e}, N={n}); references are restricted "
+            "by subsampling only, never by interpolation"
         )
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import SPACE_OPERATORS
+from .grid import SPACE_OPERATORS, apply_sym2
 from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
 from .reference import TSFPStepper
@@ -66,11 +66,6 @@ class _SpaceTimeStepper(Stepper):
         det = -1.0 - c * c * (1.0 + s * s)
         adjugate = (1j + c, c * s, 1j - c)
         return tuple(m / det for m in adjugate), adjugate
-
-    @staticmethod
-    def _apply_per_mode(m, v_hat: np.ndarray) -> np.ndarray:
-        m11, m12, m22 = m
-        return np.stack((m11 * v_hat[0] + m12 * v_hat[1], m12 * v_hat[0] + m22 * v_hat[1]))
 
 
 def _field_norms(v: np.ndarray):
@@ -156,8 +151,8 @@ class CNStepper(_SpaceTimeStepper):
     def _fixed_point_step(self, curr: np.ndarray, t: float) -> np.ndarray:
         if self._free_run:
             self.diagnostics = SolverDiagnostics(0.0, 1)
-            y = self._apply_per_mode(self._rhs, np.fft.fft(curr, axis=-1))
-            return np.fft.ifft(self._apply_per_mode(self._inverse, y), axis=-1)
+            y = apply_sym2(self._rhs, np.fft.fft(curr, axis=-1))
+            return np.fft.ifft(apply_sym2(self._inverse, y), axis=-1)
 
         half = 0.5 * self.tau
         ev, ea = self._eps_potentials(t + half)
@@ -171,10 +166,10 @@ class CNStepper(_SpaceTimeStepper):
             p = half * (ev * s - ea * s[::-1])
             if y is None:  # first sweep: Phi^n and the potential term in one call
                 c_hat, p_hat = np.fft.fft(np.stack((curr, p)), axis=-1)
-                y = self._apply_per_mode(self._rhs, c_hat)
+                y = apply_sym2(self._rhs, c_hat)
             else:
                 p_hat = np.fft.fft(p, axis=-1)
-            x_new = np.fft.ifft(self._apply_per_mode(self._inverse, y + p_hat), axis=-1)
+            x_new = np.fft.ifft(apply_sym2(self._inverse, y + p_hat), axis=-1)
             change = _field_norms(x_new - x)
             x = x_new
             if (change <= tol).all():
@@ -231,15 +226,12 @@ class SI1Stepper(_SpaceTimeStepper):
     def _step(self, prev, curr, t) -> np.ndarray:
         tau = self.tau
         ev, ea = self._eps_potentials(t)
-        if self._inv_cache is not None:
-            i11, i12, i22 = self._inv_cache
-        else:
-            i11, i12, i22 = self._invert(ev, ea)
+        inverse = self._inv_cache if self._inv_cache is not None else self._invert(ev, ea)
         d = self.space.apply(curr)
         p1, p2 = prev
         h1 = -2j * tau * d[1] + (1j + tau * ev + tau) * p1 - tau * ea * p2
         h2 = -2j * tau * d[0] + (1j + tau * ev - tau) * p2 - tau * ea * p1
-        return np.stack((i11 * h1 + i12 * h2, i12 * h1 + i22 * h2))
+        return apply_sym2(inverse, (h1, h2))
 
 
 class SI2Stepper(_SpaceTimeStepper):
@@ -261,7 +253,7 @@ class SI2Stepper(_SpaceTimeStepper):
         ev, ea = self._eps_potentials(t)
         g_curr = ev * curr - ea * curr[::-1]  # eps*(V I2 - A1 sigma1) Phi^n
         z_hat = np.fft.fft(1j * prev + self.tau * g_curr, axis=-1)
-        return 2.0 * np.fft.ifft(self._apply_per_mode(self._inverse, z_hat), axis=-1) - prev
+        return 2.0 * np.fft.ifft(apply_sym2(self._inverse, z_hat), axis=-1) - prev
 
 
 class LFStepper(_SpaceTimeStepper):

@@ -150,11 +150,12 @@ class TestTables:
         cfg = write_config(tmp_path, {
             "problem": "periodic-s51",
             "scheme": "cnfd", "eps_list": [1.0], "h0": np.pi / 8, "tau0": 0.05,
-            "levels": 2, "reference": {"tau_e": 0.005, "min_time_ratio": 2.0, "h_E": 0.1},
+            "levels": 2, "reference": {"tau_e": 0.005, "min_time_ratio": 2.0, "h_E": 0.1,
+                                       "allow_interpolation": True},
         })
         assert main(["converge", cfg]) == 2
         err = capsys.readouterr().err
-        assert "'h_E'" in err and "'min_time_ratio'" in err
+        assert "'h_E'" in err and "'min_time_ratio'" in err and "'allow_interpolation'" in err
 
 
 class TestStabilityCommand:

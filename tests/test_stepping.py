@@ -85,6 +85,47 @@ def energy_form(energy, problem):
     return q
 
 
+SIG1 = np.array([[0, 1], [1, 0]])
+SIG3 = np.diag([1, -1])
+I2 = np.eye(2)
+SIGNED_TAU = st.floats(-0.25, 0.25).filter(lambda t: abs(t) >= 1e-3)
+
+
+def constant_potential_stepper(scheme, n_nodes, eps, v0, a0, tau):
+    grid = make_grid(0.0, 2 * np.pi, n_nodes)
+    pots = PotentialPair(lambda t, x: np.full_like(x, v0), lambda t, x: np.full_like(x, a0),
+                         True, abs(v0), abs(a0))
+    return make_stepper(scheme, DiracProblem(grid, eps, pots, random_field(grid, 0), T0=1.0),
+                        tau)
+
+
+def k_per_mode(stepper, eps, v0, a0):
+    """(N, 2, 2) blocks K_l = (s_l - eps A0) sigma1 + sigma3 + eps V0, s_l the
+    symbol of the stepper's D."""
+    return (stepper.space.symbol - eps * a0)[:, None, None] * SIG1 + SIG3 + eps * v0 * I2
+
+
+def companion(a, b):
+    """Per-mode [[A, B], [I, 0]] from (N, 2, 2) blocks A and B."""
+    out = np.zeros((len(a), 4, 4), dtype=complex)
+    out[:, :2, :2], out[:, :2, 2:], out[:, 2:, :2] = a, b, I2
+    return out
+
+
+def assert_per_mode(stepper, want):
+    """With constant potentials M is block diagonal in Fourier space: the
+    (level, component) block of mode l equals want[l], and no entry couples
+    two modes."""
+    n = stepper.grid.N
+    levels = stepper._matrix_size // (2 * n)
+    m = stepper._one_step_matrix().reshape(levels, 2, n, levels, 2, n)
+    m_hat = np.fft.ifft(np.fft.fft(m, axis=2), axis=5)  # F M F^{-1} per component
+    per_mode = np.einsum("aclbdl->lacbd", m_hat).reshape(n, 2 * levels, 2 * levels)
+    np.testing.assert_allclose(per_mode, want, rtol=0, atol=1e-12)
+    off_mode = m_hat * (1 - np.eye(n))[None, None, :, None, None, :]
+    assert np.abs(off_mode).max() <= 1e-12
+
+
 def spectral_radius(m):
     return float(np.abs(np.linalg.eigvals(m)).max())
 
@@ -229,61 +270,84 @@ class TestOneStepMatrix:
         back = launched_matrix(scheme, prob, -tau) @ launched_matrix(scheme, prob, tau)
         assert np.abs(back - np.eye(len(back))).max() <= 1e-12
 
+    @pytest.mark.parametrize("scheme", sorted(THREE_LEVEL))
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(4, 16), eps=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+           a=st.floats(0.0, 1.0), shift=st.floats(0.0, 2 * np.pi), tau=st.floats(1e-3, 0.15))
+    def test_three_level_time_reversal(self, scheme, half_n, eps, v, a, shift, tau):
+        # S M(-tau) S M(tau) = I, S swapping the blocks Phi^n and Phi^n-1:
+        # run backwards from [Phi^n; Phi^n+1], a scheme returns Phi^n-1
+        prob = smooth_problem(2 * half_n, eps, v, a, shift)
+        size = 4 * prob.grid.N
+        swap = np.roll(np.eye(size), size // 2, axis=0)
+        back = (swap @ launched_matrix(scheme, prob, -tau) @ swap
+                @ launched_matrix(scheme, prob, tau))
+        assert np.abs(back - np.eye(size)).max() <= 1e-12
+
     @pytest.mark.parametrize("scheme", ["cnfd", "cnfp"])
     @settings(max_examples=10, deadline=None)
     @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
-           a0=st.floats(-1.0, 1.0), tau=st.floats(-0.25, 0.25).filter(lambda t: abs(t) >= 1e-3))
+           a0=st.floats(-1.0, 1.0), tau=SIGNED_TAU)
     def test_crank_nicolson_closed_form_per_mode(self, scheme, half_n, eps, v0, a0, tau):
         # constant potentials: M is block diagonal in Fourier space, mode l
         # carrying (i - tau/2 K_l)^{-1} (i + tau/2 K_l) with
         # K_l = (s_l - eps A0) sigma1 + sigma3 + eps V0 and s_l the symbol of D
-        N = 2 * half_n
-        grid = make_grid(0.0, 2 * np.pi, N)
-        pots = PotentialPair(lambda t, x: np.full_like(x, v0), lambda t, x: np.full_like(x, a0),
-                             True, abs(v0), abs(a0))
-        prob = DiracProblem(grid, eps, pots, random_field(grid, 0), T0=1.0)
-        stepper = make_stepper(scheme, prob, tau)
-        m = stepper._one_step_matrix().reshape(2, N, 2, N)
-        m_hat = np.fft.ifft(np.fft.fft(m, axis=1), axis=3)  # F M F^{-1} per component
-
-        sig1 = np.array([[0, 1], [1, 0]])
-        sig3 = np.diag([1, -1])
-        k = ((stepper.space.symbol - eps * a0)[:, None, None] * sig1 + sig3
-             + eps * v0 * np.eye(2))
-        want = np.linalg.solve(1j * np.eye(2) - tau / 2 * k, 1j * np.eye(2) + tau / 2 * k)
-        per_mode = np.einsum("cldl->lcd", m_hat)
-        np.testing.assert_allclose(per_mode, want, rtol=0, atol=1e-12)
-        off_mode = m_hat * (1 - np.eye(N))[None, :, None, :]
-        assert np.abs(off_mode).max() <= 1e-12
+        stepper = constant_potential_stepper(scheme, 2 * half_n, eps, v0, a0, tau)
+        k = k_per_mode(stepper, eps, v0, a0)
+        want = np.linalg.solve(1j * I2 - tau / 2 * k, 1j * I2 + tau / 2 * k)
+        assert_per_mode(stepper, want)
 
     @pytest.mark.parametrize("scheme", ["lffd", "lffp"])
     @settings(max_examples=10, deadline=None)
     @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
-           a0=st.floats(-1.0, 1.0), tau=st.floats(-0.25, 0.25).filter(lambda t: abs(t) >= 1e-3))
+           a0=st.floats(-1.0, 1.0), tau=SIGNED_TAU)
     def test_leap_frog_closed_form_per_mode(self, scheme, half_n, eps, v0, a0, tau):
         # constant potentials: the companion on [Phi^n; Phi^n-1] is block
         # diagonal in Fourier space, mode l carrying [[-2i tau K_l, I], [I, 0]]
         # with K_l = (s_l - eps A0) sigma1 + sigma3 + eps V0
-        N = 2 * half_n
-        grid = make_grid(0.0, 2 * np.pi, N)
-        pots = PotentialPair(lambda t, x: np.full_like(x, v0), lambda t, x: np.full_like(x, a0),
-                             True, abs(v0), abs(a0))
-        prob = DiracProblem(grid, eps, pots, random_field(grid, 0), T0=1.0)
-        stepper = make_stepper(scheme, prob, tau)
-        m = stepper._one_step_matrix().reshape(2, 2, N, 2, 2, N)  # (level, component, node)^2
-        m_hat = np.fft.ifft(np.fft.fft(m, axis=2), axis=5)
+        stepper = constant_potential_stepper(scheme, 2 * half_n, eps, v0, a0, tau)
+        k = k_per_mode(stepper, eps, v0, a0)
+        assert_per_mode(stepper, companion(-2j * tau * k, I2))
 
-        sig1 = np.array([[0, 1], [1, 0]])
-        sig3 = np.diag([1, -1])
-        k = ((stepper.space.symbol - eps * a0)[:, None, None] * sig1 + sig3
-             + eps * v0 * np.eye(2))
-        want = np.zeros((N, 4, 4), dtype=complex)
-        want[:, :2, :2] = -2j * tau * k
-        want[:, :2, 2:] = want[:, 2:, :2] = np.eye(2)
-        per_mode = np.einsum("aclbdl->lacbd", m_hat).reshape(N, 4, 4)
-        np.testing.assert_allclose(per_mode, want, rtol=0, atol=1e-12)
-        off_mode = m_hat * (1 - np.eye(N))[None, None, :, None, None, :]
-        assert np.abs(off_mode).max() <= 1e-12
+    @pytest.mark.parametrize("scheme", ["sifd1", "sifp1"])
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
+           a0=st.floats(-1.0, 1.0), tau=st.floats(-0.15, 0.15).filter(lambda t: abs(t) >= 1e-3))
+    def test_si1_closed_form_per_mode(self, scheme, half_n, eps, v0, a0, tau):
+        # mode l: [[P^-1 (2 tau s_l sigma1), P^-1 Q], [I, 0]] with
+        # P = (i - eps tau V0) I - tau sigma3 + eps tau A0 sigma1 and
+        # Q = (i + eps tau V0) I + tau sigma3 - eps tau A0 sigma1
+        # (|tau| <= 0.15 keeps SI1's pointwise solve guard below 0.5)
+        stepper = constant_potential_stepper(scheme, 2 * half_n, eps, v0, a0, tau)
+        p = (1j - eps * tau * v0) * I2 - tau * SIG3 + eps * tau * a0 * SIG1
+        q = (1j + eps * tau * v0) * I2 + tau * SIG3 - eps * tau * a0 * SIG1
+        transport = 2 * tau * stepper.space.symbol[:, None, None] * SIG1
+        assert_per_mode(stepper, companion(np.linalg.solve(p, transport),
+                                           np.linalg.solve(p, q)))
+
+    @pytest.mark.parametrize("scheme", ["sifd2", "sifp2"])
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
+           a0=st.floats(-1.0, 1.0), tau=SIGNED_TAU)
+    def test_si2_closed_form_per_mode(self, scheme, half_n, eps, v0, a0, tau):
+        # mode l: [[2 tau L^-1 G, L^-1 (2i - L)], [I, 0]] with
+        # L = i I - tau (s_l sigma1 + sigma3) and G = eps (V0 I - A0 sigma1)
+        stepper = constant_potential_stepper(scheme, 2 * half_n, eps, v0, a0, tau)
+        ell = 1j * I2 - tau * (stepper.space.symbol[:, None, None] * SIG1 + SIG3)
+        g = eps * (v0 * I2 - a0 * SIG1)
+        assert_per_mode(stepper, companion(2 * tau * np.linalg.solve(ell, g),
+                                           np.linalg.solve(ell, 2j * I2 - ell)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(half_n=st.integers(2, 16), eps=st.floats(0.0, 1.0), v0=st.floats(-1.0, 1.0),
+           a0=st.floats(-1.0, 1.0), tau=SIGNED_TAU)
+    def test_tsfp_closed_form_per_mode(self, half_n, eps, v0, a0, tau):
+        # mode l: E expm(-i tau (mu_l sigma1 + sigma3)) E with
+        # E = expm(-i tau/2 eps (V0 I - A0 sigma1))
+        stepper = constant_potential_stepper("tsfp", 2 * half_n, eps, v0, a0, tau)
+        e = expm(-0.5j * tau * eps * (v0 * I2 - a0 * SIG1))
+        free = [expm(-1j * tau * (mu * SIG1 + SIG3)) for mu in stepper.grid.mu_fft]
+        assert_per_mode(stepper, e @ np.array(free) @ e)
 
     @pytest.mark.parametrize("scheme", ["lffd", "lffp", "sifd1", "sifp1"])
     @pytest.mark.parametrize("N", [16, 32])
