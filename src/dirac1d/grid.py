@@ -137,11 +137,33 @@ class FourierDerivative:
 SPACE_OPERATORS = {"fd": CenteredDifference, "fp": FourierDerivative}
 
 
-def apply_sym2(m, v: np.ndarray) -> np.ndarray:
-    """Apply the symmetric 2x2 matrix m = (m11, m12, m22), entries scalar or
-    broadcast along the node (or mode) axis, to a spinor array v[0], v[1]."""
-    m11, m12, m22 = m
-    return np.stack((m11 * v[0] + m12 * v[1], m12 * v[0] + m22 * v[1]))
+def sym2(m11, m12, m22):
+    """The symmetric 2x2 matrix [[m11, m12], [m12, m22]] as `apply_sym2`
+    takes it: the diagonal stacked as (m11; m22), and m12.  Entries are
+    scalars or arrays along the node (or mode) axis."""
+    return np.stack((m11, m22)), m12
+
+
+def apply_sym2(m, v: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Apply m = sym2(m11, m12, m22) to each node of the spinor array v of
+    shape (2, ..., N):
+
+        out[0] = m11*v[0] + m12*v[1],    out[1] = m22*v[1] + m12*v[0].
+
+    out and tmp (the off-diagonal product), both shaped like v, are
+    allocated when not given.  out may overlap v, since the off-diagonal
+    product is taken first and a ufunc's result does not depend on how its
+    operands overlap; tmp may not overlap v or out."""
+    if tmp is not None and (np.may_share_memory(tmp, v)
+                            or out is not None and np.may_share_memory(tmp, out)):
+        raise ValueError("apply_sym2: tmp must not overlap v or out")
+    diag, m12 = m
+    if diag.ndim < v.ndim:  # batch axes between the component and node axes
+        diag = diag.reshape(diag.shape[:1] + (1,) * (v.ndim - diag.ndim) + diag.shape[1:])
+    tmp = np.multiply(m12, v[::-1], out=tmp)
+    out = np.multiply(diag, v, out=out)
+    out += tmp
+    return out
 
 
 def norm(f: SpinorField, kind: str = "l2") -> float:

@@ -9,6 +9,9 @@ most two positions away.  Two positions of 2x2 blocks span at most five
 scalar rows or columns, so the whole periodic matrix is banded with
 kl = ku = 5 in that order.  It is LU-factorized once (LAPACK gbtrf), and
 each solve is one banded back-substitution (gbtrs) with no wrap correction.
+Solves take and return spinor fields, (2, N) or a (2, ..., N) batch: the
+zig-zag permutation also interleaves the two components, so a solve is
+one gather, gbtrs and one scatter.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class CyclicBlockTridiagSolver:
 
         nodes = np.arange(n_blocks)
         position = np.where(2 * nodes < n_blocks, 2 * nodes, 2 * (n_blocks - 1 - nodes) + 1)
-        # band index 2p + c holds the interleaved unknown 2j + c of the node j at position p
-        self._order = (2 * np.argsort(position)[:, None] + np.arange(2)).ravel()
+        # band index 2p + c holds component c of the node j at position p,
+        # which is row c*N + j of a field's unknowns in the (2, N) layout
+        self._order = (np.arange(2) * n_blocks + np.argsort(position)[:, None]).ravel()
 
         # the 3N blocks (j, j), (j, j+1) and (j, j-1), each scattered as its
         # four scalar entries; entry (i, k) of the matrix sits at row
@@ -57,11 +61,16 @@ class CyclicBlockTridiagSolver:
         self._lu, self._ipiv, self._gbtrs = lu, ipiv, gbtrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a right-hand side of length 2N, or for each
-        column of a (2N, k) array."""
-        y, info = self._gbtrs(self._lu, _KL, _KU, rhs[self._order], self._ipiv)
+        """Solve A x = rhs for a field rhs of shape (2, N), the unknown of
+        node j and component c at rhs[c, j], or for each field of a
+        (2, ..., N) batch; x has the shape of rhs."""
+        # one field is one vector; a batch is one column per field
+        n_nodes = rhs.shape[-1]
+        b = (rhs.reshape(self.n) if rhs.ndim == 2
+             else rhs.reshape(2, -1, n_nodes).transpose(0, 2, 1).reshape(self.n, -1))
+        y, info = self._gbtrs(self._lu, _KL, _KU, b[self._order], self._ipiv)
         if info != 0:
             raise SolverError(f"banded solve failed (gbtrs info={info})")
         x = np.empty_like(y)
         x[self._order] = y
-        return x
+        return x.reshape(2, n_nodes, -1).transpose(0, 2, 1).reshape(rhs.shape)

@@ -17,9 +17,10 @@ applied potential-first (half, free, half).  Both sub-flows are symmetric
 the mass exactly.
 
 For time-independent potentials `TSFPStepper.propagate` powers the one-step
-matrix (:mod:`dirac1d.stepping`); its step loop merges the interior
-potential half steps, and the reference manifest records the path taken
-under "propagation".
+matrix (:mod:`dirac1d.stepping`) when that pays.  Otherwise its step loop
+merges the interior potential half steps and works in two preallocated
+(2, N) buffers, bit-identical to the same loop of fresh arrays.  The
+reference manifest records the path taken under "propagation".
 
 Reference snapshots can be cached to disk in a simple binary format (magic
 "DREF2", header, complex128 node pairs) with a JSON manifest; the round
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SpinorField, TorusGrid, apply_sym2, make_grid, subsample
+from .grid import SpinorField, TorusGrid, apply_sym2, make_grid, subsample, sym2
 from .model import ProblemSetup
 from .stepping import Stepper
 
@@ -55,7 +56,7 @@ def _free_multipliers(grid: TorusGrid, t: float):
     delta = np.sqrt(1.0 + mu * mu)
     c = np.cos(t * delta)
     s = np.sin(t * delta) / delta
-    return c - 1j * s, -1j * s * mu, c + 1j * s  # f11, f12, f22
+    return sym2(c - 1j * s, -1j * s * mu, c + 1j * s)
 
 
 def _apply_free(values: np.ndarray, multipliers) -> np.ndarray:
@@ -89,7 +90,7 @@ class TSFPStepper(Stepper):
         ev, ea = self._eps_potentials(t)
         phase = np.exp(-1j * s * ev)
         u = phase * np.cos(s * ea)
-        return u, 1j * phase * np.sin(s * ea), u
+        return sym2(u, 1j * phase * np.sin(s * ea), u)
 
     def _step(self, prev, curr, t) -> np.ndarray:
         if self._time_independent:
@@ -100,13 +101,20 @@ class TSFPStepper(Stepper):
         return apply_sym2(last, _apply_free(apply_sym2(first, curr), self._free_mult))
 
     def _loop(self, n_steps: int) -> None:
-        """The step loop with interior potential half steps merged."""
+        """The step loop with interior potential half steps merged.  It
+        works in two (2, N) buffers and one scratch array allocated once
+        per call, and leaves the result in a fresh array."""
         if not self._time_independent:
             return super()._loop(n_steps)
-        x = apply_sym2(self._half, self._curr)
-        for _ in range(n_steps - 1):
-            x = apply_sym2(self._full, _apply_free(x, self._free_mult))
-        self._curr = apply_sym2(self._half, _apply_free(x, self._free_mult))
+        x, y, tmp = (np.empty_like(self._curr) for _ in range(3))
+        apply_sym2(self._half, self._curr, out=x, tmp=tmp)
+        for k in range(n_steps):
+            np.fft.fft(x, axis=-1, out=y)
+            apply_sym2(self._free_mult, y, out=x, tmp=tmp)
+            np.fft.ifft(x, axis=-1, out=y)
+            if k < n_steps - 1:
+                apply_sym2(self._full, y, out=x, tmp=tmp)
+        self._curr = apply_sym2(self._half, y, tmp=tmp)
         self.n += n_steps
         self.t += n_steps * self.tau
 

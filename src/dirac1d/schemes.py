@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import SPACE_OPERATORS, apply_sym2
+from .grid import SPACE_OPERATORS, apply_sym2, sym2
 from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
 from .reference import TSFPStepper
@@ -58,14 +58,14 @@ class _SpaceTimeStepper(Stepper):
         return self._curr - 1j * self.tau * apply_k(self.space, self._curr, ev, ea)
 
     def _per_mode(self, c: float):
-        """Per-mode entries (m11, m12, m22) of L^{-1} and of 2i I2 - L for
+        """Per-mode `sym2` multipliers of L^{-1} and of 2i I2 - L for
         L = i I2 - c*(s_l*sigma1 + sigma3), s_l the symbol of D.  2i I2 - L is
         the adjugate of L, and det L = -1 - c^2 (1 + s_l^2) is real and <= -1,
         so L is never singular."""
         s = self.space.symbol
         det = -1.0 - c * c * (1.0 + s * s)
         adjugate = (1j + c, c * s, 1j - c)
-        return tuple(m / det for m in adjugate), adjugate
+        return sym2(*(m / det for m in adjugate)), sym2(*adjugate)
 
 
 def _field_norms(v: np.ndarray):
@@ -128,13 +128,7 @@ class CNStepper(_SpaceTimeStepper):
             ev, ea = self._eps_potentials(t + half)
             solver = self._factor(ev, ea)
         rhs = 1j * curr + half * apply_k(self.space, curr, ev, ea)
-
-        # unknowns interleaved per node; a batch of fields (2, k, N) is
-        # solved as k right-hand-side columns
-        flat = np.empty((2 * self.grid.N,) + rhs.shape[1:-1], dtype=np.complex128)
-        flat[0::2], flat[1::2] = rhs[0].T, rhs[1].T
-        sol = solver.solve(flat)
-        new = np.stack((sol[0::2].T, sol[1::2].T))
+        new = solver.solve(rhs)
 
         # relative residual of every solve, each field of a batch on its own
         lhs = 1j * new - half * apply_k(self.space, new, ev, ea)
@@ -221,7 +215,7 @@ class SI1Stepper(_SpaceTimeStepper):
         if np.any(bad):
             raise SolverError("singular pointwise matrix", step=self.n,
                               node=int(np.argmax(bad)))
-        return m22 / det, -m12 / det, m11 / det  # i11, i12, i22
+        return sym2(m22 / det, -m12 / det, m11 / det)
 
     def _step(self, prev, curr, t) -> np.ndarray:
         tau = self.tau
@@ -231,7 +225,7 @@ class SI1Stepper(_SpaceTimeStepper):
         p1, p2 = prev
         h1 = -2j * tau * d[1] + (1j + tau * ev + tau) * p1 - tau * ea * p2
         h2 = -2j * tau * d[0] + (1j + tau * ev - tau) * p2 - tau * ea * p1
-        return apply_sym2(inverse, (h1, h2))
+        return apply_sym2(inverse, np.stack((h1, h2)))
 
 
 class SI2Stepper(_SpaceTimeStepper):

@@ -43,7 +43,13 @@ from .model import DiracProblem
 # Dense-power rule (see the module docstring).  The rates are measured with
 # one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
 # matmul at m = 128 .. 512 runs 6.3e9 .. 6.6e9 multiply-adds per second,
-# the merged TSFP loop 35 us + 0.05 us * N per step (N = 8 .. 512).
+# the merged TSFP loop 35 us + 0.05 us * N per step (N = 8 .. 512).  Since
+# that loop works in preallocated buffers it runs 17 .. 20 us + 0.02 ..
+# 0.06 us * N (same machine, N = 8 .. 512; 66 .. 84 us at N = 1024).  STEP_S
+# and STEP_S_PER_NODE keep the earlier rate: a lower per-step cost would
+# move runs near the crossover from dense to stepwise, and so change their
+# rounding, while at the earlier rate every run takes the path it took
+# before.  The rule now errs towards the dense path for TSFP.
 DENSE_MAX_SIZE = 512
 MATMUL_MAC_PER_S = 6e9
 STEP_S = 35e-6

@@ -13,7 +13,13 @@ from dirac1d import (
     norm,
     subsample,
 )
-from dirac1d.grid import SPACE_OPERATORS, CenteredDifference, FourierDerivative, apply_sym2
+from dirac1d.grid import (
+    SPACE_OPERATORS,
+    CenteredDifference,
+    FourierDerivative,
+    apply_sym2,
+    sym2,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -89,14 +95,78 @@ class TestFieldValidation:
             SpinorField(g, np.zeros((2, 6)))
 
 
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def stacked_products(m11, m12, m22, v):
+    """The symmetric 2x2 multiply as four products and one np.stack."""
+    return np.stack((m11 * v[0] + m12 * v[1], m12 * v[0] + m22 * v[1]))
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def entries(kind, n, rng):
+    """(m11, m12, m22): one per node, CNFP's adjugate (1j + c, c*s_l, 1j - c)
+    with scalar diagonal and a real m12, or three scalars."""
+    if kind == "nodes":
+        return tuple(complex_normal(rng, n) for _ in range(3))
+    if kind == "adjugate":
+        c = 0.37
+        return 1j + c, c * rng.standard_normal(n), 1j - c
+    return 0.5 + 0.1j, -0.2, 0.7j
+
+
 class TestApplySym2:
     def test_equals_the_matrix_product_at_each_node_of_a_batch(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         v = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
         dense = np.array([[m[0], m[1]], [m[1], m[2]]])  # (row, column, node)
-        np.testing.assert_allclose(apply_sym2(m, v), np.einsum("cdn,dbn->cbn", dense, v),
+        np.testing.assert_allclose(apply_sym2(sym2(*m), v), np.einsum("cdn,dbn->cbn", dense, v),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (2, 1, 8), (2, 3, 8), (2, 2, 8)])
+    @pytest.mark.parametrize("kind", ["nodes", "adjugate", "scalars"])
+    def test_bitwise_equal_to_the_stacked_products(self, shape, kind):
+        rng = np.random.default_rng(11)
+        m = entries(kind, shape[-1], rng)
+        v = complex_normal(rng, shape)
+        assert_bitwise_equal(apply_sym2(sym2(*m), v), stacked_products(*m, v))
+
+    @pytest.mark.parametrize("shape", [(2, 8), (2, 3, 8)])
+    def test_out_and_tmp_buffers(self, shape):
+        rng = np.random.default_rng(12)
+        m = sym2(*entries("nodes", shape[-1], rng))
+        v = complex_normal(rng, shape)
+        v_before = v.copy()
+        out, tmp = np.empty_like(v), np.empty_like(v)
+        assert apply_sym2(m, v, out=out, tmp=tmp) is out
+        assert_bitwise_equal(out, apply_sym2(m, v))
+        assert_bitwise_equal(v, v_before)
+
+    @pytest.mark.parametrize("view", ["same", "components swapped", "nodes reversed"])
+    def test_out_overlapping_v_gives_the_fresh_result(self, view):
+        rng = np.random.default_rng(13)
+        m = sym2(*entries("nodes", 8, rng))
+        v = complex_normal(rng, (2, 3, 8))
+        expected = apply_sym2(m, v)
+        out = {"same": v, "components swapped": v[::-1], "nodes reversed": v[..., ::-1]}[view]
+        result = apply_sym2(m, v, out=out, tmp=np.empty_like(v))
+        assert result is out
+        assert_bitwise_equal(np.ascontiguousarray(out), expected)
+
+    def test_tmp_overlapping_v_or_out_is_refused(self):
+        rng = np.random.default_rng(14)
+        m = sym2(*entries("nodes", 8, rng))
+        v = complex_normal(rng, (2, 8))
+        out = np.empty_like(v)
+        for tmp, given_out in ((v, None), (v[::-1], out), (out, out)):
+            with pytest.raises(ValueError, match="tmp must not overlap"):
+                apply_sym2(m, v, out=given_out, tmp=tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,26 @@ RNG = np.random.default_rng(5)
 
 
 def dense_oracle(diag, bp, bm):
+    """The 2N x 2N matrix on the field layout: unknown (c, j) at row c*N + j."""
     n = diag.shape[0]
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
+    A = np.zeros((2, n, 2, n), dtype=complex)
     for j in range(n):
-        A[2 * j:2 * j + 2, 2 * j:2 * j + 2] = diag[j]
+        A[:, j, :, j] = diag[j]
         jp, jm = (j + 1) % n, (j - 1) % n
-        A[2 * j:2 * j + 2, 2 * jp:2 * jp + 2] += bp
-        A[2 * j:2 * j + 2, 2 * jm:2 * jm + 2] += bm
-    return A
+        A[:, j, :, jp] += bp
+        A[:, j, :, jm] += bm
+    return A.reshape(2 * n, 2 * n)
+
+
+def dense_solve(A, b):
+    """np.linalg.solve for a (2, N) field or a (2, ..., N) batch of fields."""
+    nodes_second = np.moveaxis(b, -1, 1)
+    x = np.linalg.solve(A, nodes_second.reshape(A.shape[0], -1))
+    return np.moveaxis(x.reshape(nodes_second.shape), 1, -1)
+
+
+def random_fields(shape, rng=RNG):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_system(n, rng=RNG):
@@ -32,18 +44,20 @@ def random_system(n, rng=RNG):
 def test_matches_dense_solve(n):
     diag, bp, bm = random_system(n)
     A = dense_oracle(diag, bp, bm)
-    b = RNG.standard_normal(2 * n) + 1j * RNG.standard_normal(2 * n)
+    b = random_fields((2, n))
     solver = CyclicBlockTridiagSolver(diag, bp, bm)
-    np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+    np.testing.assert_allclose(solver.solve(b), dense_solve(A, b),
                                rtol=1e-10, atol=1e-12)
 
 
 def test_columns_solved_at_once(n=16):
     diag, bp, bm = random_system(n)
     A = dense_oracle(diag, bp, bm)
-    b = RNG.standard_normal((2 * n, 5)) + 1j * RNG.standard_normal((2 * n, 5))
+    b = random_fields((2, 5, n))
     solver = CyclicBlockTridiagSolver(diag, bp, bm)
-    np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+    x = solver.solve(b)
+    assert x.shape == b.shape
+    np.testing.assert_allclose(x, dense_solve(A, b),
                                rtol=1e-10, atol=1e-12)
 
 
@@ -52,8 +66,8 @@ def test_factorization_reused_across_solves(n=32):
     A = dense_oracle(diag, bp, bm)
     solver = CyclicBlockTridiagSolver(diag, bp, bm)
     for _ in range(3):
-        b = RNG.standard_normal(2 * n) + 1j * RNG.standard_normal(2 * n)
-        np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+        b = random_fields((2, n))
+        np.testing.assert_allclose(solver.solve(b), dense_solve(A, b),
                                    rtol=1e-10, atol=1e-12)
 
 
@@ -65,9 +79,9 @@ def test_crank_nicolson_shaped_system():
     diag = np.tile((1j * np.eye(2) - 0.5 * tau * np.diag([1.0, -1.0])), (n, 1, 1))
     bp, bm = c * sig1, -c * sig1
     A = dense_oracle(diag, bp, bm)
-    b = RNG.standard_normal(2 * n) + 1j * RNG.standard_normal(2 * n)
+    b = random_fields((2, n))
     solver = CyclicBlockTridiagSolver(diag, bp, bm)
-    np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+    np.testing.assert_allclose(solver.solve(b), dense_solve(A, b),
                                rtol=1e-11, atol=1e-13)
 
 
@@ -78,9 +92,9 @@ def test_cyclic_shift_solved(n):
     diag = np.zeros((n, 2, 2), dtype=complex)
     bp, bm = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
     A = dense_oracle(diag, bp, bm)
-    b = RNG.standard_normal(2 * n) + 1j * RNG.standard_normal(2 * n)
+    b = random_fields((2, n))
     solver = CyclicBlockTridiagSolver(diag, bp, bm)
-    np.testing.assert_allclose(solver.solve(b), np.linalg.solve(A, b),
+    np.testing.assert_allclose(solver.solve(b), dense_solve(A, b),
                                rtol=1e-14, atol=1e-14)
 
 

@@ -35,6 +35,7 @@ from dirac1d.reference import TSFPStepper, exact_free_reference
 from dirac1d.stepping import dense_power_pays
 
 from test_fdtd import free_problem
+from test_grid import assert_bitwise_equal, stacked_products
 
 RNG = np.random.default_rng(23)
 
@@ -233,6 +234,76 @@ class TestTSFP:
         st = make_stepper("tsfp", prob, 0.05)
         st.advance()
         np.testing.assert_allclose(out.values, st._curr, atol=1e-15)
+
+
+class TestBitIdentity:
+    """The buffered loop and kernel against the recurrence written out with
+    fresh arrays: four products and one np.stack per 2x2 multiply."""
+
+    @staticmethod
+    def free_multipliers(grid, t):
+        delta = np.sqrt(1.0 + grid.mu_fft ** 2)
+        c = np.cos(t * delta)
+        s = np.sin(t * delta) / delta
+        return c - 1j * s, -1j * s * grid.mu_fft, c + 1j * s
+
+    @staticmethod
+    def free_flow(f, v):
+        return np.fft.ifft(stacked_products(*f, np.fft.fft(v, axis=-1)), axis=-1)
+
+    def test_stepwise_propagate_equals_the_merged_recurrence(self):
+        prob = preset("periodic-s51", 0.25).discretize(N=1024)
+        tau = 1e-3
+        stepper = TSFPStepper(prob, tau)
+        ev, ea = stepper._eps_potentials(0.0)
+
+        def potential(s):
+            phase = np.exp(-1j * s * ev)
+            u = phase * np.cos(s * ea)
+            return u, 1j * phase * np.sin(s * ea), u
+
+        half, full = potential(0.5 * tau), potential(tau)
+        free = self.free_multipliers(prob.grid, tau)
+        x = prob.phi0.values
+        for n in (150, 1, 49):  # each call merges its interior half steps
+            stepper.propagate(n)
+            x = stacked_products(*half, x)
+            for _ in range(n - 1):
+                x = stacked_products(*full, self.free_flow(free, x))
+            x = stacked_products(*half, self.free_flow(free, x))
+            assert_bitwise_equal(stepper.phi.values, x)
+        assert stepper.propagation == {"stepwise"} and stepper.n == 200
+
+    def test_free_dirac_exact_equals_the_stacked_products(self):
+        grid = make_grid(0.0, 2 * np.pi, 1024)
+        phi0 = random_field(grid)
+        for t in (3.7, -0.25):
+            assert_bitwise_equal(free_dirac_exact(phi0, t).values,
+                                 self.free_flow(self.free_multipliers(grid, t), phi0.values))
+
+
+class TestNoAliasing:
+    @pytest.mark.parametrize("scheme", ["tsfp", "cnfd"])
+    def test_phi_taken_before_a_second_propagate_keeps_its_values(self, scheme):
+        # N = 512: the one-step matrix exceeds DENSE_MAX_SIZE, so both run stepwise
+        stepper = make_stepper(scheme, preset("periodic-s51", 0.25).discretize(N=512), 1e-3)
+        stepper.propagate(20)
+        taken = stepper.phi.values
+        kept = taken.copy()
+        stepper.propagate(20)
+        assert stepper.propagation == {"stepwise"}
+        assert not np.shares_memory(taken, stepper.phi.values)
+        assert_bitwise_equal(taken, kept)
+
+    def test_reference_snapshots_are_distinct_arrays_that_keep_their_values(self):
+        setup = preset("periodic-s51", 0.25)
+        h_e = np.pi / 256  # N_e = 512: stepwise
+        ref = reference_solution(setup, h_e, 1e-3, [0.02, 0.05])
+        assert ref.manifest["propagation"] == "stepwise"
+        early, late = ref.snapshot(0.02).values, ref.snapshot(0.05).values
+        assert not np.shares_memory(early, late)
+        alone = reference_solution(setup, h_e, 1e-3, [0.02])
+        assert_bitwise_equal(early, alone.snapshot(0.02).values)
 
 
 class TestReferenceSolution:
