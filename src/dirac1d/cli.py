@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: run, converge, sweep-spatial, sweep-temporal, stability,
-compare.  Each reads a JSON config file; results go to stdout or --out.
-Exit codes: 0 ok, 2 config or file error, 3 stability violation, 4 solver
-failure.
+compare.  Each reads a JSON config file and accepts only the flags it
+reads (`_COMMANDS`); results go to stdout or --out.  Exit codes: 0 ok,
+2 config, flag or file error, 3 stability violation, 4 solver failure.
 
 Config keys (subcommand-dependent):
     problem    preset name ("periodic-s51", "whole-space-s52") or inline
@@ -16,7 +16,8 @@ Config keys (subcommand-dependent):
                inside the problem object instead)
     scheme     one of cnfd sifd1 sifd2 lffd cnfp sifp1 sifp2 lffp
     h | N      mesh size or node count        tau      time step
-    t_final    optional horizon override (default T0/epsilon)
+    t_final, record_every, stop_norm_ratio   (run) horizon (T0/epsilon),
+               record stride (1), norm growth that ends the run (1e6)
     reference  "exact" or an object with only kind, h_e, tau_e,
                min_space_ratio                           (tables/compare)
     eps_list, levels and the step keys named as in the harness function:
@@ -102,15 +103,15 @@ def _build_setup(cfg: dict) -> model.ProblemSetup:
         a, b = (float(v) for v in spec["domain"])
         pots_spec = spec["potentials"]
         phi0_spec = spec["phi0"]
+        pots = model.PotentialPair(
+            V=Expression(pots_spec["V"]),
+            A1=Expression(pots_spec["A1"]),
+            time_independent=bool(pots_spec.get("time_independent", False)),
+            v_max=float(pots_spec["V_max"]),
+            a_max=float(pots_spec["A_max"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"inline problem is missing/invalid fields: {exc}") from exc
-    pots = model.PotentialPair(
-        V=Expression(pots_spec["V"]),
-        A1=Expression(pots_spec["A1"]),
-        time_independent=bool(pots_spec.get("time_independent", False)),
-        v_max=float(pots_spec["V_max"]),
-        a_max=float(pots_spec["A_max"]),
-    )
     if len(phi0_spec) != 2:
         raise ConfigurationError("'phi0' needs exactly two components")
     phi0 = _SpinorInitial(_parse_component(phi0_spec[0]), _parse_component(phi0_spec[1]))
@@ -224,17 +225,15 @@ def _cmd_stability(cfg: dict, args) -> int:
     tau = float(cfg["tau"])
     eps, pots = setup.epsilon, setup.potentials
     v_max, a_max = eps * pots.v_max, eps * pots.a_max  # what the operator sees
-    lines = []
-    requested = cfg.get("scheme")
-    for scheme in stability.ALL_SCHEMES:
-        verdict = stability.validate(scheme, grid.h, tau, v_max, a_max)
-        marker = " <-- requested" if requested and scheme == requested.lower() else ""
-        lines.append(str(verdict) + marker)
+    verdicts = {s: stability.validate(s, grid.h, tau, v_max, a_max) for s in stability.ALL_SCHEMES}
+    requested = str(cfg.get("scheme", "")).lower()
+    if requested and requested not in verdicts:
+        raise ConfigurationError(f"unknown scheme {requested!r}; known: {stability.ALL_SCHEMES}")
+    lines = [str(v) + (" <-- requested" if s == requested else "") for s, v in verdicts.items()]
     _write("\n".join(lines) + "\n", args)
-    if requested:
-        verdict = stability.validate(requested, grid.h, tau, v_max, a_max)
-        if not verdict.ok:
-            raise StabilityError(f"requested scheme is unstable: {verdict}", verdict=verdict)
+    verdict = verdicts.get(requested)
+    if verdict and not verdict.ok:
+        raise StabilityError(f"requested scheme is unstable: {verdict}", verdict=verdict)
     return EXIT_OK
 
 
@@ -249,13 +248,28 @@ def _cmd_compare(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "--out": dict(help="write CSV here instead of stdout"),
+    "--workers": dict(type=int, default=1, help="worker processes for table cells"),
+    "--cache-dir": dict(help="directory for reference snapshot caching"),
+    "--override-stability": dict(action="store_true",
+                                 help="run even outside the stability region"),
+}
+_TABLE_FLAGS = ("--out", "--workers", "--cache-dir")
+
+# name -> (command, help, the flags it reads)
 _COMMANDS = {
-    "run": _cmd_run,
-    "converge": _table_command("convergence_table", "h0", "tau0"),
-    "sweep-spatial": _table_command("epsilon_sweep_spatial", "h0", "tau"),
-    "sweep-temporal": _table_command("epsilon_sweep_temporal", "tau0", "h"),
-    "stability": _cmd_stability,
-    "compare": _cmd_compare,
+    "run": (_cmd_run, "run one simulation and emit the observable series",
+            ("--out", "--override-stability")),
+    "converge": (_table_command("convergence_table", "h0", "tau0"),
+                 "simultaneous (h, tau) refinement table", _TABLE_FLAGS),
+    "sweep-spatial": (_table_command("epsilon_sweep_spatial", "h0", "tau"),
+                      "h refinement at fixed tau", _TABLE_FLAGS),
+    "sweep-temporal": (_table_command("epsilon_sweep_temporal", "tau0", "h"),
+                       "tau refinement at fixed h", _TABLE_FLAGS),
+    "stability": (_cmd_stability, "print the stability verdict table", ("--out",)),
+    "compare": (_cmd_compare, "error-vs-time series for several schemes",
+                ("--out", "--cache-dir")),
 }
 
 
@@ -265,23 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D Dirac equation solvers and convergence benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "run": "run one simulation and emit the observable series",
-        "converge": "simultaneous (h, tau) refinement table",
-        "sweep-spatial": "h refinement at fixed tau",
-        "sweep-temporal": "tau refinement at fixed h",
-        "stability": "print the stability verdict table",
-        "compare": "error-vs-time series for several schemes",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="JSON config file")
-        p.add_argument("--out", help="write CSV here instead of stdout")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for table cells")
-        p.add_argument("--cache-dir", help="directory for reference snapshot caching")
-        p.add_argument("--override-stability", action="store_true",
-                       help="run even outside the stability region")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except StabilityError as exc:
         print(f"stability violation: {exc}", file=sys.stderr)
         return EXIT_STABILITY

@@ -11,6 +11,11 @@ between consecutive levels (plain cell ratios, no fitting); the "diagonal"
 marks the level where the mesh matches sqrt(eps) scaling relative to the
 first row (level = log4(eps_0/eps)).
 
+Every run, table cell and compared scheme gets its stepper through one
+gate, `_checked_stepper` (stability verdict, whole number of steps).
+`check_bounds` samples the potentials where the horizon is fixed: once
+per run, per `compare_over_time` and per table row.
+
 A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
 so the parent process checks every cell against its row's reference grid
@@ -34,13 +39,14 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, Dirac1DError, StabilityError
+from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
 from .model import DiracProblem, ProblemSetup, check_bounds, current, density, discrete_energy
 from .reference import (ReferenceCache, check_restriction, exact_free_reference,
                         reference_solution)
 from .schemes import make_stepper
 from .stability import validate
+from .stepping import whole_steps
 
 __all__ = [
     "SchemeConfig", "SimulationResult", "run_simulation",
@@ -68,7 +74,6 @@ class SchemeConfig:
     record_every: int = 1
     override_stability: bool = False
     stop_norm_ratio: Optional[float] = None
-    verify_potential_bounds: bool = True
 
     def __post_init__(self):
         if self.record not in ("none", "mass", "mass+energy"):
@@ -99,34 +104,26 @@ class SimulationResult:
         return float(np.sqrt(np.nanmax(self.mass_series) / self.mass_series[0]))
 
 
-def _steps_for(t_final: float, tau: float) -> int:
-    n = int(round(t_final / tau))
-    if n < 0 or abs(n * tau - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ConfigurationError(
-            f"horizon {t_final} is not an integer number of steps of tau={tau}"
-        )
-    return n
-
-
-def _checked_stepper(problem: DiracProblem, config: SchemeConfig):
-    """(stepper, step count) for a run request, after the checks every run
-    passes: the stability verdict from the declared potential bounds scaled
-    by eps, as the operator sees them (never sampled, so verdicts are
-    deterministic), a whole number of steps to the horizon, and a dense
-    sample of the potentials against those bounds."""
+def _checked_stepper(problem: DiracProblem, scheme: str, tau: float, t_final: float,
+                     override_stability: bool = False):
+    """(stepper, step count to t_final), the gate of every run, cell and
+    compared scheme: the stability verdict from the declared potential bounds
+    scaled by eps, as the operator sees them (never sampled, so verdicts are
+    deterministic), and a whole number of steps to the horizon."""
     pots, eps = problem.potentials, problem.epsilon
-    verdict = validate(config.scheme, problem.grid.h, config.tau,
-                       eps * pots.v_max, eps * pots.a_max)
-    if not verdict.ok and not config.override_stability:
+    verdict = validate(scheme, problem.grid.h, tau, eps * pots.v_max, eps * pots.a_max)
+    if not verdict.ok and not override_stability:
         raise StabilityError(
             f"unstable configuration: {verdict}; pass override_stability to force",
             verdict=verdict,
         )
-    t_final = config.t_final if config.t_final is not None else problem.t_final
-    n_steps = _steps_for(t_final, config.tau)
-    if config.verify_potential_bounds and problem.epsilon > 0:
-        check_bounds(pots, problem.grid, t_final)
-    return make_stepper(config.scheme, problem, config.tau), n_steps
+    stepper = make_stepper(scheme, problem, tau)  # refuses tau = 0
+    return stepper, whole_steps(t_final, tau)
+
+
+def _finite(values: np.ndarray) -> bool:
+    # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
+    return bool(np.isfinite(values.sum()))
 
 
 def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationResult:
@@ -134,13 +131,19 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
 
     Refuses configurations outside the scheme's stability region unless
     config.override_stability is set (needed for blow-up witness runs).
-    Solution blow-up (non-finite values, or norm beyond stop_norm_ratio)
-    ends the run early and is reported, not raised.  A run that records
-    nothing, watches no norm, keeps the stability check and for which the
-    matrix pays (`Stepper.takes_dense_power`) powers the one-step matrix
-    instead; only its final state is then checked for blow-up.
+    Blow-up ends the run and is reported, not raised: a recorded step whose
+    sum is not finite, or any step whose mass exceeds stop_norm_ratio^2
+    times the first, is recorded like every other observation and is the
+    last step.  A run that records nothing, watches no norm, keeps the
+    stability check and for which the matrix pays
+    (`Stepper.takes_dense_power`) powers the one-step matrix instead; only
+    its final state is then checked.
     """
-    stepper, n_steps = _checked_stepper(problem, config)
+    t_final = problem.t_final if config.t_final is None else config.t_final
+    stepper, n_steps = _checked_stepper(problem, config.scheme, config.tau, t_final,
+                                        config.override_stability)
+    if problem.epsilon > 0:
+        check_bounds(problem.potentials, problem.grid, t_final)
 
     record_mass = config.record in ("mass", "mass+energy")
     record_energy = config.record == "mass+energy"
@@ -166,7 +169,6 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     watch = config.stop_norm_ratio is not None
     stop_mass = (config.stop_norm_ratio ** 2) * mass_of(stepper._curr) if watch else None
 
-    blew_up = False
     blowup_step = None
     t0 = time.perf_counter()
     if (config.record == "none" and not watch and not config.override_stability
@@ -178,23 +180,15 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
         for k in range(1, n_steps + 1):
             stepper.advance()
             values = stepper._curr
-            if k % config.record_every == 0 or k == n_steps:
+            escaped = watch and not mass_of(values) <= stop_mass  # NaN escapes too
+            if escaped or k % config.record_every == 0 or k == n_steps:
                 observe(values, stepper.t)
-                # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
-                if not np.isfinite(values.sum()):
-                    blew_up, blowup_step = True, k
-                    break
-            if watch:
-                m = mass_of(values)
-                if not math.isfinite(m) or m > stop_mass:
-                    blew_up, blowup_step = True, k
-                    if record_mass and (not times or times[-1] != stepper.t):
-                        times.append(stepper.t)
-                        masses.append(m)
+                if escaped or not _finite(values):
+                    blowup_step = k
                     break
     wall = time.perf_counter() - t0
-    if not blew_up and not np.all(np.isfinite(stepper._curr)):
-        blew_up, blowup_step = True, n_steps
+    if blowup_step is None and not _finite(stepper._curr):
+        blowup_step = n_steps
 
     return SimulationResult(
         scheme=config.scheme.lower(),
@@ -205,7 +199,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
         mass_series=np.array(masses) if record_mass else None,
         energy_series=np.array(energies) if record_energy else None,
         wall_time=wall,
-        blew_up=blew_up,
+        blew_up=blowup_step is not None,
         blowup_step=blowup_step,
         propagation=stepper.propagation_label,
     )
@@ -343,16 +337,12 @@ def _run_cell(setup: ProblemSetup, scheme: str, h: float, tau: float,
               t_target: float) -> Optional[SpinorField]:
     """A cell's state at t_target, or None if its run was unstable, failed or
     blew up; a ConfigurationError propagates."""
-    problem = setup.discretize(h=h)
-    config = SchemeConfig(scheme=scheme, tau=tau, record="none",
-                          verify_potential_bounds=False)
     try:
-        result = run_simulation(problem, config)
-    except ConfigurationError:
-        raise
-    except Dirac1DError:  # StabilityError, SolverError
+        stepper, n_steps = _checked_stepper(setup.discretize(h=h), scheme, tau, t_target)
+        stepper.propagate(n_steps)
+    except (StabilityError, SolverError):
         return None
-    return None if result.blew_up else result.final
+    return stepper.phi.copy() if _finite(stepper._curr) else None
 
 
 def _run_row(task: str, *args) -> list:
@@ -397,10 +387,10 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
     rows, tasks = [], []  # tasks: (estimated steps x nodes, key, task)
     for i, eps in enumerate(eps_list):
         s_eps = setup.with_epsilon(eps)
-        t_target = s_eps.T0 / eps if eps > 0 else s_eps.T0
+        t_target = s_eps.t_final
         if eps > 0:
-            # cells skip this check; run it once per row, here in the parent
-            # process, so that its warning reaches the caller with workers > 1
+            # once per row, here in the parent process, so that its warning
+            # reaches the caller with workers > 1
             check_bounds(s_eps.potentials, s_eps.grid_for_mesh(h_finest), t_target)
         rows.append((s_eps, t_target))
         n_e = s_eps.grid_for_mesh(h_e).N
@@ -527,11 +517,13 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
                       reference: Optional[ReferenceConfig] = None) -> list:
     """e_phi(t) sampled along the run for each scheme (plot-data source)."""
     ref_cfg = reference or ReferenceConfig()
-    t_final = setup.T0 / setup.epsilon if setup.epsilon > 0 else setup.T0
+    t_final = setup.t_final
+    problem = setup.discretize(h=h)
+    steppers = [_checked_stepper(problem, scheme, tau, t_final)[0] for scheme in schemes]
+    if setup.epsilon > 0:
+        check_bounds(setup.potentials, problem.grid, t_final)
     snap_times = [t_final * (j + 1) / n_snapshots for j in range(n_snapshots)]
-    steps = [_steps_for(t, tau) for t in snap_times]
-    steppers = [_checked_stepper(setup.discretize(h=h), SchemeConfig(scheme, tau, t_final=t_final))[0]
-                for scheme in schemes]
+    steps = [whole_steps(t, tau) for t in snap_times]
     ref = build_reference(setup, ref_cfg, h, tau, snap_times)
 
     out = []

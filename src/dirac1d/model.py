@@ -91,8 +91,15 @@ def check_bounds(p: PotentialPair, grid: TorusGrid, t_final: float) -> bool:
     return ok
 
 
+class _Horizon:
+    @property
+    def t_final(self) -> float:
+        """Run horizon T0/eps (T0 itself for the free problem eps = 0)."""
+        return self.T0 / self.epsilon if self.epsilon > 0 else self.T0
+
+
 @dataclass
-class DiracProblem:
+class DiracProblem(_Horizon):
     """A fully discretized problem instance bound to one grid."""
 
     grid: TorusGrid
@@ -109,10 +116,6 @@ class DiracProblem:
         if self.phi0.grid != self.grid:
             raise ConfigurationError("phi0 must live on the problem grid")
 
-    @property
-    def t_final(self) -> float:
-        """Run horizon T0/eps (T0 itself for the free problem eps = 0)."""
-        return self.T0 / self.epsilon if self.epsilon > 0 else self.T0
 
 def mass(f: SpinorField) -> float:
     """Total probability h*sum_j |Phi_j|^2 (the squared l2 norm)."""
@@ -175,7 +178,7 @@ def energy_fp(f: SpinorField, p: PotentialPair, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ProblemSetup:
+class ProblemSetup(_Horizon):
     """Grid-independent problem description, discretized on demand.
 
     For expanding setups (`expand_with_horizon`), the computational interval
@@ -194,8 +197,7 @@ class ProblemSetup:
 
     def domain(self) -> tuple[float, float]:
         if self.expand_with_horizon:
-            pad = self.T0 / self.epsilon if self.epsilon > 0 else self.T0
-            return self.a - pad, self.b + pad
+            return self.a - self.t_final, self.b + self.t_final
         return self.a, self.b
 
     def grid_for_mesh(self, h: float) -> TorusGrid:

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import SpinorField, TorusGrid, apply_sym2, make_grid, subsample, sym2
 from .model import ProblemSetup
-from .stepping import Stepper
+from .stepping import Stepper, whole_steps
 
 __all__ = [
     "free_dirac_exact", "TSFPStepper",
@@ -131,13 +131,9 @@ class ReferenceSolution:
         self.manifest = manifest or {}
 
     def snapshot(self, t: float) -> SpinorField:
-        key = self._match_time(t)
-        return self.fields[key]
-
-    def _match_time(self, t: float) -> float:
         for stored in self.times:
             if abs(stored - t) <= 1e-9 * max(1.0, abs(t)):
-                return stored
+                return self.fields[stored]
         raise ConfigurationError(f"no reference snapshot at t={t}; stored {self.times}")
 
     def restricted(self, t: float, grid: TorusGrid,
@@ -183,16 +179,7 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
     if tau_e <= 0:
         raise ConfigurationError("tau_e must be positive")
     problem = setup.discretize(h=h_e)
-    steps = {}
-    for t in t_targets:
-        if t < 0:
-            raise ConfigurationError("snapshot times must be nonnegative")
-        k = int(round(t / tau_e))
-        if abs(k * tau_e - t) > 1e-8 * max(1.0, abs(t)):
-            raise ConfigurationError(
-                f"snapshot time {t} is not an integer multiple of tau_e={tau_e}"
-            )
-        steps[k] = float(t)
+    steps = {whole_steps(t, tau_e, "snapshot time", "tau_e"): float(t) for t in t_targets}
 
     stepper = TSFPStepper(problem, tau_e)
     fields = {}

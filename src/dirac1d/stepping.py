@@ -66,6 +66,15 @@ def dense_power_pays(size: int, n_steps: int, n_nodes: int) -> bool:
     return dense < n_steps * (STEP_S + STEP_S_PER_NODE * n_nodes)
 
 
+def whole_steps(t: float, tau: float, what: str = "horizon", step: str = "tau") -> int:
+    """n >= 0 with n tau = t to 1e-9 max(1, |t|), for runs and references alike."""
+    n = int(round(t / tau))
+    if n < 0 or abs(n * tau - t) > 1e-9 * max(1.0, abs(t)):
+        raise ConfigurationError(
+            f"{what} {t} is not a nonnegative integer multiple of {step}={tau}")
+    return n
+
+
 @dataclass
 class SolverDiagnostics:
     """Per-step solver report: residual of the linear solve / iteration count."""

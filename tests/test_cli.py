@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dirac1d.reference as reference
-from dirac1d.cli import main
+from dirac1d.cli import _build_parser, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -89,6 +89,96 @@ class TestRun:
                                       "N": 16, "tau": 0.1})
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def _inline(**changes):
+    return dict(INLINE_FREE, **changes)
+
+
+RUN = {"problem": "periodic-s51", "scheme": "cnfd", "N": 16, "tau": 0.1, "t_final": 0.2}
+TABLE = {"problem": "periodic-s51", "scheme": "cnfd", "eps_list": [1.0], "h0": np.pi / 4,
+         "tau0": 0.05, "levels": 1}
+COMPARE = {"problem": "periodic-s51", "schemes": ["cnfd"], "h": np.pi / 4, "tau": 0.05,
+           "snapshots": 2}
+
+
+class TestConfigErrors:
+    """Each documented config error of the library and the front end exits 2."""
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("run", None, "cannot read config"),
+        ("run", {"scheme": "cnfd", "N": 16, "tau": 0.1}, "needs a 'problem' entry"),
+        ("run", dict(RUN, problem=5), "preset name or an object"),
+        ("run", dict(RUN, problem={k: v for k, v in INLINE_FREE.items() if k != "phi0"}),
+         "missing/invalid fields: 'phi0'"),
+        ("run", dict(RUN, problem=_inline(potentials={"V": "0"})),
+         "missing/invalid fields: 'A1'"),
+        ("run", dict(RUN, problem=_inline(phi0=[5, "0"])), "initial-data component"),
+        ("run", dict(RUN, problem=_inline(phi0=["1"])), "exactly two components"),
+        ("run", dict(RUN, problem=_inline(potentials=dict(INLINE_FREE["potentials"],
+                                                          V_max=-1.0))), "nonnegative"),
+        ("run", {k: v for k, v in RUN.items() if k != "N"}, "needs 'h' or 'N'"),
+        ("run", dict(RUN, record_every=0), "record_every"),
+        ("run", dict(RUN, tau=0.0), "tau must be nonzero"),
+        ("stability", dict(RUN, scheme="cnxx"), "unknown scheme 'cnxx'"),
+        ("converge", dict(TABLE, reference=5), "'reference' must be"),
+        ("converge", dict(TABLE, reference={"kind": "spline"}), "unknown reference kind"),
+        ("compare", dict(COMPARE, reference={"tau_e": -0.01}), "tau_e must be positive"),
+    ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
+            "component", "two-components", "negative-bound", "no-mesh", "record-every",
+            "zero-tau", "stability-scheme", "reference-type", "reference-kind",
+            "negative-tau_e"])
+    def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
+        path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
+        assert main([command, path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_mesh_size_key_reads_like_the_node_count(self, tmp_path, capsys):
+        # h = pi/8 on (0, 2 pi) is the N = 16 grid
+        by_h = {k: v for k, v in RUN.items() if k != "N"}
+        by_h["h"] = np.pi / 8
+        outputs = []
+        for config in (RUN, by_h):
+            assert main(["run", write_config(tmp_path, config)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out
+        assert "N=16 " in outputs[1].err
+
+
+# the flags each subcommand reads (14 in all); every other flag is refused
+FLAGS = {
+    "run": {"--out", "--override-stability"},
+    "converge": {"--out", "--workers", "--cache-dir"},
+    "sweep-spatial": {"--out", "--workers", "--cache-dir"},
+    "sweep-temporal": {"--out", "--workers", "--cache-dir"},
+    "stability": {"--out"},
+    "compare": {"--out", "--cache-dir"},
+}
+FLAG_ARGS = {"--out": ["o.csv"], "--workers": ["2"], "--cache-dir": ["cache"],
+             "--override-stability": []}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [["converge", "--override-stability"],
+                                      ["stability", "--workers", "2"]],
+                             ids=["converge-override-stability", "stability-workers"])
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, TABLE)
+        with pytest.raises(SystemExit) as caught:
+            main([argv[0], cfg, *argv[1:]])
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_command_takes_only_the_flags_it_reads(self, command):
+        parser = _build_parser()
+        for flag, value in FLAG_ARGS.items():
+            argv = [command, "config.json", flag, *value]
+            if flag in FLAGS[command]:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
 
 
 class TestTables:

@@ -131,6 +131,20 @@ class TestRunSimulation:
         res = run_simulation(prob, SchemeConfig("lffd", 1e-3, t_final=0.05, record="none"))
         assert res.blew_up and res.blowup_step == 5
 
+    def test_blowup_between_records_ends_every_series_at_its_step(self):
+        # the mass passes 10^2 times its start at step 16, between the
+        # records at 14 and 21: that step is recorded in all three series
+        prob = preset("periodic-s51", 1.0).discretize(N=64)
+        pots = prob.potentials
+        tau = 1.5 * tau_max("lffd", prob.grid.h, pots.v_max, pots.a_max)
+        res = run_simulation(prob, SchemeConfig("lffd", tau, t_final=100 * tau,
+                                                record="mass+energy", record_every=7,
+                                                override_stability=True, stop_norm_ratio=10))
+        assert res.blew_up and res.blowup_step == 16 == res.n_steps
+        assert len(res.times) == len(res.mass_series) == len(res.energy_series) == 4
+        np.testing.assert_allclose(res.times, np.array([0, 7, 14, 16]) * tau, rtol=1e-14)
+        assert res.mass_series[-1] > 100 * res.mass_series[0] > res.mass_series[-2]
+
 
 SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp"]
 
@@ -186,6 +200,44 @@ class TestRecordedEnergy:
             energy_fd(prob.phi0, prob.potentials, prob.epsilon)
         with pytest.raises(ConfigurationError, match="imaginary part"):
             run_simulation(prob, SchemeConfig("lffd", 1e-2, t_final=0.1, record="mass+energy"))
+
+
+def _nan_potential(t, x):
+    return np.where(x > 3.0, np.nan, 0.0)
+
+
+def _energy_run_with_time_dependent_potentials():
+    grid = make_grid(0.0, 2 * np.pi, 16)
+    pots = PotentialPair(lambda t, x: np.cos(t) + 0 * x, model._zero_evaluator, False, 1.0, 0.0)
+    prob = DiracProblem(grid, 0.5, pots, field_from_function(grid, _bandlimited_phi0))
+    run_simulation(prob, SchemeConfig("cnfd", 0.1, t_final=0.2, record="mass+energy"))
+
+
+class TestConfigurationErrors:
+    """Each documented ConfigurationError of the library, raised by its check."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SchemeConfig("cnfd", 0.1, record="all"), "unknown record mode 'all'"),
+        (lambda: SchemeConfig("cnfd", 0.1, record_every=0), "record_every must be >= 1"),
+        (lambda: ReferenceConfig(kind="spline"), "unknown reference kind 'spline'"),
+        (lambda: PotentialPair(model._zero_evaluator, model._zero_evaluator, True, -1.0, 0.0),
+         "potential bounds must be nonnegative"),
+        (lambda: PotentialPair(_nan_potential, model._zero_evaluator, True, 1.0, 0.0)
+         .evaluate(0.5, np.linspace(0.0, 6.0, 7)), "non-finite values at t=0.5"),
+        (lambda: preset("periodic-s51", 1.0).discretize(), "exactly one of h or N"),
+        (lambda: harness.reference_solution(preset("periodic-s51", 1.0), np.pi / 8, 0.0, [0.0]),
+         "tau_e must be positive"),
+        (lambda: harness.exact_free_reference(bandlimited_free_setup(), np.pi / 8, [0.5])
+         .snapshot(0.25), "no reference snapshot at t=0.25"),
+        (lambda: harness.exact_free_reference(bandlimited_free_setup(), np.pi / 8, [0.5])
+         .restricted(0.5, make_grid(0.0, np.pi, 4)), "same interval"),
+        (_energy_run_with_time_dependent_potentials, "needs time-independent potentials"),
+    ], ids=["record-mode", "record-every", "reference-kind", "negative-bound",
+            "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
+            "other-interval", "time-dependent-energy"])
+    def test_raises_with_its_message(self, make, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make()
 
 
 class TestMeasureErrors:
@@ -294,7 +346,8 @@ class TestConvergenceTables:
             raise AssertionError("work started before the guard")
 
         # the guard runs in the parent before any reference or cell is started
-        for name in ("run_simulation", "reference_solution", "exact_free_reference"):
+        for name in ("make_stepper", "run_simulation", "reference_solution",
+                     "exact_free_reference"):
             monkeypatch.setattr(harness, name, no_work)
         # h_e = h/2 is only 2x finer than the test grid; the default guard asks 4x
         with pytest.raises(ConfigurationError, match="4x finer"):

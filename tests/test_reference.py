@@ -16,6 +16,7 @@ from dirac1d import (
     DiracProblem,
     PotentialPair,
     ReferenceCache,
+    SchemeConfig,
     SpinorField,
     StepperState,
     field_from_function,
@@ -28,6 +29,7 @@ from dirac1d import (
     preset,
     reference_cache_key,
     reference_solution,
+    run_simulation,
     save_reference,
     zero_potentials,
 )
@@ -353,6 +355,19 @@ class TestReferenceSolution:
         setup = preset("periodic-s51", 1.0)
         with pytest.raises(ConfigurationError, match="multiple"):
             reference_solution(setup, np.pi / 32, 1e-3, [0.0015])
+
+    def test_snapshot_off_a_whole_step_refused_like_the_run(self):
+        # 0.5 + 5e-9 is 5e-9 from step 500: a reference may not file the
+        # state at 0.5 under it, and a run refuses the same horizon
+        setup, late = preset("periodic-s51", 1.0), 0.5 + 5e-9
+        with pytest.raises(ConfigurationError) as ref_error:
+            reference_solution(setup, np.pi / 32, 1e-3, [late])
+        with pytest.raises(ConfigurationError) as run_error:
+            run_simulation(setup.discretize(h=np.pi / 32), SchemeConfig("cnfd", 1e-3, t_final=late))
+        assert str(ref_error.value) == (
+            f"snapshot time {late} is not a nonnegative integer multiple of tau_e=0.001")
+        assert str(run_error.value) == (
+            f"horizon {late} is not a nonnegative integer multiple of tau=0.001")
 
     def test_manifest_records_propagation(self):
         setup = preset("periodic-s51", 1.0)
