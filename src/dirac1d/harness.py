@@ -14,7 +14,12 @@ first row (level = log4(eps_0/eps)).
 Every run, table cell and compared scheme gets its stepper through one
 gate, `_checked_stepper` (stability verdict, whole number of steps).
 `check_bounds` samples the potentials where the horizon is fixed: once
-per run, per `compare_over_time` and per table row.
+per run, per `compare_over_time` and per table row.  A run that records
+and watches nothing powers the one-step matrix ("dense-power"); any other
+run takes each step through `Stepper.advance`, as one mat-vec with that
+matrix once it repays its build ("dense-step", the energy then through K
+as a matrix) or by the scheme's own step ("stepwise"), and is judged for
+blow-up at each step alike.
 
 A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
@@ -41,12 +46,13 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
-from .model import DiracProblem, ProblemSetup, check_bounds, current, density, discrete_energy
+from .model import (DiracProblem, ProblemSetup, apply_k, check_bounds, current, density,
+                    discrete_energy)
 from .reference import (ReferenceCache, check_restriction, exact_free_reference,
                         reference_solution)
 from .schemes import make_stepper
 from .stability import validate
-from .stepping import whole_steps
+from .stepping import operator_matrix, whole_steps
 
 __all__ = [
     "SchemeConfig", "SimulationResult", "run_simulation",
@@ -94,7 +100,7 @@ class SimulationResult:
     wall_time: float
     blew_up: bool = False
     blowup_step: Optional[int] = None
-    propagation: str = "none"  # "dense-power", "stepwise", both joined by "+"
+    propagation: str = "none"  # "dense-power", "dense-step" or "stepwise"
 
     @property
     def max_norm_ratio(self) -> float:
@@ -137,7 +143,11 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     last step.  A run that records nothing, watches no norm, keeps the
     stability check and for which the matrix pays
     (`Stepper.takes_dense_power`) powers the one-step matrix instead; only
-    its final state is then checked.
+    its final state is then checked.  Any other run takes every step through
+    `Stepper.advance`: as one mat-vec with the one-step matrix when that
+    pays (`Stepper.takes_dense_steps`, propagation "dense-step"), with the
+    energy then h Re<Phi, K Phi> for K built once as a matrix; else by the
+    scheme's own step ("stepwise").
     """
     t_final = problem.t_final if config.t_final is None else config.t_final
     stepper, n_steps = _checked_stepper(problem, config.scheme, config.tau, t_final,
@@ -149,8 +159,21 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     record_energy = config.record == "mass+energy"
     if record_energy and not problem.potentials.time_independent:
         raise ConfigurationError("energy recording needs time-independent potentials")
-    # the energy by the stepper's own K and its eps*V, eps*A1, sampled once
+    watch = config.stop_norm_ratio is not None
+    powered = (config.record == "none" and not watch and not config.override_stability
+               and stepper.takes_dense_power(n_steps))
+    by_matrix = not powered and stepper.takes_dense_steps(n_steps)
+
+    t0 = time.perf_counter()
+    if by_matrix:
+        stepper.step_by_matrix()
+    # the energy by the stepper's own K and its eps*V, eps*A1, sampled once;
+    # as a matrix built like M when the steps are mat-vecs
     eps_pots = stepper._eps_potentials(0.0) if record_energy else None
+    k_matrix = None
+    if record_energy and by_matrix:
+        k_matrix = operator_matrix(lambda s: apply_k(stepper.space, s[0], *eps_pots)[None],
+                                   1, problem.grid.N)
 
     h = problem.grid.h
     times, masses, energies = [], [], []
@@ -163,20 +186,17 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
             times.append(t)
             masses.append(mass_of(values))
             if record_energy:
-                energies.append(discrete_energy(stepper.space, values, *eps_pots))
+                energies.append(discrete_energy(stepper.space, values, *eps_pots, k=k_matrix))
 
     observe(stepper._curr, 0.0)
-    watch = config.stop_norm_ratio is not None
     stop_mass = (config.stop_norm_ratio ** 2) * mass_of(stepper._curr) if watch else None
 
     blowup_step = None
-    t0 = time.perf_counter()
-    if (config.record == "none" and not watch and not config.override_stability
-            and stepper.takes_dense_power(n_steps)):
+    if powered:
         stepper.propagate(n_steps)
     else:
         if n_steps:
-            stepper.propagation.add("stepwise")
+            stepper.propagation.add("dense-step" if by_matrix else "stepwise")
         for k in range(1, n_steps + 1):
             stepper.advance()
             values = stepper._curr
@@ -275,9 +295,13 @@ def _reference_mesh(ref_cfg: ReferenceConfig, h_finest: float,
                     tau_finest: float) -> tuple:
     """(h_e, tau_e) of a row's reference; tau_e is None for the exact kind."""
     h_e = ref_cfg.h_e if ref_cfg.h_e is not None else h_finest / ref_cfg.space_factor
+    if not h_e > 0:
+        raise ConfigurationError(f"reference h_e must be positive, got {h_e}")
     if ref_cfg.kind == "exact":
         return h_e, None
     tau_e = ref_cfg.tau_e if ref_cfg.tau_e is not None else tau_finest / ref_cfg.time_factor
+    if not tau_e > 0:
+        raise ConfigurationError(f"reference tau_e must be positive, got {tau_e}")
     if tau_e > tau_finest / ref_cfg.min_time_ratio * (1 + 1e-12):
         raise ConfigurationError(
             f"reference tau_e={tau_e} is not {ref_cfg.min_time_ratio:g}x finer than "
@@ -378,11 +402,18 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
                   ref_cfg: Optional[ReferenceConfig], workers: int,
                   kind: str) -> ConvergenceTable:
     ref_cfg = ref_cfg or ReferenceConfig()
+    if len(eps_list) == 0:
+        raise ConfigurationError("eps_list is empty")
+    if levels < 1:
+        raise ConfigurationError(f"levels must be >= 1, got {levels}")
     pairs = [pair_of_level(k) for k in range(levels)]
     table = ConvergenceTable(scheme=scheme.lower(), eps_list=list(eps_list),
                              levels=levels, kind=kind)
     h_finest = min(p[0] for p in pairs)
     tau_finest = min(p[1] for p in pairs)
+    if not (h_finest > 0 and tau_finest > 0):
+        raise ConfigurationError(
+            f"mesh size and time step must be positive, got h={h_finest}, tau={tau_finest}")
     h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
     rows, tasks = [], []  # tasks: (estimated steps x nodes, key, task)
     for i, eps in enumerate(eps_list):
@@ -516,6 +547,10 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
                       tau: float, n_snapshots: int,
                       reference: Optional[ReferenceConfig] = None) -> list:
     """e_phi(t) sampled along the run for each scheme (plot-data source)."""
+    if len(schemes) == 0:
+        raise ConfigurationError("no scheme to compare")
+    if n_snapshots < 1:
+        raise ConfigurationError(f"n_snapshots must be >= 1, got {n_snapshots}")
     ref_cfg = reference or ReferenceConfig()
     t_final = setup.t_final
     problem = setup.discretize(h=h)

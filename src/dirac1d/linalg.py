@@ -51,13 +51,18 @@ class CyclicBlockTridiagSolver:
         col_pos = np.concatenate((position, np.roll(position, -1), np.roll(position, 1)))
         rows = 2 * np.tile(position, 3)[:, None, None] + np.arange(2)[:, None]
         cols = 2 * col_pos[:, None, None] + np.arange(2)
-        ab = np.zeros((2 * _KL + _KU + 1, self.n), dtype=np.complex128)
+        ab = np.zeros((2 * _KL + _KU + 1, self.n), dtype=np.complex128, order="F")
         ab[_KL + _KU + rows - cols, cols] = blocks
 
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, ipiv, info = gbtrf(ab, _KL, _KU)
+        lu, ipiv, info = gbtrf(ab, _KL, _KU, overwrite_ab=True)  # in place: no copy
         if info != 0:
             raise SolverError(f"banded factorization failed (gbtrf info={info})")
+        # the fill-in decays along the band into subnormal parts, which slow
+        # every gbtrs several times over; below `tiny` they are zero to the
+        # solve's precision (the residual guard of each step still checks it)
+        for part in (lu.real, lu.imag):
+            part[np.abs(part) < np.finfo(float).tiny] = 0.0
         self._lu, self._ipiv, self._gbtrs = lu, ipiv, gbtrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

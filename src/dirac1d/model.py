@@ -145,10 +145,14 @@ def apply_k(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray) -> np.ndarray:
     return out
 
 
-def discrete_energy(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray) -> float:
-    """The discrete energy h Re<Phi, K Phi> of one field, K as in `apply_k`.
-    K is Hermitian, so an imaginary part above rounding is an assembly bug."""
-    total = space.grid.h * np.vdot(v, apply_k(space, v, ev, ea))
+def discrete_energy(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray,
+                    k: Optional[np.ndarray] = None) -> float:
+    """The discrete energy h Re<Phi, K Phi> of one field, K as in `apply_k`,
+    or K given as the matrix `k` on the flattened field, built once from
+    `apply_k` for many fields.  K is Hermitian, so an imaginary part above
+    rounding is an assembly bug."""
+    kv = apply_k(space, v, ev, ea) if k is None else k @ v.reshape(-1)
+    total = space.grid.h * np.vdot(v, kv)
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise ConfigurationError(
             f"energy assembly produced imaginary part {total.imag:.3e} (assembly bug?)"
@@ -202,6 +206,8 @@ class ProblemSetup(_Horizon):
 
     def grid_for_mesh(self, h: float) -> TorusGrid:
         """Grid holding the mesh size (N rounded up to even if needed)."""
+        if not h > 0:
+            raise ConfigurationError(f"mesh size h must be positive, got {h}")
         a, b = self.domain()
         n = (b - a) / h
         N = int(math.ceil(n - 1e-9))

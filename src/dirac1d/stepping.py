@@ -1,5 +1,6 @@
 """Shared time-stepping machinery: state, diagnostics, the launch hook of
-the three-level schemes, and long runs by powering the one-step matrix.
+the three-level schemes, and runs through the one-step matrix: long runs
+by powering it, recorded runs by one mat-vec with it per step.
 
 Every scheme is a Stepper subclass owning its state; `advance()` moves one
 step of size tau.  A three-level scheme with no previous field (fresh from
@@ -27,6 +28,24 @@ step loop here, so the rule errs towards the loop for every other scheme.
 The size cap bounds the memory of the kept squares, bit_length(n) * m^2 * 16
 bytes (18 MB at m = 256, n = 256000).  Time-dependent potentials, larger
 grids and short runs keep the loop.  `propagation` names the paths taken.
+
+A run that must see every step (it records or watches one) can still step
+by M: after `step_by_matrix`, `advance` is one mat-vec with M, or with its
+top block row [A B] once a three-level scheme is launched, so a step costs
+2N x m multiply-adds.  A run takes it when
+
+    m <= DENSE_MAX_SIZE  and
+    n * (loop - dense) > m * loop,   loop = STEP_S + STEP_S_PER_NODE * N,
+                                     dense = 2 * 2N * m / MATMUL_MAC_PER_S,
+
+i.e. when n steps at the mat-vec's cost (its multiply-adds twice, as
+above) save more than building M, costed as m loop steps
+(`dense_step_pays`; this implies dense < loop).  At N = 64 every scheme
+takes it from a few hundred steps on; three-level schemes at N >= 128 do
+not.  The step's arithmetic order differs from `_step`'s, so the states
+agree with the loop's up to rounding, as powering's do.
+`operator_matrix` builds M, and the recorded energy's K, column block by
+column block from the operator's own code, so neither is written out twice.
 """
 
 from __future__ import annotations
@@ -66,6 +85,33 @@ def dense_power_pays(size: int, n_steps: int, n_nodes: int) -> bool:
     return dense < n_steps * (STEP_S + STEP_S_PER_NODE * n_nodes)
 
 
+def dense_step_pays(size: int, n_steps: int, n_nodes: int) -> bool:
+    """True when n steps, each a mat-vec with the 2N x size top rows of a
+    size x size M, repay building M against the step loop on N = n_nodes
+    nodes (module docstring)."""
+    if size > DENSE_MAX_SIZE:
+        return False
+    loop = STEP_S + STEP_S_PER_NODE * n_nodes
+    dense = 2 * (2 * n_nodes) * size / MATMUL_MAC_PER_S
+    return n_steps * (loop - dense) > size * loop
+
+
+def operator_matrix(apply, levels: int, n_nodes: int) -> np.ndarray:
+    """The matrix of a linear map on states of `levels` stacked (2, N)
+    fields, flattened: `apply` maps a (levels, 2, cols, N) batch of states to
+    their images, shaped alike.  Built column block by column block so that
+    no full identity is ever held."""
+    size = levels * 2 * n_nodes
+    m = np.empty((size, size), dtype=np.complex128)
+    for j in range(0, size, BUILD_BLOCK):
+        cols = min(BUILD_BLOCK, size - j)
+        unit = np.zeros((cols, size), dtype=np.complex128)
+        unit[np.arange(cols), j + np.arange(cols)] = 1.0
+        out = apply(unit.reshape(cols, levels, 2, n_nodes).transpose(1, 2, 0, 3))
+        m[:, j:j + cols] = out.transpose(0, 1, 3, 2).reshape(size, cols)
+    return m
+
+
 def whole_steps(t: float, tau: float, what: str = "horizon", step: str = "tau") -> int:
     """n >= 0 with n tau = t to 1e-9 max(1, |t|), for runs and references alike."""
     n = int(round(t / tau))
@@ -99,8 +145,8 @@ class StepperState:
 
 class Stepper:
     """Base class: owns (phi_prev, phi_curr, t, n), the advance loop and
-    `propagate`.  `propagation` names the paths `propagate` has taken
-    ("dense-power", "stepwise")."""
+    `propagate`.  `propagation` names the paths the stepper has taken
+    ("dense-power", "dense-step", "stepwise")."""
 
     scheme = "base"
     needs_history = True  # three-level schemes start with `_launch`
@@ -129,6 +175,7 @@ class Stepper:
         self.diagnostics = SolverDiagnostics()
         self.propagation = set()
         self._squares = []  # M^(2^k) for k = 0, 1, ...
+        self._step_rows = None  # the rows of M that give Phi^{n+1}, once stepping by M
         self._prepare()
 
     # -- hooks -------------------------------------------------------------
@@ -175,20 +222,11 @@ class Stepper:
         return (4 if self.needs_history else 2) * self.grid.N
 
     def _one_step_matrix(self) -> np.ndarray:
-        """M acting on the flattened state, built column block by column
-        block so that no full identity is ever held."""
-        n_nodes, size = self.grid.N, self._matrix_size
-        levels = size // (2 * n_nodes)
-        m = np.empty((size, size), dtype=np.complex128)
-        for j in range(0, size, BUILD_BLOCK):
-            cols = min(BUILD_BLOCK, size - j)
-            unit = np.zeros((cols, size), dtype=np.complex128)
-            unit[np.arange(cols), j + np.arange(cols)] = 1.0
-            state = unit.reshape(cols, levels, 2, n_nodes).transpose(1, 2, 0, 3)
+        """M acting on the flattened state, through the scheme's own `_step`."""
+        def one_step(state):
             new = self._step(state[1] if self.needs_history else None, state[0], self.t)
-            out = np.stack((new, state[0])) if self.needs_history else new[None]
-            m[:, j:j + cols] = out.transpose(0, 1, 3, 2).reshape(size, cols)
-        return m
+            return np.stack((new, state[0])) if self.needs_history else new[None]
+        return operator_matrix(one_step, 2 if self.needs_history else 1, self.grid.N)
 
     def _dense_power(self, n_steps: int) -> None:
         """Apply M^n_steps to the state by binary powering."""
@@ -210,11 +248,20 @@ class Stepper:
         self.n += n_steps
         self.t += n_steps * self.tau
 
+    def _matrix_step(self) -> np.ndarray:
+        """Phi^{n+1} as one mat-vec with the step rows of M."""
+        v = self._curr.reshape(-1)
+        if self.needs_history:
+            v = np.concatenate((v, self._prev.reshape(-1)))
+        return (self._step_rows @ v).reshape(2, self.grid.N)
+
     # -- public API ----------------------------------------------------------
     def advance(self) -> None:
         """Advance the solution one step of size tau."""
         if self.needs_history and self._prev is None:
             new = self._launch()
+        elif self._step_rows is not None:
+            new = self._matrix_step()
         else:
             new = self._step(self._prev, self._curr, self.t)
         if self.needs_history:
@@ -228,6 +275,22 @@ class Stepper:
         rest = n_steps - (self.needs_history and self._prev is None)  # after a launch
         return (self._time_independent and rest > 1
                 and dense_power_pays(self._matrix_size, rest, self.grid.N))
+
+    def takes_dense_steps(self, n_steps: int) -> bool:
+        """True when n_steps single steps pay for `step_by_matrix`."""
+        rest = n_steps - (self.needs_history and self._prev is None)  # after a launch
+        return (self._time_independent
+                and dense_step_pays(self._matrix_size, rest, self.grid.N))
+
+    def step_by_matrix(self) -> None:
+        """From here on every `advance` after the launch is one mat-vec with
+        M, or with its top block row [A B] for a three-level scheme.  M is
+        built now, unless `propagate` already keeps it; time-independent
+        potentials only."""
+        if not self._squares:
+            self._squares.append(self._one_step_matrix())
+        self._step_rows = self._squares[0][:2 * self.grid.N]
+        self.diagnostics = SolverDiagnostics()  # a mat-vec runs no solver
 
     def propagate(self, n_steps: int) -> None:
         """Advance n_steps: by M^n when `takes_dense_power`, else by the step

@@ -124,10 +124,21 @@ class TestConfigErrors:
         ("converge", dict(TABLE, reference=5), "'reference' must be"),
         ("converge", dict(TABLE, reference={"kind": "spline"}), "unknown reference kind"),
         ("compare", dict(COMPARE, reference={"tau_e": -0.01}), "tau_e must be positive"),
+        ("run", {**{k: v for k, v in RUN.items() if k != "N"}, "h": 0}, "h must be positive"),
+        ("converge", dict(TABLE, h0=0), "mesh size and time step must be positive, got h=0.0"),
+        ("converge", dict(TABLE, tau0=0), "time step must be positive, got h=0.7853981633974483, tau=0.0"),
+        ("converge", dict(TABLE, reference={"h_e": 0}), "h_e must be positive"),
+        ("converge", dict(TABLE, reference={"tau_e": 0}), "tau_e must be positive"),
+        ("converge", dict(TABLE, levels=0), "levels must be >= 1, got 0"),
+        ("converge", dict(TABLE, levels=-1), "levels must be >= 1, got -1"),
+        ("converge", dict(TABLE, eps_list=[]), "eps_list is empty"),
+        ("compare", dict(COMPARE, snapshots=0), "n_snapshots must be >= 1, got 0"),
+        ("compare", dict(COMPARE, schemes=[]), "no scheme to compare"),
     ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
             "component", "two-components", "negative-bound", "no-mesh", "record-every",
             "zero-tau", "stability-scheme", "reference-type", "reference-kind",
-            "negative-tau_e"])
+            "negative-tau_e", "zero-h", "zero-h0", "zero-tau0", "zero-h_e", "zero-tau_e",
+            "zero-levels", "negative-levels", "no-eps", "zero-snapshots", "no-schemes"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
         path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
         assert main([command, path]) == 2

@@ -58,6 +58,25 @@ def _bandlimited_phi0(x):
     return z / 1.2186057606953941  # unit l2 norm on (0, 2*pi)
 
 
+def _poison_step_5(monkeypatch):
+    """Make every stepper of the harness write a NaN into node 3 right after
+    its fifth step."""
+    make = harness.make_stepper
+
+    def poisoned(*args, **kwargs):
+        stepper = make(*args, **kwargs)
+        advance = stepper.advance
+
+        def advance_then_poison():
+            advance()
+            if stepper.n == 5:
+                stepper._curr[0, 3] = np.nan
+        stepper.advance = advance_then_poison
+        return stepper
+
+    monkeypatch.setattr(harness, "make_stepper", poisoned)
+
+
 class TestRunSimulation:
     def test_zero_steps_returns_initial_data(self):
         prob = preset("periodic-s51", 1.0).discretize(N=32)
@@ -100,33 +119,24 @@ class TestRunSimulation:
         assert res.wall_time >= 0.0
 
     def test_propagation_records_the_path(self):
+        # a run that records every step still steps by M once M repays its
+        # build; a short one, recording or not, keeps the scheme's own step
         prob = preset("periodic-s51", 0.25).discretize(N=16)
         dense = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=4.0, record="none"))
-        loop = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=4.0))
-        assert (dense.propagation, loop.propagation) == ("dense-power", "stepwise")
-        assert dense.n_steps == loop.n_steps == 4_000
-        dist = norm(SpinorField(prob.grid, dense.final.values - loop.final.values), "l2")
+        recorded = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=4.0))
+        assert (dense.propagation, recorded.propagation) == ("dense-power", "dense-step")
+        assert dense.n_steps == recorded.n_steps == 4_000
+        dist = norm(SpinorField(prob.grid, dense.final.values - recorded.final.values), "l2")
         assert dist <= 1e-15 * 4_000 * norm(prob.phi0, "l2")
-        short = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=0.01, record="none"))
-        assert short.propagation == "stepwise"
+        for record in ("none", "mass"):
+            short = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=0.01,
+                                                      record=record))
+            assert short.propagation == "stepwise"
 
     def test_local_nan_reported_at_its_step(self, monkeypatch):
         # node 3 lies between the nodes a stride-N/8 sample would look at;
         # the FD stencil carries the NaN there only steps later
-        make = harness.make_stepper
-
-        def poisoned(*args, **kwargs):
-            stepper = make(*args, **kwargs)
-            advance = stepper.advance
-
-            def advance_then_poison():
-                advance()
-                if stepper.n == 5:
-                    stepper._curr[0, 3] = np.nan
-            stepper.advance = advance_then_poison
-            return stepper
-
-        monkeypatch.setattr(harness, "make_stepper", poisoned)
+        _poison_step_5(monkeypatch)
         prob = preset("periodic-s51", 1.0).discretize(N=64)
         res = run_simulation(prob, SchemeConfig("lffd", 1e-3, t_final=0.05, record="none"))
         assert res.blew_up and res.blowup_step == 5
@@ -147,6 +157,61 @@ class TestRunSimulation:
 
 
 SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp"]
+
+
+class TestDenseSteps:
+    """Recording runs whose steps are mat-vecs with the one-step matrix."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_recording_run_stays_with_the_loop(self, scheme):
+        prob = preset("periodic-s51", 0.5).discretize(N=32)
+        tau, n_steps = 1e-2, 200
+        res = run_simulation(prob, SchemeConfig(scheme, tau, t_final=n_steps * tau,
+                                                record="mass+energy"))
+        assert res.propagation == "dense-step" and res.n_steps == n_steps
+        loop = make_stepper(scheme, prob, tau)
+        for _ in range(n_steps):
+            loop.advance()
+        dist = norm(SpinorField(prob.grid, res.final.values - loop._curr), "l2")
+        assert dist <= 1e-15 * n_steps * norm(prob.phi0, "l2")
+        assert len(res.mass_series) == len(res.energy_series) == n_steps + 1
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matrix_energy_equals_discrete_energy(self, scheme):
+        # the same states as the run, each energy through apply_k
+        prob = preset("periodic-s51", 0.5).discretize(N=32)
+        tau, n_steps, every = 1e-2, 200, 40
+        res = run_simulation(prob, SchemeConfig(scheme, tau, t_final=n_steps * tau,
+                                                record="mass+energy", record_every=every))
+        assert res.propagation == "dense-step"
+        energy = energy_fd if "fd" in scheme else energy_fp
+        stepper = make_stepper(scheme, prob, tau)
+        stepper.step_by_matrix()
+        want = [energy(stepper.phi, prob.potentials, prob.epsilon)]
+        for k in range(1, n_steps + 1):
+            stepper.advance()
+            if k % every == 0:
+                want.append(energy(stepper.phi, prob.potentials, prob.epsilon))
+        assert len(res.energy_series) == len(want) == 6
+        np.testing.assert_allclose(res.energy_series, want, rtol=1e-13, atol=0)
+
+    def test_imaginary_part_guard_fires(self, monkeypatch):
+        def one_sided(op, v):
+            return (np.roll(v, -1, axis=-1) - v) / op.grid.h
+
+        monkeypatch.setattr(CenteredDifference, "apply", one_sided)
+        prob = preset("periodic-s51", 1.0).discretize(N=32)
+        assert make_stepper("lffd", prob, 1e-2).takes_dense_steps(200)
+        with pytest.raises(ConfigurationError, match="imaginary part"):
+            run_simulation(prob, SchemeConfig("lffd", 1e-2, t_final=2.0, record="mass+energy"))
+
+    def test_local_nan_reported_at_its_step(self, monkeypatch):
+        _poison_step_5(monkeypatch)
+        prob = preset("periodic-s51", 1.0).discretize(N=64)
+        res = run_simulation(prob, SchemeConfig("lffd", 1e-3, t_final=1.0, record="mass"))
+        assert res.propagation == "dense-step"
+        assert res.blew_up and res.blowup_step == 5 == res.n_steps
+        assert len(res.mass_series) == 6 and np.isnan(res.mass_series[-1])
 
 
 class TestRecordedEnergy:

@@ -29,7 +29,7 @@ from dirac1d import (
 )
 from dirac1d.linalg import CyclicBlockTridiagSolver
 from dirac1d.model import apply_k
-from dirac1d.stepping import dense_power_pays
+from dirac1d.stepping import dense_power_pays, dense_step_pays
 
 SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp", "tsfp"]
 THREE_LEVEL = {"sifd1", "sifd2", "lffd", "sifp1", "sifp2", "lffp"}
@@ -220,6 +220,37 @@ class TestPropagate:
     def test_size_cap_keeps_the_loop(self):
         assert not dense_power_pays(1024, 10 ** 6, 256)
         assert dense_power_pays(512, 10 ** 6, 128)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_dense_steps_pay_on_64_nodes(self, scheme):
+        stepper = make_stepper(scheme, preset("periodic-s51", 1.0).discretize(N=64), 4e-3)
+        assert stepper.takes_dense_steps(500) and stepper.takes_dense_steps(1_000)
+        assert not stepper.takes_dense_steps(50)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matrix_steps_equal_the_loop_without_its_step(self, scheme):
+        prob = preset("periodic-s51", 1.0).discretize(N=16)
+        a = make_stepper(scheme, prob, 1e-2)
+        b = make_stepper(scheme, prob, 1e-2)
+        a.step_by_matrix()
+        a._step = None  # each advance is now a mat-vec, or the launch
+        for _ in range(20):
+            a.advance()
+            b.advance()
+        assert (a.n, a.t) == (b.n, pytest.approx(b.t))
+        dist = norm(SpinorField(prob.grid, a._curr - b._curr), "l2")
+        assert dist <= 1e-15 * 20 * norm(prob.phi0, "l2")
+
+    def test_dense_steps_keep_the_loop_on_larger_grids(self):
+        assert dense_step_pays(256, 10 ** 6, 128)  # CN on 128 nodes
+        assert not dense_step_pays(512, 10 ** 6, 128)  # three-level on 128 nodes
+        assert not dense_step_pays(2 * 4096, 10 ** 6, 4096)
+
+    def test_dense_steps_keep_the_loop_for_time_dependent_potentials(self):
+        grid = make_grid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(lambda t, x: np.cos(t) + 0 * x, lambda t, x: 0 * x, False, 1.0, 0.0)
+        prob = DiracProblem(grid, 1.0, pots, random_field(grid, 3), T0=2.0)
+        assert not make_stepper("cnfp", prob, 1e-2).takes_dense_steps(10 ** 6)
 
 
 class TestOneStepMatrix:
