@@ -8,8 +8,8 @@ reads (`_COMMANDS`); results go to stdout or --out.  Exit codes: 0 ok,
 Config keys (subcommand-dependent):
     problem    preset name ("periodic-s51", "whole-space-s52") or inline
                {"domain": [a, b], "T0": ..., "epsilon": ...,
-                "potentials": {"V": expr, "A1": expr, "time_independent":
-                bool, "V_max": ..., "A_max": ...},
+                "potentials": {"V": expr, "A1": expr, "V_max": ..., "A_max":
+                ..., optional "time_independent": bool, true iff neither names t},
                 "phi0": [expr_or_{re,im}, expr_or_{re,im}],
                 "expand_with_horizon": bool}
     epsilon    potential strength (top level; inline problems may carry it
@@ -103,22 +103,25 @@ def _build_setup(cfg: dict) -> model.ProblemSetup:
         a, b = (float(v) for v in spec["domain"])
         pots_spec = spec["potentials"]
         phi0_spec = spec["phi0"]
-        pots = model.PotentialPair(
-            V=Expression(pots_spec["V"]),
-            A1=Expression(pots_spec["A1"]),
-            time_independent=bool(pots_spec.get("time_independent", False)),
-            v_max=float(pots_spec["V_max"]),
-            a_max=float(pots_spec["A_max"]),
-        )
+        v, a1 = Expression(pots_spec["V"]), Expression(pots_spec["A1"])
+        pots = model.PotentialPair(v, a1, not (v.names_t or a1.names_t),
+                                   float(pots_spec["V_max"]), float(pots_spec["A_max"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"inline problem is missing/invalid fields: {exc}") from exc
+    declared = pots_spec.get("time_independent", pots.time_independent)
+    if declared != pots.time_independent:
+        names = "do not name" if pots.time_independent else "name"
+        raise ConfigurationError(
+            f"inline potentials declare time_independent={declared}, but V and A1 {names} t")
     if len(phi0_spec) != 2:
         raise ConfigurationError("'phi0' needs exactly two components")
     phi0 = _SpinorInitial(_parse_component(phi0_spec[0]), _parse_component(phi0_spec[1]))
+    # the cache key carries the derived declaration, stated or not
+    keyed = dict(spec, potentials=dict(pots_spec, time_independent=pots.time_independent))
     return model.ProblemSetup(
         a, b, epsilon, float(spec.get("T0", 2.0)), pots, phi0,
         expand_with_horizon=bool(spec.get("expand_with_horizon", False)),
-        key={"inline": {k: spec[k] for k in sorted(spec)}, "epsilon": epsilon},
+        key={"inline": keyed, "epsilon": epsilon},
     )
 
 
@@ -173,7 +176,7 @@ def _cmd_run(cfg: dict, args) -> int:
     _require(cfg, "scheme", "tau")
     setup = _build_setup(cfg)
     problem = _discretize(setup, cfg)
-    record = "mass+energy" if problem.potentials.time_independent else "mass"
+    record = "mass+energy" if problem.time_independent else "mass"
     config = harness.SchemeConfig(
         scheme=cfg["scheme"], tau=float(cfg["tau"]),
         t_final=cfg.get("t_final"),

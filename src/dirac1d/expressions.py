@@ -34,6 +34,7 @@ def _parse(text: str):
         body = ast.parse(source, mode="eval").body
     except (SyntaxError, ValueError) as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
+    names = set()
 
     def walk(node):
         if isinstance(node, ast.Constant):
@@ -43,6 +44,7 @@ def _parse(text: str):
             return ("num", float(node.value))
         if isinstance(node, ast.Name):
             if node.id in ("t", "x"):
+                names.add(node.id)
                 return ("var", node.id)
             if node.id in _CONSTANTS:
                 return ("num", _CONSTANTS[node.id])
@@ -60,7 +62,7 @@ def _parse(text: str):
             f"{ast.get_source_segment(source, node)!r} is outside the expression "
             f"grammar in {text!r}")
 
-    return walk(body)
+    return walk(body), names  # the tree and the variables it names
 
 
 def _evaluate(node, t, x):
@@ -95,7 +97,8 @@ class Expression:
         if not isinstance(text, str):
             raise ExpressionError(f"an expression must be a string, got {text!r}")
         self.text = text
-        self.ast = _parse(text)
+        self.ast, names = _parse(text)
+        self.names_t = "t" in names  # False: the value does not depend on t
 
     def __call__(self, t, x):
         with np.errstate(divide="raise", invalid="raise"):

@@ -157,7 +157,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
 
     record_mass = config.record in ("mass", "mass+energy")
     record_energy = config.record == "mass+energy"
-    if record_energy and not problem.potentials.time_independent:
+    if record_energy and not problem.time_independent:
         raise ConfigurationError("energy recording needs time-independent potentials")
     watch = config.stop_norm_ratio is not None
     powered = (config.record == "none" and not watch and not config.override_stability
@@ -169,7 +169,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
         stepper.step_by_matrix()
     # the energy by the stepper's own K and its eps*V, eps*A1, sampled once;
     # as a matrix built like M when the steps are mat-vecs
-    eps_pots = stepper._eps_potentials(0.0) if record_energy else None
+    eps_pots = stepper._kept(stepper._eps_potentials, 0.0) if record_energy else None
     k_matrix = None
     if record_energy and by_matrix:
         k_matrix = operator_matrix(lambda s: apply_k(stepper.space, s[0], *eps_pots)[None],

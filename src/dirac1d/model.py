@@ -116,6 +116,11 @@ class DiracProblem(_Horizon):
         if self.phi0.grid != self.grid:
             raise ConfigurationError("phi0 must live on the problem grid")
 
+    @property
+    def time_independent(self) -> bool:
+        """Potentials declared time-independent, or switched off by eps = 0."""
+        return self.potentials.time_independent or self.epsilon == 0.0
+
 
 def mass(f: SpinorField) -> float:
     """Total probability h*sum_j |Phi_j|^2 (the squared l2 norm)."""

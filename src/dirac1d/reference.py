@@ -81,40 +81,38 @@ class TSFPStepper(Stepper):
 
     def _prepare(self):
         self._free_mult = _free_multipliers(self.grid, self.tau)
-        if self._time_independent:
-            self._half = self._potential_multipliers(0.5 * self.tau, 0.0)
-            self._full = self._potential_multipliers(self.tau, 0.0)
 
     def _potential_multipliers(self, s: float, t: float):
         """(m11, m12, m22) of exp(-i s eps (V I2 - A1 sigma1)) at time t."""
-        ev, ea = self._eps_potentials(t)
+        ev, ea = self._kept(self._eps_potentials, t)
         phase = np.exp(-1j * s * ev)
         u = phase * np.cos(s * ea)
         return sym2(u, 1j * phase * np.sin(s * ea), u)
 
+    def _half_flow(self, t: float):
+        return self._potential_multipliers(0.5 * self.tau, t)
+
     def _step(self, prev, curr, t) -> np.ndarray:
-        if self._time_independent:
-            first = last = self._half
-        else:
-            first = self._potential_multipliers(0.5 * self.tau, t + 0.25 * self.tau)
-            last = self._potential_multipliers(0.5 * self.tau, t + 0.75 * self.tau)
+        first = self._kept(self._half_flow, t + 0.25 * self.tau)
+        last = self._kept(self._half_flow, t + 0.75 * self.tau)
         return apply_sym2(last, _apply_free(apply_sym2(first, curr), self._free_mult))
 
     def _loop(self, n_steps: int) -> None:
-        """The step loop with interior potential half steps merged.  It
-        works in two (2, N) buffers and one scratch array allocated once
-        per call, and leaves the result in a fresh array."""
+        """The step loop with interior potential half steps merged into full
+        ones.  It works in two (2, N) buffers, one scratch array and the full
+        step's multipliers made once per call, and leaves a fresh array."""
         if not self._time_independent:
             return super()._loop(n_steps)
+        half, full = self._kept(self._half_flow, 0.0), self._potential_multipliers(self.tau, 0.0)
         x, y, tmp = (np.empty_like(self._curr) for _ in range(3))
-        apply_sym2(self._half, self._curr, out=x, tmp=tmp)
+        apply_sym2(half, self._curr, out=x, tmp=tmp)
         for k in range(n_steps):
             np.fft.fft(x, axis=-1, out=y)
             apply_sym2(self._free_mult, y, out=x, tmp=tmp)
             np.fft.ifft(x, axis=-1, out=y)
             if k < n_steps - 1:
-                apply_sym2(self._full, y, out=x, tmp=tmp)
-        self._curr = apply_sym2(self._half, y, tmp=tmp)
+                apply_sym2(full, y, out=x, tmp=tmp)
+        self._curr = apply_sym2(half, y, tmp=tmp)
         self.n += n_steps
         self.t += n_steps * self.tau
 

@@ -19,6 +19,8 @@ Its local error O(tau^2) is measured against the scheme's own semi-discrete
 flow, so every scheme is second order in tau towards that flow.  Each
 `_step` maps (Phi^{n-1}, Phi^n, t_n) to Phi^{n+1} with no state of its own
 and over any batch of fields, which is how `Stepper.propagate` probes it.
+eps*V, eps*A1, CNFD's factor and SI1's pointwise inverse come through
+`Stepper._kept`: once for a time-independent problem, else every step.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class _SpaceTimeStepper(Stepper):
         super().__init__(problem, tau, state)
 
     def _launch(self) -> np.ndarray:
-        ev, ea = self._eps_potentials(self.t)
+        ev, ea = self._kept(self._eps_potentials, self.t)
         return self._curr - 1j * self.tau * apply_k(self.space, self._curr, ev, ea)
 
     def _per_mode(self, c: float):
@@ -78,28 +80,22 @@ class CNStepper(_SpaceTimeStepper):
     t_n + tau/2.  Unconditionally stable; conserves mass and, for
     time-independent potentials, the discrete energy.
 
-    fd: the cyclic block-tridiagonal matrix is factored once (re-factored
-    every step for time-dependent potentials), and every solve must meet
-    RESIDUAL_TOL.
+    fd: the cyclic block-tridiagonal matrix is factored (at construction on a
+    time-independent run), and every solve must meet RESIDUAL_TOL.
     fp: the free part (i I2 - tau/2*(mu_l*sigma1 + sigma3)) is inverted
     exactly per mode; the O(eps*tau) potential term is lagged on the iterate
-    and converges with contraction about eps*tau*(V_max + A_max)/2.
+    and converges with contraction about eps*tau*(V_max + A_max)/2.  With no
+    potential the second sweep repeats the first, so a free step takes two.
     """
 
     pattern = "cn{}"
     needs_history = False
 
     def _prepare(self):
-        pots = self.problem.potentials
-        if self.space.name == "fd":
-            self._banded = None
-            if self._time_independent:
-                ev, ea = self._eps_potentials(0.0)
-                self._banded = (ev, ea, self._factor(ev, ea))
-        else:
+        if self.space.name == "fp":
             self._inverse, self._rhs = self._per_mode(0.5 * self.tau)
-            self._free_run = (self.problem.epsilon == 0.0
-                              or (pots.v_max == 0.0 and pots.a_max == 0.0))
+        elif self._time_independent:  # now: made at the first step it raised peak RSS
+            self._kept(self._factor, 0.0)
 
     def _step(self, prev, curr, t) -> np.ndarray:
         if self.space.name == "fd":
@@ -107,7 +103,9 @@ class CNStepper(_SpaceTimeStepper):
         return self._fixed_point_step(curr, t)
 
     # -- fd: banded cyclic LU ------------------------------------------------
-    def _factor(self, ev: np.ndarray, ea: np.ndarray) -> CyclicBlockTridiagSolver:
+    def _factor(self, t: float):
+        """(eps*V, eps*A1) at t and the banded LU of i I - tau/2 K there."""
+        ev, ea = self._kept(self._eps_potentials, t)
         n = self.grid.N
         half = 0.5 * self.tau
         diag = np.zeros((n, 2, 2), dtype=np.complex128)
@@ -118,15 +116,11 @@ class CNStepper(_SpaceTimeStepper):
         c = 1j * self.tau / (4.0 * self.grid.h)
         b_plus = np.array([[0.0, c], [c, 0.0]])
         b_minus = -b_plus
-        return CyclicBlockTridiagSolver(diag, b_plus, b_minus)
+        return ev, ea, CyclicBlockTridiagSolver(diag, b_plus, b_minus)
 
     def _banded_step(self, curr: np.ndarray, t: float) -> np.ndarray:
         half = 0.5 * self.tau
-        if self._banded is not None:
-            ev, ea, solver = self._banded
-        else:
-            ev, ea = self._eps_potentials(t + half)
-            solver = self._factor(ev, ea)
+        ev, ea, solver = self._kept(self._factor, t + half)
         rhs = 1j * curr + half * apply_k(self.space, curr, ev, ea)
         new = solver.solve(rhs)
 
@@ -143,13 +137,8 @@ class CNStepper(_SpaceTimeStepper):
 
     # -- fp: per-mode free inverse plus fixed point ----------------------------
     def _fixed_point_step(self, curr: np.ndarray, t: float) -> np.ndarray:
-        if self._free_run:
-            self.diagnostics = SolverDiagnostics(0.0, 1)
-            y = apply_sym2(self._rhs, np.fft.fft(curr, axis=-1))
-            return np.fft.ifft(apply_sym2(self._inverse, y), axis=-1)
-
         half = 0.5 * self.tau
-        ev, ea = self._eps_potentials(t + half)
+        ev, ea = self._kept(self._eps_potentials, t + half)
         # each field of a batch is converged against its own norm
         norm_curr = np.maximum(_field_norms(curr), 1e-300)
         tol = FIXED_POINT_TOL * norm_curr
@@ -200,32 +189,26 @@ class SI1Stepper(_SpaceTimeStepper):
                 f"{self.scheme.upper()} pointwise solve guard violated: "
                 f"|tau|*(1 + eps*(V_max + A_max)) = {guard:.3g} >= 0.5; reduce tau"
             )
-        self._inv_cache = None
-        if self._time_independent:
-            ev, ea = self._eps_potentials(0.0)
-            self._inv_cache = self._invert(ev, ea)
 
-    def _invert(self, ev, ea):
+    def _invert(self, t: float):
+        """The pointwise bracket's inverse at t.  With a = (tau ev)^2 and b =
+        tau^2 (1 + ea^2), |det|^2 = (1+b)^2 + a^2 + 2a(1-b) >= 1: b <= 1 by the guard."""
+        ev, ea = self._kept(self._eps_potentials, t)
         tau = self.tau
         m11 = 1j - tau * ev - tau
         m22 = 1j - tau * ev + tau
         m12 = tau * ea
         det = m11 * m22 - m12 * m12
-        bad = np.abs(det) < 1e-300
-        if np.any(bad):
-            raise SolverError("singular pointwise matrix", step=self.n,
-                              node=int(np.argmax(bad)))
         return sym2(m22 / det, -m12 / det, m11 / det)
 
     def _step(self, prev, curr, t) -> np.ndarray:
         tau = self.tau
-        ev, ea = self._eps_potentials(t)
-        inverse = self._inv_cache if self._inv_cache is not None else self._invert(ev, ea)
+        ev, ea = self._kept(self._eps_potentials, t)
         d = self.space.apply(curr)
         p1, p2 = prev
         h1 = -2j * tau * d[1] + (1j + tau * ev + tau) * p1 - tau * ea * p2
         h2 = -2j * tau * d[0] + (1j + tau * ev - tau) * p2 - tau * ea * p1
-        return apply_sym2(inverse, np.stack((h1, h2)))
+        return apply_sym2(self._kept(self._invert, t), np.stack((h1, h2)))
 
 
 class SI2Stepper(_SpaceTimeStepper):
@@ -244,7 +227,7 @@ class SI2Stepper(_SpaceTimeStepper):
         self._inverse = self._per_mode(self.tau)[0]
 
     def _step(self, prev, curr, t) -> np.ndarray:
-        ev, ea = self._eps_potentials(t)
+        ev, ea = self._kept(self._eps_potentials, t)
         g_curr = ev * curr - ea * curr[::-1]  # eps*(V I2 - A1 sigma1) Phi^n
         z_hat = np.fft.fft(1j * prev + self.tau * g_curr, axis=-1)
         return 2.0 * np.fft.ifft(apply_sym2(self._inverse, z_hat), axis=-1) - prev
@@ -256,7 +239,7 @@ class LFStepper(_SpaceTimeStepper):
     pattern = "lf{}"
 
     def _step(self, prev, curr, t) -> np.ndarray:
-        ev, ea = self._eps_potentials(t)
+        ev, ea = self._kept(self._eps_potentials, t)
         return prev - 2j * self.tau * apply_k(self.space, curr, ev, ea)
 
 

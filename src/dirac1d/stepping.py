@@ -8,6 +8,11 @@ the initial data or restarted from a one-field `StepperState`) takes its
 first step through the `_launch` hook, which the schemes implement as
 forward Euler with their own space operator (:mod:`dirac1d.schemes`).
 
+A step's coefficients at time t (eps*V, eps*A1 and what schemes derive
+from them) come through one memo, `Stepper._kept(make, t)`: make(t) every
+step, or make(0.0) made once per hook when `DiracProblem.time_independent`
+holds, the property that also gates the dense paths and the energy record.
+
 For time-independent potentials every scheme is a fixed linear map: CN and
 TSFP advance Phi^n by a 2N x 2N matrix M, and the three-level schemes, once
 launched, advance the pair [Phi^n; Phi^n-1] by the 4N x 4N companion
@@ -170,8 +175,8 @@ class Stepper:
             self._prev = None if state.phi_prev is None else state.phi_prev.values.copy()
             self.n = state.n
             self.t = state.t_n
-        self._time_independent = (problem.potentials.time_independent
-                                  or problem.epsilon == 0.0)
+        self._time_independent = problem.time_independent
+        self._memo = {}  # hook function -> what it made at t = 0 (`_kept`)
         self.diagnostics = SolverDiagnostics()
         self.propagation = set()
         self._squares = []  # M^(2^k) for k = 0, 1, ...
@@ -198,21 +203,23 @@ class Stepper:
             self.advance()
 
     # -- shared helpers ----------------------------------------------------
+    def _kept(self, make, t: float):
+        """make(t) for a bound method `make`; on a time-independent run
+        make(0.0), made once and kept under make's function (so no cycle)."""
+        if not self._time_independent:
+            return make(t)
+        hook = make.__func__
+        if hook not in self._memo:
+            self._memo[hook] = make(0.0)
+        return self._memo[hook]
+
     def _eps_potentials(self, t: float):
-        """(eps*V, eps*A1) at the nodes; cached for time-independent runs."""
+        """(eps*V, eps*A1) at the nodes at time t; steps take it through `_kept`."""
         eps = self.problem.epsilon
         if eps == 0.0:
             z = np.zeros(self.grid.N)
             return z, z
-        pots = self.problem.potentials
-        if pots.time_independent:
-            cached = getattr(self, "_pot_cache", None)
-            if cached is None:
-                v, a = pots.evaluate(0.0, self.grid.x)
-                cached = (eps * v, eps * a)
-                self._pot_cache = cached
-            return cached
-        v, a = pots.evaluate(t, self.grid.x)
+        v, a = self.problem.potentials.evaluate(t, self.grid.x)
         return eps * v, eps * a
 
     # -- the one-step matrix -----------------------------------------------

@@ -46,6 +46,20 @@ class TestRun:
         })
         assert main(["run", cfg]) == 0
 
+    @pytest.mark.parametrize("v, header", [("1/(1+sin(x)^2)", "t,mass,energy"),
+                                           ("cos(t)/(1+sin(x)^2)", "t,mass")],
+                             ids=["names-no-t", "names-t"])
+    def test_time_independence_is_derived(self, tmp_path, capsys, v, header):
+        # the energy is recorded exactly when neither V nor A1 names t
+        pots = {k: val for k, val in INLINE_FREE["potentials"].items()
+                if k != "time_independent"}
+        cfg = write_config(tmp_path, {
+            "problem": dict(INLINE_FREE, potentials=dict(pots, V=v, V_max=1.0)),
+            "epsilon": 0.5, "scheme": "cnfp", "N": 16, "tau": 0.01, "t_final": 0.1,
+        })
+        assert main(["run", cfg]) == 0
+        assert capsys.readouterr().out.split("\n")[0] == header
+
     def test_stability_violation_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {
             "problem": INLINE_FREE, "epsilon": 1.0,
@@ -83,8 +97,9 @@ class TestRun:
     @pytest.mark.parametrize("potential", ["1/(t-0)", "10^(t+400)", 0],
                              ids=["division-by-zero", "overflow", "number"])
     def test_failing_expression_exits_2(self, tmp_path, capsys, potential):
-        bad = dict(INLINE_FREE, potentials=dict(INLINE_FREE["potentials"], V=potential,
-                                                V_max=1.0))
+        # no time_independent key: it is derived from V, which may name t
+        pots = {k: v for k, v in INLINE_FREE["potentials"].items() if k != "time_independent"}
+        bad = dict(INLINE_FREE, potentials=dict(pots, V=potential, V_max=1.0))
         cfg = write_config(tmp_path, {"problem": bad, "epsilon": 1.0, "scheme": "cnfd",
                                       "N": 16, "tau": 0.1})
         assert main(["run", cfg]) == 2
@@ -134,11 +149,18 @@ class TestConfigErrors:
         ("converge", dict(TABLE, eps_list=[]), "eps_list is empty"),
         ("compare", dict(COMPARE, snapshots=0), "n_snapshots must be >= 1, got 0"),
         ("compare", dict(COMPARE, schemes=[]), "no scheme to compare"),
+        ("run", dict(RUN, problem=_inline(potentials=dict(INLINE_FREE["potentials"],
+                                                          V="cos(t)", V_max=1.0))),
+         "declare time_independent=True, but V and A1 name t"),
+        ("run", dict(RUN, problem=_inline(potentials=dict(INLINE_FREE["potentials"],
+                                                          time_independent=False))),
+         "declare time_independent=False, but V and A1 do not name t"),
     ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
             "component", "two-components", "negative-bound", "no-mesh", "record-every",
             "zero-tau", "stability-scheme", "reference-type", "reference-kind",
             "negative-tau_e", "zero-h", "zero-h0", "zero-tau0", "zero-h_e", "zero-tau_e",
-            "zero-levels", "negative-levels", "no-eps", "zero-snapshots", "no-schemes"])
+            "zero-levels", "negative-levels", "no-eps", "zero-snapshots", "no-schemes",
+            "declared-time-independent", "declared-time-dependent"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
         path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
         assert main([command, path]) == 2

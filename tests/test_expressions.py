@@ -67,6 +67,12 @@ class TestParsing:
         x = np.linspace(0, 1, 5)
         np.testing.assert_array_equal(e(0.0, x), e2(0.0, x))
 
+    @pytest.mark.parametrize("text, names_t", [
+        ("1/(1+sin(x)^2)", False), ("pi*x", False), ("2.5", False), ("cos(t)", True),
+        ("x+exp(-(t))", True), ("0*t", True)])
+    def test_reports_whether_it_names_t(self, text, names_t):
+        assert Expression(text).names_t is names_t
+
 
 # -- generated expressions -----------------------------------------------------
 # A tree is ("num", v), ("t",), ("x",), ("pi",), ("neg", a), (fn, a) for
@@ -137,6 +143,13 @@ def operand(tree, need, rnd):
     return f"({text})" if prec < need or rnd.random() < 0.15 else text
 
 
+def _subtrees(tree):
+    yield tree
+    for child in tree[1:]:
+        if isinstance(child, tuple):
+            yield from _subtrees(child)
+
+
 def outcome(fn):
     """("value", array) or ("raises", exception type) of fn()."""
     with warnings.catch_warnings():
@@ -151,6 +164,7 @@ def outcome(fn):
 @given(tree=trees, rnd=st.randoms(use_true_random=False), t=st.floats(-3.0, 3.0))
 def test_generated_expressions_match_numpy(tree, rnd, t):
     text, _ = render(tree, rnd)
+    assert Expression(text).names_t is (("t",) in _subtrees(tree)), text
     x = np.linspace(-3.0, 3.0, 7)
 
     def expected():

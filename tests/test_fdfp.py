@@ -160,7 +160,7 @@ class TestFreeModeRecurrences:
             u = np.linalg.solve(1j * I2 - 0.5 * tau * m, (1j * I2 + 0.5 * tau * m) @ u)
             np.testing.assert_allclose(st._curr, np.outer(u, wave), atol=1e-12)
             assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(self.U0), rel=1e-13)
-            assert st.diagnostics.iterations == 1  # free path, no fixed point
+            assert st.diagnostics.iterations == 2  # no potential: sweep 2 repeats sweep 1
 
 
 class TestCNFPFixedPoint:

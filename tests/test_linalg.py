@@ -117,7 +117,7 @@ def test_factor_holds_no_subnormal_part():
     # CNFD on 4096 nodes at eps = 1/16, tau = 0.00625: the band's fill-in
     # decays into tens of thousands of subnormal parts, flushed after gbtrf
     stepper = make_stepper("cnfd", preset("periodic-s51", 1 / 16).discretize(N=4096), 0.00625)
-    lu = stepper._banded[2]._lu
+    lu = stepper._kept(stepper._factor, 0.0)[2]._lu  # the factor made at construction
     tiny = np.finfo(float).tiny
     for part in (lu.real, lu.imag):
         assert not np.any((part != 0) & (np.abs(part) < tiny))

@@ -6,6 +6,9 @@ With a time-independent potential every scheme is a fixed linear map, and
 the 4N x 4N companion on [Phi^n; Phi^n-1] for SI1, SI2 and LF.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +32,8 @@ from dirac1d import (
 )
 from dirac1d.linalg import CyclicBlockTridiagSolver
 from dirac1d.model import apply_k
+from dirac1d.reference import TSFPStepper
+from dirac1d.schemes import SI1Stepper
 from dirac1d.stepping import dense_power_pays, dense_step_pays
 
 SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp", "tsfp"]
@@ -421,3 +426,85 @@ class TestLaunch:
             stepper.advance()
             np.testing.assert_allclose(stepper._curr.reshape(-1), want, rtol=0,
                                        atol=1e-13 * np.abs(phi).max())
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list that grows by one at each call of owner.name, which still runs."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestKeptCoefficients:
+    """`Stepper._kept`: a time-independent run makes each coefficient once,
+    a time-dependent run makes it at every step."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_time_independent_run_makes_them_once(self, scheme, monkeypatch):
+        prob = smooth_problem(16, 0.5, 1.0, 0.5, 0.3)
+        evaluations = count_calls(monkeypatch, PotentialPair, "evaluate")
+        factors = count_calls(monkeypatch, CyclicBlockTridiagSolver, "__init__")
+        stepper = make_stepper(scheme, prob, 1e-2)
+        assert len(factors) == (1 if scheme == "cnfd" else 0)  # made at construction
+        for _ in range(100):
+            stepper.advance()
+        assert len(evaluations) == 1
+        assert len(factors) == (1 if scheme == "cnfd" else 0)
+
+    def test_time_dependent_run_makes_them_every_step(self, monkeypatch):
+        grid = make_grid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(lambda t, x: np.cos(t) / (1 + np.sin(x) ** 2),
+                             lambda t, x: np.sin(2 * t) * np.cos(x), False, 1.0, 1.0)
+        prob = DiracProblem(grid, 1.0, pots, random_field(grid, 3), T0=2.0)
+        factors = count_calls(monkeypatch, CyclicBlockTridiagSolver, "__init__")
+        inverses = count_calls(monkeypatch, SI1Stepper, "_invert")
+        flows = count_calls(monkeypatch, TSFPStepper, "_potential_multipliers")
+        for scheme in ("cnfd", "sifd1", "sifp1", "tsfp"):
+            stepper = make_stepper(scheme, prob, 1e-2)
+            for _ in range(100):
+                stepper.advance()
+            assert stepper._memo == {}
+        assert len(factors) == 100
+        assert len(inverses) == 2 * 99  # sifd1 and sifp1, after their launch
+        assert len(flows) == 2 * 100  # two half steps of the potential per step
+        assert [args[1] for args in flows[:2]] == [0.5e-2, 0.5e-2]
+
+    @pytest.mark.parametrize("scheme", ["cnfd", "tsfp"])
+    def test_the_memo_holds_no_reference_to_its_stepper(self, scheme):
+        stepper = make_stepper(scheme, smooth_problem(16, 0.5, 1.0, 0.5, 0.3), 1e-2)
+        stepper.propagate(50)
+        assert stepper._memo
+        gone = weakref.ref(stepper)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del stepper  # freed by its reference count alone: no cycle
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+class TestSI1PointwiseInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(share=st.floats(1e-6, 0.999), backwards=st.booleans(), eps=st.floats(0.0, 1.0),
+           v0=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0))
+    @example(share=0.999, backwards=False, eps=1.0, v0=3.0, a0=0.0)
+    @example(share=0.999, backwards=True, eps=1.0, v0=0.0, a0=-3.0)
+    def test_inverse_inside_the_guard(self, share, backwards, eps, v0, a0):
+        # tau anywhere inside SI1's guard |tau| (1 + eps (V_max + A_max)) < 1/2
+        tau = (-1 if backwards else 1) * share * 0.5 / (1 + eps * (abs(v0) + abs(a0)))
+        stepper = constant_potential_stepper("sifd1", 8, eps, v0, a0, tau)
+        (p, r), q = stepper._invert(0.0)
+        ev, ea = eps * v0, eps * a0
+        m11, m22, m12 = 1j - tau * ev - tau, 1j - tau * ev + tau, tau * ea
+        product = np.array([[p * m11 + q * m12, p * m12 + q * m22],
+                            [q * m11 + r * m12, q * m12 + r * m22]])
+        assert all(np.isfinite(part).all() for part in (p, q, r))
+        assert np.abs(product - I2[:, :, None]).max() <= 1e-13
