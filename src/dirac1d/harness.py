@@ -25,10 +25,13 @@ A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
 so the parent process checks every cell against its row's reference grid
 (node ratio and nesting) before any task starts, runs the tasks, and then
-restricts each reference and measures each cell itself.  Tasks run
-longest first by the static estimate steps x nodes: (t/tau_e) N_e for a
-reference (one step for the exact kind), (t/tau) N for a cell.  Since
-t = T0/eps, the smallest-eps reference usually leads.  With workers > 1 the
+restricts each reference and measures each cell itself.  A row whose
+reference the `ReferenceConfig` already keeps from an earlier table or
+`compare_over_time` gets no reference task: the FD and FP sweeps of one
+setup and one config share their references.  Tasks run longest first by
+the static estimate steps x nodes: (t/tau_e) N_e for a reference (one step
+for the exact kind), (t/tau) N for a cell.  Since t = T0/eps, the
+smallest-eps reference usually leads.  With workers > 1 the
 same tasks go to a process pool in that order; the first task that raises
 cancels the ones still queued, and its error is raised as in a serial run.
 """
@@ -48,8 +51,8 @@ from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
 from .model import (DiracProblem, ProblemSetup, apply_k, check_bounds, current, density,
                     discrete_energy)
-from .reference import (ReferenceCache, check_restriction, exact_free_reference,
-                        reference_solution)
+from .reference import (ReferenceCache, ReferenceSolution, check_restriction,
+                        exact_free_reference, reference_cache_key, reference_solution)
 from .schemes import make_stepper
 from .stability import validate
 from .stepping import operator_matrix, whole_steps
@@ -274,6 +277,15 @@ class ReferenceConfig:
     Either kind must be min_space_ratio x finer in space than each test grid,
     and nest with it: cells are compared with the reference subsampled onto
     their nodes, never interpolated.
+
+    The config keeps every reference that its tables and `compare_over_time`
+    obtained (built, or read from the disk cache), keyed by
+    `reference_cache_key` with the kind, for as long as the config object
+    lives: a later call that passes the same object reuses them instead of
+    obtaining them again.  A
+    setup without a key (key=None) is rebuilt on every call.  The kept
+    references are never pickled, so pool tasks that carry the config stay
+    small; copies start empty.
     """
 
     space_factor: ClassVar[float] = 4.0
@@ -285,10 +297,28 @@ class ReferenceConfig:
     tau_e: Optional[float] = None
     min_space_ratio: float = 4.0
     cache: Optional[ReferenceCache] = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("tsfp", "exact"):
             raise ConfigurationError(f"unknown reference kind {self.kind!r}")
+
+    def __getstate__(self):
+        return {**self.__dict__, "_kept": {}}
+
+    def _lookup(self, setup: ProblemSetup, h_e: float, tau_e: Optional[float],
+                t_targets: Sequence[float]) -> tuple:
+        """(key, reference): the key this config keeps the reference under
+        (None for a setup without a key) and the reference if this config
+        already keeps it, else None."""
+        if setup.key is None:
+            return None, None
+        key = reference_cache_key(setup, h_e, tau_e, t_targets, kind=self.kind)
+        return key, self._kept.get(key)
+
+    def _keep(self, key: Optional[str], ref: ReferenceSolution) -> None:
+        if key is not None:
+            self._kept[key] = ref
 
 
 def _reference_mesh(ref_cfg: ReferenceConfig, h_finest: float,
@@ -423,11 +453,13 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
             # once per row, here in the parent process, so that its warning
             # reaches the caller with workers > 1
             check_bounds(s_eps.potentials, s_eps.grid_for_mesh(h_finest), t_target)
-        rows.append((s_eps, t_target))
+        ref_key, reference = ref_cfg._lookup(s_eps, h_e, tau_e, [t_target])
+        rows.append((s_eps, t_target, ref_key, reference))
         n_e = s_eps.grid_for_mesh(h_e).N
-        ref_steps = t_target / tau_e if tau_e is not None else 1.0
-        tasks.append((ref_steps * n_e, i,
-                      ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
+        if reference is None:
+            ref_steps = t_target / tau_e if tau_e is not None else 1.0
+            tasks.append((ref_steps * n_e, i,
+                          ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
         for k, (h, tau) in enumerate(pairs):
             n = s_eps.grid_for_mesh(h).N
             check_restriction(n_e, n, ref_cfg.min_space_ratio)
@@ -438,8 +470,10 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
     done = dict(zip([key for _, key, _ in tasks],
                     _run_tasks([task for _, _, task in tasks], workers)))
 
-    for i, (s_eps, t_target) in enumerate(rows):
-        [reference] = done[i]
+    for i, (s_eps, t_target, ref_key, reference) in enumerate(rows):
+        if reference is None:
+            [reference] = done[i]
+        ref_cfg._keep(ref_key, reference)
         for k, (h, tau) in enumerate(pairs):
             [final] = done[(i, k)]
             if final is None:
@@ -559,7 +593,10 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
         check_bounds(setup.potentials, problem.grid, t_final)
     snap_times = [t_final * (j + 1) / n_snapshots for j in range(n_snapshots)]
     steps = [whole_steps(t, tau) for t in snap_times]
-    ref = build_reference(setup, ref_cfg, h, tau, snap_times)
+    ref_key, ref = ref_cfg._lookup(setup, *_reference_mesh(ref_cfg, h, tau), snap_times)
+    if ref is None:
+        ref = build_reference(setup, ref_cfg, h, tau, snap_times)
+    ref_cfg._keep(ref_key, ref)
 
     out = []
     for scheme, stepper in zip(schemes, steppers):

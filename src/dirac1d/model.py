@@ -166,7 +166,8 @@ def discrete_energy(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray,
 
 
 def _energy(f: SpinorField, space, p: PotentialPair, eps: float) -> float:
-    if not p.time_independent:
+    # the rule of DiracProblem.time_independent: eps = 0 switches V and A1 off
+    if not (p.time_independent or eps == 0.0):
         raise ConfigurationError("the discrete energy is defined only for time-independent potentials")
     v, a = p.evaluate(0.0, f.grid.x)
     return discrete_energy(space, f.values, eps * v, eps * a)

@@ -204,9 +204,12 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
 # disk cache
 # ---------------------------------------------------------------------------
 
-def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: float,
-                        t_targets: Sequence[float]) -> str:
-    """Content hash identifying a reference run; needs a describable setup."""
+def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
+                        t_targets: Sequence[float], kind: str = "tsfp") -> str:
+    """Content hash identifying a reference run of the given kind ("tsfp",
+    or "exact" with tau_e None); needs a describable setup.  Only tsfp runs
+    are cached on disk; since the exact kind alone has tau_e None, the kind
+    separates no two keys today and is there for a later kind with a tau_e."""
     if setup.key is None:
         raise ConfigurationError(
             "this problem setup has no stable description (key=None); caching "
@@ -221,7 +224,7 @@ def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: float,
         "tau_e": tau_e,
         "times": [float(t) for t in t_targets],
         "substep_order": SUBSTEP_ORDER,
-        "kind": "tsfp",
+        "kind": kind,
         "format": MAGIC.decode(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()

@@ -1,6 +1,7 @@
 """Simulation driver, error measurement, tables and CSV emission."""
 
 import dataclasses
+import pickle
 import warnings
 from concurrent.futures import Future
 
@@ -56,6 +57,37 @@ def _bandlimited_phi0(x):
     c2 = 0.5 * np.exp(-1j * x) + 0.2 * np.exp(2j * x)
     z = np.stack((c1, c2))
     return z / 1.2186057606953941  # unit l2 norm on (0, 2*pi)
+
+
+class SyncPool:
+    """Runs each task at submission, in this process, and records it."""
+
+    def __init__(self, pools):
+        self.tasks = []
+        pools.append(self)
+
+    def submit(self, fn, task):
+        self.tasks.append(task)
+        future = Future()
+        future.set_result(fn(task))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def sync_pools(monkeypatch):
+    """The harness's process pools replaced by SyncPools; the list of the
+    pools made, one per table run with workers > 1."""
+    pools = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: SyncPool(pools))
+    return pools
+
+
+def reference_tasks(pools):
+    return [[task for task in pool.tasks if task[0] == "reference"] for pool in pools]
 
 
 def _poison_step_5(monkeypatch):
@@ -434,41 +466,25 @@ class TestConvergenceTables:
 
     def test_worker_pool_matches_serial(self, tmp_path):
         setup = preset("periodic-s51", 1.0)
+        # a config of its own per table: the pool builds (or reads the disk
+        # cache) instead of reusing what the serial table kept
         for cache in (None, ReferenceCache(str(tmp_path))):
-            kw = dict(reference=ReferenceConfig(tau_e=0.005, cache=cache))
-            serial = convergence_table(setup, "cnfd", [1.0, 0.5], np.pi / 8, 0.05, 2, **kw)
-            parallel = convergence_table(setup, "cnfd", [1.0, 0.5], np.pi / 8, 0.05, 2,
-                                         workers=2, **kw)
+            serial, parallel = (
+                convergence_table(setup, "cnfd", [1.0, 0.5], np.pi / 8, 0.05, 2,
+                                  reference=ReferenceConfig(tau_e=0.005, cache=cache),
+                                  workers=workers)
+                for workers in (1, 2))
             for which in ("e_phi", "e_rho", "e_j"):
                 np.testing.assert_array_equal(serial.errors(which), parallel.errors(which))
             assert emit_csv(serial) == emit_csv(parallel)
 
-    def test_pool_tasks_submitted_once_longest_first(self, monkeypatch):
-        pools = []
-
-        class SyncPool:
-            """Runs each task at submission, in this process, and records it."""
-
-            def __init__(self, max_workers):
-                self.tasks = []
-                pools.append(self)
-
-            def submit(self, fn, task):
-                self.tasks.append(task)
-                future = Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SyncPool)
+    def test_pool_tasks_submitted_once_longest_first(self, sync_pools):
         setup, eps_list, h0, tau = preset("periodic-s51", 1.0), [1.0, 0.5, 0.25], np.pi / 4, 0.02
         tau_e = 0.005
         table = epsilon_sweep_spatial(setup, "lffp", eps_list, h0, 2, tau,
                                       reference=ReferenceConfig(tau_e=tau_e), workers=2)
         assert np.all(np.isfinite(table.errors("e_phi")))
-        [pool] = pools
+        [pool] = sync_pools
         refs = [task for task in pool.tasks if task[0] == "reference"]
         cells = [task for task in pool.tasks if task[0] == "cell"]
         assert len(refs) + len(cells) == len(pool.tasks)
@@ -506,13 +522,140 @@ class TestConvergenceTables:
         run = dict(eps_list=[1.0, 0.5], h0=np.pi / 4, levels=2, tau=0.02)
         plain = epsilon_sweep_spatial(setup, "lffp", **run,
                                       reference=ReferenceConfig(tau_e=0.0025))
-        cache = ReferenceConfig(tau_e=0.0025, cache=ReferenceCache(str(tmp_path)))
-        first = epsilon_sweep_spatial(setup, "lffp", **run, reference=cache)
-        again = epsilon_sweep_spatial(setup, "lffp", **run, reference=cache)
+        cache = ReferenceCache(str(tmp_path))
+        # a config of its own per table, so that the second reads the disk
+        first, again = (epsilon_sweep_spatial(setup, "lffp", **run,
+                                              reference=ReferenceConfig(tau_e=0.0025,
+                                                                        cache=cache))
+                        for _ in range(2))
         for table in (first, again):
             for which in ("e_phi", "e_rho", "e_j"):
                 np.testing.assert_allclose(table.errors(which), plain.errors(which),
                                            rtol=1e-14, atol=0)
+
+
+def _counted_builds(monkeypatch):
+    """The epsilon of each reference the harness builds, in call order
+    (same-process tables only: workers=1 or SyncPool)."""
+    built = []
+    build = harness.build_reference
+
+    def counted(setup, *args):
+        built.append(setup.epsilon)
+        return build(setup, *args)
+
+    monkeypatch.setattr(harness, "build_reference", counted)
+    return built
+
+
+def _sweep(scheme, reference, workers):
+    return epsilon_sweep_spatial(preset("periodic-s51", 1.0), scheme, [1.0, 0.5], np.pi / 4,
+                                 2, 0.02, reference=reference, workers=workers)
+
+
+def _fd_then_fp(reference, workers):
+    return [_sweep(scheme, reference, workers) for scheme in ("lffd", "lffp")]
+
+
+class TestSharedReferences:
+    """A ReferenceConfig keeps the references its tables built; a later call
+    with the same object reuses them."""
+
+    def test_second_sweep_submits_no_reference_task(self, sync_pools):
+        cfg = ReferenceConfig(tau_e=0.005)
+        _fd_then_fp(cfg, workers=2)
+        first, second = reference_tasks(sync_pools)
+        assert sorted(task[1].epsilon for task in first) == [0.5, 1.0]
+        assert second == []
+        assert len(sync_pools[1].tasks) == 2 * 2  # the lffp cells alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_tables_bit_identical_to_fresh_ones(self, workers):
+        shared = _fd_then_fp(ReferenceConfig(tau_e=0.005), workers)
+        fresh = [_sweep(scheme, ReferenceConfig(tau_e=0.005), workers)
+                 for scheme in ("lffd", "lffp")]
+        for got, want in zip(shared, fresh):
+            for which in ("e_phi", "e_rho", "e_j"):
+                np.testing.assert_array_equal(got.errors(which), want.errors(which))
+            assert emit_csv(got) == emit_csv(want)
+
+    def test_every_part_of_the_key_misses(self, monkeypatch):
+        built = _counted_builds(monkeypatch)
+        cfg = ReferenceConfig(tau_e=0.005)
+
+        def table(setup, eps_list=(1.0,)):
+            before = len(built)
+            convergence_table(setup, "cnfd", list(eps_list), np.pi / 4, 0.02, 1, reference=cfg)
+            return len(built) - before
+
+        setup = bandlimited_free_setup(epsilon=1.0)
+        assert table(setup) == 1
+        assert table(setup) == 0
+        assert table(setup, [0.5]) == 1                             # eps (and its horizon)
+        cfg.h_e = np.pi / 32
+        assert table(setup) == 1                                    # h_e
+        cfg.tau_e = 0.0025
+        assert table(setup) == 1                                    # tau_e
+        cfg.kind = "exact"
+        assert table(setup) == 1                                    # kind
+        assert table(bandlimited_free_setup(epsilon=1.0, T0=4.0)) == 1  # T0 and horizon
+        assert table(setup) == table(bandlimited_free_setup(epsilon=1.0)) == 0
+
+    def test_target_times_miss(self, monkeypatch):
+        built = _counted_builds(monkeypatch)
+        cfg, setup = ReferenceConfig(kind="exact"), bandlimited_free_setup()
+        for n_snapshots in (2, 4, 2):
+            compare_over_time(setup, ["cnfd"], np.pi / 8, 0.05, n_snapshots, reference=cfg)
+        assert len(built) == 2
+
+    def test_compare_over_time_builds_once(self, monkeypatch):
+        built = _counted_builds(monkeypatch)
+        cfg, setup = ReferenceConfig(tau_e=0.0025), preset("periodic-s51", 1.0)
+        first, again = (compare_over_time(setup, ["lffd", "lffp"], np.pi / 8, 0.02, 4,
+                                          reference=cfg) for _ in range(2))
+        assert built == [1.0]
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_setup_without_key_rebuilt_every_call(self, monkeypatch):
+        built = _counted_builds(monkeypatch)
+        keyed = bandlimited_free_setup(epsilon=1.0)
+        anonymous = dataclasses.replace(keyed, key=None)
+        cfg = ReferenceConfig(tau_e=0.005)
+        for _ in range(2):
+            convergence_table(anonymous, "cnfd", [1.0], np.pi / 4, 0.02, 1, reference=cfg)
+        assert len(built) == 2
+
+    def test_failed_reference_raises_again(self, monkeypatch):
+        built = _counted_builds(monkeypatch)
+        cfg = ReferenceConfig(tau_e=0.003)  # divides no horizon
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="tau_e=0.003"):
+                convergence_table(preset("periodic-s51", 1.0), "cnfd", [1.0], np.pi / 8,
+                                  0.05, 1, reference=cfg)
+        assert len(built) == 2
+
+    def test_kept_references_are_never_pickled(self):
+        cfg = ReferenceConfig(tau_e=0.005)
+        size = len(pickle.dumps(cfg))
+        _fd_then_fp(cfg, workers=1)
+        assert len(pickle.dumps(cfg)) == size
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert "_kept" not in repr(cfg)
+
+    def test_fresh_config_over_warm_disk_cache_matches(self, tmp_path, sync_pools):
+        # a fresh config reads the warm cache through its reference tasks;
+        # within each config the lffp sweep reuses what the lffd sweep kept
+        cache = ReferenceCache(str(tmp_path))
+        warm, again = (_fd_then_fp(ReferenceConfig(tau_e=0.005, cache=cache), workers=2)
+                       for _ in range(2))
+        assert [len(tasks) for tasks in reference_tasks(sync_pools)] == [2, 0, 2, 0]
+        plain = _fd_then_fp(ReferenceConfig(tau_e=0.005), workers=1)
+        for table in (*warm, *again):
+            want = plain[table.scheme == "lffp"]
+            for which in ("e_phi", "e_rho", "e_j"):
+                np.testing.assert_array_equal(table.errors(which), want.errors(which))
+            assert emit_csv(table) == emit_csv(want)
 
 
 class TestEmission:
@@ -524,9 +667,10 @@ class TestEmission:
     def test_row_layout_and_determinism(self, tmp_path):
         setup = preset("periodic-s51", 1.0)
         cache = ReferenceCache(str(tmp_path))
-        kw = dict(reference=ReferenceConfig(tau_e=5e-3, cache=cache))
-        t1 = convergence_table(setup, "cnfd", [1.0, 0.25], np.pi / 8, 0.05, 2, **kw)
-        t2 = convergence_table(setup, "cnfd", [1.0, 0.25], np.pi / 8, 0.05, 2, **kw)
+        # a config of its own per table, so that t2 reads the disk cache
+        t1, t2 = (convergence_table(setup, "cnfd", [1.0, 0.25], np.pi / 8, 0.05, 2,
+                                    reference=ReferenceConfig(tau_e=5e-3, cache=cache))
+                  for _ in range(2))
         csv1, csv2 = emit_csv(t1), emit_csv(t2)
         assert csv1 == csv2  # byte-identical with the cached reference
         lines = csv1.strip().split("\n")

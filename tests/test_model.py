@@ -9,6 +9,7 @@ from dirac1d import (
     ConfigurationError,
     DiracProblem,
     PotentialPair,
+    SchemeConfig,
     SpinorField,
     check_bounds,
     current,
@@ -20,6 +21,7 @@ from dirac1d import (
     mass,
     norm,
     preset,
+    run_simulation,
     zero_potentials,
 )
 
@@ -142,6 +144,20 @@ class TestEnergies:
                              lambda t, x: np.zeros_like(x), False, 1.0, 0.0)
         with pytest.raises(ConfigurationError):
             energy_fd(random_field(g), pots, 1.0)
+
+    def test_eps_zero_switches_time_dependence_off(self):
+        # the rule of DiracProblem.time_independent: at eps = 0 the energy is
+        # defined and equals the one run_simulation records at step 0
+        g = make_grid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(lambda t, x: np.cos(t) + np.sin(x),
+                             lambda t, x: 0.5 * np.cos(x + t), False, 2.0, 0.5)
+        phi0 = field_from_function(g, lambda x: np.stack((np.exp(1j * x) / (2 + np.cos(x)),
+                                                          np.exp(-2j * x) / (3 + np.sin(x)))))
+        prob = DiracProblem(g, 0.0, pots, phi0, T0=2.0)
+        res = run_simulation(prob, SchemeConfig("cnfd", 0.1, t_final=0.5, record="mass+energy"))
+        assert energy_fd(phi0, pots, 0.0) == pytest.approx(res.energy_series[0], rel=1e-13)
+        with pytest.raises(ConfigurationError, match="time-independent"):
+            energy_fd(phi0, pots, 0.5)
 
     def test_fd_and_fp_agree_at_second_order(self):
         # complex-phased data so the kinetic term is active; |E_fd - E_fp|

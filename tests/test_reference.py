@@ -448,6 +448,20 @@ class TestCache:
         assert k1 != reference_cache_key(setup, 0.1, 1e-3, [4.0])
         assert k1 != reference_cache_key(setup.with_epsilon(0.5), 0.1, 1e-3, [2.0])
 
+    def test_tsfp_key_is_the_one_existing_cache_files_carry(self):
+        # the digest before the key took the kind: cache files keep their names
+        setup = preset("periodic-s51", 1.0)
+        pinned = "020a5cd0371458b4c33f37957a9141fcdfc3aa7830d503ac265281012e4fc2a9"
+        assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == pinned
+        assert reference_cache_key(setup, 0.1, 1e-3, [2.0], kind="tsfp") == pinned
+
+    def test_key_names_the_kind(self):
+        setup = preset("periodic-s51", 0.0)
+        exact = reference_cache_key(setup, 0.1, None, [2.0], kind="exact")
+        assert len(exact) == 64
+        assert exact != reference_cache_key(setup, 0.1, None, [2.0])
+        assert exact != reference_cache_key(setup, 0.1, 1e-3, [2.0], kind="exact")
+
     def test_key_names_the_file_format(self, monkeypatch):
         setup = preset("periodic-s51", 1.0)
         k2 = reference_cache_key(setup, 0.1, 1e-3, [2.0])
