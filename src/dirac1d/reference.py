@@ -22,9 +22,9 @@ merges the interior potential half steps and works in two preallocated
 (2, N) buffers, bit-identical to the same loop of fresh arrays.  The
 reference manifest records the path taken under "propagation".
 
-Reference snapshots can be cached to disk in a simple binary format (magic
-"DREF2", header, complex128 node pairs) with a JSON manifest; the round
-trip is bit-exact.
+Reference snapshots can be cached to disk, one numpy .npz file per
+reference (the stacked complex128 snapshots and a JSON string with the
+grid, the times and the manifest); the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
+import zipfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ __all__ = [
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
 
-MAGIC = b"DREF2"
+FORMAT = "npz1"  # in the cache key, so files of another format are never found
 SUBSTEP_ORDER = "potential-first"
 
 def _free_multipliers(grid: TorusGrid, t: float):
@@ -120,10 +120,8 @@ class TSFPStepper(Stepper):
 class ReferenceSolution:
     """Fine-grid snapshots at fixed times, restrictable to coarser grids."""
 
-    def __init__(self, grid: TorusGrid, tau_e: float, fields: dict,
-                 manifest: Optional[dict] = None):
+    def __init__(self, grid: TorusGrid, fields: dict, manifest: Optional[dict] = None):
         self.grid = grid
-        self.tau_e = tau_e
         self.fields = fields  # time -> SpinorField on self.grid
         self.times = sorted(fields)
         self.manifest = manifest or {}
@@ -168,7 +166,7 @@ def exact_free_reference(setup: ProblemSetup, h_e: float,
         raise ConfigurationError("exact reference requires the free problem")
     phi0 = setup.discretize(h=h_e).phi0
     fields = {float(t): free_dirac_exact(phi0, t) for t in t_targets}
-    return ReferenceSolution(phi0.grid, 0.0, fields, {"kind": "exact-free", "N": phi0.grid.N})
+    return ReferenceSolution(phi0.grid, fields, {"kind": "exact-free", "N": phi0.grid.N})
 
 
 def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
@@ -197,7 +195,7 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
         "problem": setup.key,
         "times": sorted(fields),
     }
-    return ReferenceSolution(problem.grid, tau_e, fields, manifest)
+    return ReferenceSolution(problem.grid, fields, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -225,71 +223,51 @@ def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
         "times": [float(t) for t in t_targets],
         "substep_order": SUBSTEP_ORDER,
         "kind": kind,
-        "format": MAGIC.decode(),
+        "format": FORMAT,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def save_reference(path: str, ref: ReferenceSolution, config_hash: str = "") -> None:
-    """Write snapshots as DREF2 binary plus a JSON manifest sidecar.
+    """Write the snapshots and their manifest as one .npz file at path.
 
-    The manifest is written first and the binary last, each through a
-    rename: a reader that finds the binary (the cache's hit test) also
-    finds its manifest.
+    It is written under a per-process name and renamed onto path, so a
+    reader that finds path (the cache's hit test) finds it whole.
     """
     grid = ref.grid
-    times = ref.times
-    header = MAGIC + struct.pack("<ddII", grid.a, grid.b, grid.N, len(times))
-    header += struct.pack(f"<{len(times)}d", *times)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    manifest = dict(ref.manifest)
-    manifest["config_hash"] = config_hash
-    # per-process names; open() gives both files the umask-derived mode
-    tmp_manifest = f"{path}.json.{os.getpid()}.tmp"
+    meta = {"a": grid.a, "b": grid.b, "times": ref.times,
+            "manifest": dict(ref.manifest, config_hash=config_hash)}
+    snapshots = np.array([ref.fields[t].values for t in ref.times],
+                         dtype=np.complex128).reshape(-1, 2, grid.N)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp_manifest, "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-        os.replace(tmp_manifest, path + ".json")
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            for t in times:
-                pairs = np.ascontiguousarray(ref.fields[t].values.T).astype("<c16")
-                fh.write(pairs.tobytes())
+        with open(tmp, "wb") as fh:  # a file object, so savez adds no suffix; umask mode
+            np.savez(fh, snapshots=snapshots, meta=np.array(json.dumps(meta)))
         os.replace(tmp, path)
     except BaseException:
-        for leftover in (tmp_manifest, tmp):
-            if os.path.exists(leftover):
-                os.unlink(leftover)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
 
 
 def load_reference(path: str) -> ReferenceSolution:
-    """Read a DREF2 snapshot file (complex128, bit-exact)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic == b"DREF1":
-            raise ConfigurationError(
-                f"{path} is a DREF1 reference cache file (complex64); only DREF2 "
-                "(complex128) is read, so rebuild the reference"
-            )
-        if magic != MAGIC:
-            raise ConfigurationError(f"{path} is not a reference cache file")
-        a, b, n, n_times = struct.unpack("<ddII", fh.read(24))
-        times = struct.unpack(f"<{n_times}d", fh.read(8 * n_times))
-        grid = make_grid(a, b, n)
-        fields = {}
-        for t in times:
-            raw = np.frombuffer(fh.read(16 * 2 * n), dtype="<c16").reshape(n, 2)
-            fields[t] = SpinorField(grid, raw.T.astype(np.complex128))
-    manifest = {}
-    if os.path.exists(path + ".json"):
-        with open(path + ".json") as fh:
-            manifest = json.load(fh)
-    tau_e = manifest.get("tau_e", 0.0)
-    return ReferenceSolution(grid, tau_e, fields, manifest)
+    """Read a file written by `save_reference` (complex128, bit-exact, writable
+    arrays).  A file it cannot read (another format, junk, truncated) raises
+    `ConfigurationError` naming the path; a file it cannot open, `OSError`."""
+    try:
+        with np.load(path) as data:  # no pickle: numpy's default
+            snapshots = data["snapshots"]
+            meta = json.loads(str(data["meta"]))
+        grid = make_grid(meta["a"], meta["b"], snapshots.shape[-1])
+        fields = {float(t): SpinorField(grid, s) for t, s in zip(meta["times"], snapshots)}
+        return ReferenceSolution(grid, fields, meta["manifest"])
+    except (ValueError, KeyError, IndexError, TypeError, EOFError, zipfile.BadZipFile,
+            ConfigurationError) as exc:
+        raise ConfigurationError(
+            f"{path} is not a reference cache file of format {FORMAT} ({exc}); "
+            "delete it to rebuild the reference") from exc
 
 
 class ReferenceCache:

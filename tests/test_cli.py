@@ -269,6 +269,21 @@ class TestTables:
         err = capsys.readouterr().err
         assert "Permission denied" in err and str(cache_dir) in err
 
+    def test_truncated_cache_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51",
+            "scheme": "cnfd", "eps_list": [1.0], "h0": np.pi / 8, "tau0": 0.05,
+            "levels": 2, "reference": {"tau_e": 0.005},
+        })
+        cache_dir = tmp_path / "cache"
+        assert main(["converge", cfg, "--cache-dir", str(cache_dir)]) == 0
+        (cached,) = cache_dir.iterdir()
+        cached.write_bytes(cached.read_bytes()[:30])
+        capsys.readouterr()
+        assert main(["converge", cfg, "--cache-dir", str(cache_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cached} is not a reference cache file" in err
+
     def test_unknown_reference_keys_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "problem": "periodic-s51",

@@ -1,6 +1,5 @@
 """Exact free flow, TSFP splitting, reference snapshots and the disk cache."""
 
-import json
 import os
 import stat
 
@@ -407,18 +406,21 @@ class TestCache:
         back = load_reference(path)
         assert back.grid == ref.grid
         assert back.times == ref.times
-        assert back.manifest["config_hash"] == "abc"
+        assert back.manifest == dict(ref.manifest, config_hash="abc")
         assert back.manifest["substep_order"] == "potential-first"
+        assert back.manifest["tau_e"] == 1e-2 and "propagation" in back.manifest
         for t in ref.times:
             np.testing.assert_array_equal(back.snapshot(t).values, ref.snapshot(t).values)
+            assert back.snapshot(t).values.flags.writeable
 
     def test_dref1_refused_by_name(self, tmp_path):
-        p = tmp_path / "old.dref"
-        p.write_bytes(b"DREF1" + b"\0" * 64)
-        with pytest.raises(ConfigurationError, match=r"old\.dref is a DREF1"):
-            load_reference(str(p))
+        for magic in (b"DREF1", b"DREF2"):
+            p = tmp_path / "old.dref"
+            p.write_bytes(magic + b"\0" * 64)
+            with pytest.raises(ConfigurationError, match=r"old\.dref is not a reference cache"):
+                load_reference(str(p))
 
-    def test_manifest_written_before_binary(self, tmp_path, monkeypatch):
+    def test_written_by_one_replace_onto_the_path(self, tmp_path, monkeypatch):
         _, ref = self._small_ref()
         path = str(tmp_path / "snap.dref")
         replaced = []
@@ -430,15 +432,30 @@ class TestCache:
 
         monkeypatch.setattr(os, "replace", record)
         save_reference(path, ref)
-        assert replaced == [path + ".json", path]
-        with open(path + ".json") as fh:
-            assert json.load(fh)["tau_e"] == ref.tau_e
+        assert replaced == [path]
+        assert os.listdir(tmp_path) == ["snap.dref"]
 
     def test_magic_bytes_checked(self, tmp_path):
         p = tmp_path / "junk.dref"
         p.write_bytes(b"NOTDR" + b"\0" * 64)
-        with pytest.raises(ConfigurationError, match="reference cache"):
+        with pytest.raises(ConfigurationError, match=r"junk\.dref is not a reference cache"):
             load_reference(str(p))
+
+    @pytest.mark.parametrize("size", [0, 3, 30, -1])
+    def test_truncated_file_refused_by_name(self, tmp_path, size):
+        _, ref = self._small_ref()
+        path = tmp_path / "cut.dref"
+        save_reference(str(path), ref)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ConfigurationError, match=r"cut\.dref is not a reference cache"):
+            load_reference(str(path))
+
+    def test_missing_member_refused_by_name(self, tmp_path):
+        path = tmp_path / "partial.dref"
+        with open(path, "wb") as fh:
+            np.savez(fh, snapshots=np.zeros((1, 2, 8), dtype=complex))
+        with pytest.raises(ConfigurationError, match=r"partial\.dref is not a reference cache"):
+            load_reference(str(path))
 
     def test_key_is_stable_and_discriminating(self):
         setup = preset("periodic-s51", 1.0)
@@ -448,12 +465,16 @@ class TestCache:
         assert k1 != reference_cache_key(setup, 0.1, 1e-3, [4.0])
         assert k1 != reference_cache_key(setup.with_epsilon(0.5), 0.1, 1e-3, [2.0])
 
-    def test_tsfp_key_is_the_one_existing_cache_files_carry(self):
-        # the digest before the key took the kind: cache files keep their names
+    def test_tsfp_key_is_pinned(self, monkeypatch):
+        # the digest of the npz format; a DREF2 file carries the old digest,
+        # so it is never found under the new key
         setup = preset("periodic-s51", 1.0)
-        pinned = "020a5cd0371458b4c33f37957a9141fcdfc3aa7830d503ac265281012e4fc2a9"
+        pinned = "b09b9ef9df17fd6ff2d1c617f050e80a310ea3ef2468fc9680bb5540cb51ddfb"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == pinned
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0], kind="tsfp") == pinned
+        monkeypatch.setattr(reference, "FORMAT", "DREF2")
+        dref2 = "020a5cd0371458b4c33f37957a9141fcdfc3aa7830d503ac265281012e4fc2a9"
+        assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == dref2
 
     def test_key_names_the_kind(self):
         setup = preset("periodic-s51", 0.0)
@@ -465,7 +486,7 @@ class TestCache:
     def test_key_names_the_file_format(self, monkeypatch):
         setup = preset("periodic-s51", 1.0)
         k2 = reference_cache_key(setup, 0.1, 1e-3, [2.0])
-        monkeypatch.setattr(reference, "MAGIC", b"DREF9")
+        monkeypatch.setattr(reference, "FORMAT", "npz9")
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) != k2
 
     def test_key_requires_description(self):
@@ -478,13 +499,16 @@ class TestCache:
         with pytest.raises(ConfigurationError, match="key"):
             reference_cache_key(anonymous, 0.1, 1e-3, [2.0])
 
-    def test_binary_gets_the_manifest_file_mode(self, tmp_path):
+    def test_one_file_with_the_umask_mode(self, tmp_path):
         setup = preset("periodic-s51", 1.0)
-        ReferenceCache(str(tmp_path)).fetch(setup, np.pi / 16, 1e-2, [0.1])
-        path = str(tmp_path / (reference_cache_key(setup, np.pi / 16, 1e-2, [0.1]) + ".dref"))
-        assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(os.stat(path + ".json").st_mode)
-        assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path),
-                                                       os.path.basename(path) + ".json"])
+        umask = os.umask(0o027)
+        try:
+            ReferenceCache(str(tmp_path)).fetch(setup, np.pi / 16, 1e-2, [0.1])
+        finally:
+            os.umask(umask)
+        name = reference_cache_key(setup, np.pi / 16, 1e-2, [0.1]) + ".dref"
+        assert os.listdir(tmp_path) == [name]
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
 
     def test_fetch_uses_disk_on_second_call(self, tmp_path):
         setup = preset("periodic-s51", 1.0)

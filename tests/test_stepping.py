@@ -36,6 +36,8 @@ from dirac1d.reference import TSFPStepper
 from dirac1d.schemes import SI1Stepper
 from dirac1d.stepping import dense_power_pays, dense_step_pays
 
+from closed_form import closed_form, k_eigenpairs
+
 SCHEMES = ["cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp", "tsfp"]
 THREE_LEVEL = {"sifd1", "sifd2", "lffd", "sifp1", "sifp2", "lffp"}
 
@@ -392,6 +394,32 @@ class TestOneStepMatrix:
         tau = tau_max(scheme, prob.grid.h, 0.0, 0.0)
         assert spectral_radius(launched_matrix(scheme, prob, 0.99 * tau)) <= 1.0 + 1e-12
         assert spectral_radius(launched_matrix(scheme, prob, 1.01 * tau)) > 1.1
+
+
+class TestClosedForm:
+    """CN and LF powering against their eigenpair closed forms (`closed_form`)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(eps=st.floats(0.0, 1.0), half_n=st.integers(2, 16), share=st.floats(0.01, 0.9),
+           n=st.integers(1, 10**9))
+    @example(eps=2.0**-10, half_n=16, share=0.9, n=10**9)
+    def test_powering_within_rounding_of_the_closed_form(self, eps, half_n, share, n):
+        # tau is a share of the LF bound, so |tau w| < 1 for every eigenvalue w.
+        # Measured over about 3,000 draws: error <= 22 (n + 2N) 1e-16 ||Phi0||,
+        # the worst at lffd, N = 4, share 0.9, n = 1e9; the 2N term is eigh's
+        # own rounding, 1e-14 at n ~ 1.
+        problem = preset("periodic-s51", eps).discretize(N=2 * half_n)
+        pots, phi0 = problem.potentials, problem.phi0.values
+        bound = 64 * (n + 2 * problem.grid.N) * 1e-16 * np.linalg.norm(phi0)
+        for space in ("fd", "fp"):
+            pairs = k_eigenpairs(problem, space)
+            tau = share * tau_max("lf" + space, problem.grid.h, eps * pots.v_max,
+                                  eps * pots.a_max)
+            for family in ("cn", "lf"):
+                stepper = make_stepper(family + space, problem, tau)
+                stepper.propagate(n)
+                err = np.linalg.norm(stepper._curr - closed_form(family, pairs, tau, n, phi0))
+                assert err <= bound, (family + space, err, bound)
 
 
 class TestLaunch:
