@@ -46,8 +46,6 @@ from .stepping import SolverDiagnostics, Stepper, StepperState
 from .schemes import make_stepper
 from .stability import (
     ALL_SCHEMES,
-    FDFP_SCHEMES,
-    FDTD_SCHEMES,
     UNBOUNDED,
     StabilityVerdict,
     tau_max,

@@ -20,8 +20,7 @@ class StabilityError(Dirac1DError):
 class SolverError(Dirac1DError):
     """A time step failed (singular solve, residual or non-convergence)."""
 
-    def __init__(self, message, step=None, node=None, diagnostics=None):
+    def __init__(self, message, step=None, diagnostics=None):
         super().__init__(message)
         self.step = step
-        self.node = node
         self.diagnostics = diagnostics

@@ -95,11 +95,14 @@ def field_from_function(grid: TorusGrid, f) -> SpinorField:
 
 # The two space operators act along the last axis; apply(v) multiplies
 # Fourier mode l of v by i*symbol[l] (symbol in FFT storage order).
+# `reach` bounds h*|symbol| over every grid: the step bounds depend on the
+# space operator through it alone.
 
 class CenteredDifference:
     """Second-order centered difference (f_{j+1} - f_{j-1})/(2h), periodic."""
 
     name = "fd"
+    reach = 1.0  # sup |sin(mu h)|
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
@@ -121,6 +124,7 @@ class FourierDerivative:
     """d/dx through the Fourier interpolant: multiply mode l by i*mu_l."""
 
     name = "fp"
+    reach = np.pi  # h * max|mu| = h * N/2 * 2*pi/(b - a)
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid

@@ -119,8 +119,7 @@ def _checked_stepper(problem: DiracProblem, scheme: str, tau: float, t_final: fl
     compared scheme: the stability verdict from the declared potential bounds
     scaled by eps, as the operator sees them (never sampled, so verdicts are
     deterministic), and a whole number of steps to the horizon."""
-    pots, eps = problem.potentials, problem.epsilon
-    verdict = validate(scheme, problem.grid.h, tau, eps * pots.v_max, eps * pots.a_max)
+    verdict = validate(scheme, problem.grid.h, tau, *problem.operator_bounds)
     if not verdict.ok and not override_stability:
         raise StabilityError(
             f"unstable configuration: {verdict}; pass override_stability to force",

@@ -121,6 +121,12 @@ class DiracProblem(_Horizon):
         """Potentials declared time-independent, or switched off by eps = 0."""
         return self.potentials.time_independent or self.epsilon == 0.0
 
+    @property
+    def operator_bounds(self) -> tuple[float, float]:
+        """(eps*V_max, eps*A_max): the declared bounds of the potentials the
+        operator sees, eps*V and eps*A1, which the step bounds take."""
+        return self.epsilon * self.potentials.v_max, self.epsilon * self.potentials.a_max
+
 
 def mass(f: SpinorField) -> float:
     """Total probability h*sum_j |Phi_j|^2 (the squared l2 norm)."""

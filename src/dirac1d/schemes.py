@@ -25,7 +25,6 @@ eps*V, eps*A1, CNFD's factor and SI1's pointwise inverse come through
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +36,7 @@ from .model import DiracProblem, apply_k
 from .reference import TSFPStepper
 from .stepping import SolverDiagnostics, Stepper, StepperState
 
-__all__ = ["make_stepper"]
+__all__ = ["SCHEMES", "lookup", "make_stepper"]
 
 RESIDUAL_TOL = 1e-12  # CNFD: relative residual each banded solve must meet
 FIXED_POINT_TOL = 1e-14  # CNFP: sweep-to-sweep change relative to ||Phi^n||
@@ -49,10 +48,10 @@ class _SpaceTimeStepper(Stepper):
 
     pattern = ""  # scheme name with "{}" for the space name, e.g. "si{}1"
 
-    def __init__(self, space: str, problem: DiracProblem, tau: float,
+    def __init__(self, space: type, problem: DiracProblem, tau: float,
                  state: Optional[StepperState] = None):
-        self.space = SPACE_OPERATORS[space](problem.grid)
-        self.scheme = self.pattern.format(space)
+        self.space = space(problem.grid)
+        self.scheme = self.pattern.format(space.name)
         super().__init__(problem, tau, state)
 
     def _launch(self) -> np.ndarray:
@@ -84,8 +83,8 @@ class CNStepper(_SpaceTimeStepper):
     time-independent run), and every solve must meet RESIDUAL_TOL.
     fp: the free part (i I2 - tau/2*(mu_l*sigma1 + sigma3)) is inverted
     exactly per mode; the O(eps*tau) potential term is lagged on the iterate
-    and converges with contraction about eps*tau*(V_max + A_max)/2.  With no
-    potential the second sweep repeats the first, so a free step takes two.
+    and swept until the change is below FIXED_POINT_TOL.  With no potential
+    the second sweep repeats the first, so a free step takes two.
     fp is stable for any tau, but its fixed point needs a small enough tau: a
     step that needs more than FIXED_POINT_MAX_SWEEPS raises SolverError
     (periodic-s51, eps = 1, N = 512: tau = 1 takes 34 sweeps, tau = 1.8
@@ -162,13 +161,12 @@ class CNStepper(_SpaceTimeStepper):
             if (change <= tol).all():
                 self.diagnostics = SolverDiagnostics(float((change / norm_curr).max()), it)
                 return x
-        pots = self.problem.potentials
-        contraction = self.problem.epsilon * abs(self.tau) * (pots.v_max + pots.a_max) / 2.0
+        last = float((change / norm_curr).max())
         raise SolverError(
-            f"CNFP fixed point did not converge in {FIXED_POINT_MAX_SWEEPS} sweeps "
-            f"(contraction estimate {contraction:.3g}); reduce tau",
-            step=self.n,
-            diagnostics=SolverDiagnostics(float("nan"), FIXED_POINT_MAX_SWEEPS),
+            f"CNFP fixed point did not converge within its cap of {FIXED_POINT_MAX_SWEEPS} "
+            f"sweeps: last relative sweep change {last:.3g} (tolerance "
+            f"{FIXED_POINT_TOL:.0e}); reduce tau",
+            step=self.n, diagnostics=SolverDiagnostics(last, FIXED_POINT_MAX_SWEEPS),
         )
 
 
@@ -184,19 +182,10 @@ class SI1Stepper(_SpaceTimeStepper):
 
     pattern = "si{}1"
 
-    def _prepare(self):
-        eps = self.problem.epsilon
-        pots = self.problem.potentials
-        guard = abs(self.tau) * (1.0 + eps * (pots.v_max + pots.a_max))
-        if guard >= 0.5:
-            raise ConfigurationError(
-                f"{self.scheme.upper()} pointwise solve guard violated: "
-                f"|tau|*(1 + eps*(V_max + A_max)) = {guard:.3g} >= 0.5; reduce tau"
-            )
-
     def _invert(self, t: float):
         """The pointwise bracket's inverse at t.  With a = (tau ev)^2 and b =
-        tau^2 (1 + ea^2), |det|^2 = (1+b)^2 + a^2 + 2a(1-b) >= 1: b <= 1 by the guard."""
+        tau^2 (1 + ea^2), |det|^2 = (1+b-a)^2 + 4a, at least 1 for b <= 1 and
+        at least 4b for b > 1: |det| >= 1 for every tau."""
         ev, ea = self._kept(self._eps_potentials, t)
         tau = self.tau
         m11 = 1j - tau * ev - tau
@@ -247,19 +236,27 @@ class LFStepper(_SpaceTimeStepper):
         return prev - 2j * self.tau * apply_k(self.space, curr, ev, ea)
 
 
-_SCHEMES = {cls.pattern.format(space): partial(cls, space)
-            for cls in (CNStepper, SI1Stepper, SI2Stepper, LFStepper)
-            for space in SPACE_OPERATORS}
-_SCHEMES["tsfp"] = TSFPStepper
+SCHEMES = {cls.pattern.format(space.name): (cls, space)
+           for space in SPACE_OPERATORS.values()
+           for cls in (CNStepper, SI1Stepper, SI2Stepper, LFStepper)}
+SCHEMES["tsfp"] = (TSFPStepper, None)  # the Strang splitting: no space operator class
+
+
+def lookup(scheme: str):
+    """(time discretization, space operator) classes of a scheme name, the
+    one check of every name; tsfp's space operator is None."""
+    try:
+        return SCHEMES[scheme.lower()]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}"
+        ) from None
 
 
 def make_stepper(scheme: str, problem: DiracProblem, tau: float,
                  state: Optional[StepperState] = None) -> Stepper:
     """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp)."""
-    try:
-        factory = _SCHEMES[scheme.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; known: {sorted(_SCHEMES)}"
-        ) from None
-    return factory(problem, tau, state=state)
+    time, space = lookup(scheme)
+    if space is None:
+        return time(problem, tau, state=state)
+    return time(space, problem, tau, state=state)

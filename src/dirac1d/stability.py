@@ -1,18 +1,18 @@
 """Maximal stable time steps per scheme and pre-run validation.
 
-Von Neumann bounds for the eight schemes.  V_max, A_max bound the
-potentials the operator sees, eps*|V| and eps*|A1|: callers pass the
-declared sup norms times eps.
+A scheme is a time discretization over a space operator (`schemes.lookup`).
+Its von Neumann bound depends on the space operator only through its reach
+r, the bound on h*|symbol| (`grid`): 1 for the centered difference, pi for
+the Fourier derivative.  V_max, A_max bound the potentials the operator
+sees, eps*|V| and eps*|A1| (`DiracProblem.operator_bounds`).
 
-    cnfd, cnfp   unconditional
-    sifd1        tau <= h
-    sifd2, sifp2 tau <= 1/(V_max + A_max)
-    sifp1        tau <= h/pi
-    lffd         tau <= h / (V_max*h + sqrt(h^2 + (1  + h*A_max)^2))
-    lffp         tau <= h / (V_max*h + sqrt(h^2 + (pi + h*A_max)^2))
+    CN    unconditional
+    SI1   tau <= h/r
+    SI2   tau <= 1/(V_max + A_max)
+    LF    tau <= h / (V_max*h + sqrt(h^2 + (r + h*A_max)^2))
 
-Unbounded bounds are represented by the UNBOUNDED sentinel object, never by
-an infinite float.
+TSFP has no bound here.  Unbounded bounds are represented by the UNBOUNDED
+sentinel object, never by an infinite float.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ConfigurationError
+from .schemes import SCHEMES, CNStepper, LFStepper, SI1Stepper, SI2Stepper, lookup
 
 
 class Unbounded:
@@ -40,9 +41,15 @@ class Unbounded:
 
 UNBOUNDED = Unbounded()
 
-FDTD_SCHEMES = ("cnfd", "sifd1", "sifd2", "lffd")
-FDFP_SCHEMES = ("cnfp", "sifp1", "sifp2", "lffp")
-ALL_SCHEMES = FDTD_SCHEMES + FDFP_SCHEMES
+
+# bound(h, r, V_max, A_max) per time discretization
+_BOUNDS = {
+    CNStepper: lambda h, r, v, a: UNBOUNDED,
+    SI1Stepper: lambda h, r, v, a: h / r,
+    SI2Stepper: lambda h, r, v, a: UNBOUNDED if v + a == 0 else 1.0 / (v + a),
+    LFStepper: lambda h, r, v, a: h / (v * h + math.sqrt(h * h + (r + h * a) ** 2)),
+}
+ALL_SCHEMES = tuple(name for name, (time, _) in SCHEMES.items() if time in _BOUNDS)
 
 
 def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> Union[float, Unbounded]:
@@ -51,21 +58,10 @@ def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> Union[float, U
         raise ConfigurationError("h must be positive")
     if v_max < 0 or a_max < 0:
         raise ConfigurationError("potential bounds must be nonnegative")
-    s = scheme.lower()
-    if s in ("cnfd", "cnfp"):
-        return UNBOUNDED
-    if s == "sifd1":
-        return h
-    if s == "sifp1":
-        return h / math.pi
-    if s in ("sifd2", "sifp2"):
-        total = v_max + a_max
-        return UNBOUNDED if total == 0 else 1.0 / total
-    if s == "lffd":
-        return h / (v_max * h + math.sqrt(h * h + (1.0 + h * a_max) ** 2))
-    if s == "lffp":
-        return h / (v_max * h + math.sqrt(h * h + (math.pi + h * a_max) ** 2))
-    raise ConfigurationError(f"unknown scheme {scheme!r}; known: {ALL_SCHEMES}")
+    time, space = lookup(scheme)
+    if time not in _BOUNDS:
+        raise ConfigurationError(f"scheme {scheme!r} has no step bound; bounded: {ALL_SCHEMES}")
+    return _BOUNDS[time](h, space.reach, v_max, a_max)
 
 
 @dataclass

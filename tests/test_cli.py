@@ -60,6 +60,22 @@ class TestRun:
         assert main(["run", cfg]) == 0
         assert capsys.readouterr().out.split("\n")[0] == header
 
+    def test_si1_near_its_step_bound_runs(self, tmp_path):
+        # tau = 0.35 is 0.89 tau_max of sifd1 here
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51", "epsilon": 1.0,
+            "scheme": "sifd1", "N": 16, "tau": 0.35, "t_final": 35.0,
+        })
+        assert main(["run", cfg]) == 0
+
+    def test_cnfp_sweep_cap_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51", "epsilon": 1.0, "scheme": "cnfp", "N": 64, "tau": 2.0,
+        })
+        assert main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "CNFP fixed point did not converge within its cap of 50 sweeps: last relative" in err
+
     def test_stability_violation_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {
             "problem": INLINE_FREE, "epsilon": 1.0,
@@ -136,6 +152,8 @@ class TestConfigErrors:
         ("run", dict(RUN, record_every=0), "record_every"),
         ("run", dict(RUN, tau=0.0), "tau must be nonzero"),
         ("stability", dict(RUN, scheme="cnxx"), "unknown scheme 'cnxx'"),
+        ("stability", dict(RUN, scheme="tsfp"), "scheme 'tsfp' has no step bound"),
+        ("run", dict(RUN, scheme="tsfp"), "scheme 'tsfp' has no step bound"),
         ("converge", dict(TABLE, reference=5), "'reference' must be"),
         ("converge", dict(TABLE, reference={"kind": "spline"}), "unknown reference kind"),
         ("compare", dict(COMPARE, reference={"tau_e": -0.01}), "tau_e must be positive"),
@@ -157,10 +175,10 @@ class TestConfigErrors:
          "declare time_independent=False, but V and A1 do not name t"),
     ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
             "component", "two-components", "negative-bound", "no-mesh", "record-every",
-            "zero-tau", "stability-scheme", "reference-type", "reference-kind",
-            "negative-tau_e", "zero-h", "zero-h0", "zero-tau0", "zero-h_e", "zero-tau_e",
-            "zero-levels", "negative-levels", "no-eps", "zero-snapshots", "no-schemes",
-            "declared-time-independent", "declared-time-dependent"])
+            "zero-tau", "stability-scheme", "stability-tsfp", "run-tsfp", "reference-type",
+            "reference-kind", "negative-tau_e", "zero-h", "zero-h0", "zero-tau0", "zero-h_e",
+            "zero-tau_e", "zero-levels", "negative-levels", "no-eps", "zero-snapshots",
+            "no-schemes", "declared-time-independent", "declared-time-dependent"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
         path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
         assert main([command, path]) == 2

@@ -180,12 +180,13 @@ class TestCNFPFixedPoint:
             st.advance()
         assert abs(mass(st.phi) - m0) <= 1e-12 * m0
 
-    def test_nonconvergence_reports_contraction(self):
-        # eps*tau*(V_max + A_max)/2 = 2.76 > 1: the sweeps diverge
+    def test_nonconvergence_reports_the_sweep_cap(self):
         prob = benchmark_problem(N=32)
         st = make_stepper("cnfp", prob, 2.0)
-        with pytest.raises(SolverError, match=r"contraction estimate 2\.76"):
+        with pytest.raises(SolverError, match="cap of 50 sweeps: last relative") as err:
             st.advance()
+        assert err.value.diagnostics.iterations == 50
+        assert err.value.diagnostics.linear_residual > 1e-14
 
     def test_iteration_count_scales_with_coupling(self):
         weak = benchmark_problem(N=32, eps=0.0625)

@@ -7,6 +7,7 @@ import pytest
 from dirac1d import (
     ConfigurationError,
     DiracProblem,
+    SchemeConfig,
     SpinorField,
     StepperState,
     energy_fd,
@@ -16,6 +17,8 @@ from dirac1d import (
     mass,
     norm,
     preset,
+    run_simulation,
+    tau_max,
     zero_potentials,
 )
 
@@ -297,11 +300,13 @@ class TestConservation:
 
 class TestGuards:
     @pytest.mark.parametrize("scheme", ["sifd1", "sifp1"])
-    def test_sifd1_refuses_large_tau(self, scheme):
-        prob = benchmark_problem(N=32)
-        # tau*(1 + eps*(V_max + A_max)) >= 1/2 is refused outright
-        with pytest.raises(ConfigurationError, match="guard"):
-            make_stepper(scheme, prob, 0.2)
+    def test_si1_runs_up_to_its_step_bound(self, scheme):
+        # SI1's pointwise solve sets no step limit of its own: at 0.9 tau_max
+        # sifd1 has |tau| (1 + eps (V_max + A_max)) = 1.33
+        prob = benchmark_problem(N=16)
+        tau = 0.9 * tau_max(scheme, prob.grid.h, *prob.operator_bounds)
+        res = run_simulation(prob, SchemeConfig(scheme, tau, t_final=2000 * tau))
+        assert not res.blew_up and res.max_norm_ratio <= 1.5
 
     def test_unknown_scheme(self):
         prob = benchmark_problem(N=16)
@@ -313,7 +318,6 @@ class TestGuards:
         rng = np.random.default_rng(0)
         prob = free_problem(grid, lambda x: np.exp(1j * np.outer([1, -1], x))
                             + 0.1 * rng.standard_normal((2, len(x))))
-        from dirac1d import tau_max
         st = make_stepper("lffd", prob, 1.5 * tau_max("lffd", grid.h, 0, 0))
         n0 = norm(st.phi, "l2")
         for _ in range(200):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dirac1d import (
     ConfigurationError,
     SchemeConfig,
     StabilityError,
+    make_stepper,
     preset,
     run_simulation,
     tau_max,
@@ -161,3 +163,87 @@ class TestEpsScaledBounds:
                                         "N": 32, "tau": tau, "scheme": "lffd"}))
             out = tmp_path / "verdicts.txt"
             assert main(["stability", str(path), "--out", str(out)]) == code
+
+
+class TestPinned:
+    """The bounds as written out per scheme, and the `dirac1d stability`
+    table, which must not move when the code that produces them does."""
+
+    @pytest.mark.parametrize("h, v, a", [(0.125, 0.0, 0.0), (0.2, 0.0, 2.0),
+                                         (np.pi / 8, 1.0, 1.7601725930461),
+                                         (0.07, 0.5, 4.0), (1e-3, 3.0, 0.25)])
+    def test_tau_max_is_the_closed_form(self, h, v, a):
+        si2 = UNBOUNDED if v + a == 0 else 1.0 / (v + a)
+        want = {
+            "cnfd": UNBOUNDED,
+            "sifd1": h,
+            "sifd2": si2,
+            "lffd": h / (v * h + math.sqrt(h * h + (1.0 + h * a) ** 2)),
+            "cnfp": UNBOUNDED,
+            "sifp1": h / math.pi,
+            "sifp2": si2,
+            "lffp": h / (v * h + math.sqrt(h * h + (math.pi + h * a) ** 2)),
+        }
+        assert ALL_SCHEMES == tuple(want)
+        assert {s: tau_max(s, h, v, a) for s in ALL_SCHEMES} == want
+
+    def test_every_bounded_scheme_builds_a_stepper(self):
+        prob = preset("periodic-s51", 1.0).discretize(N=16)
+        assert [make_stepper(s, prob, 0.01).scheme for s in ALL_SCHEMES] == list(ALL_SCHEMES)
+
+    def test_tsfp_builds_a_stepper_but_has_no_bound(self):
+        prob = preset("periodic-s51", 1.0).discretize(N=16)
+        assert make_stepper("tsfp", prob, 0.01).scheme == "tsfp"
+        with pytest.raises(ConfigurationError, match="no step bound"):
+            tau_max("tsfp", 0.1, 0.0, 0.0)
+
+    SI1 = {"problem": "periodic-s51", "epsilon": 1.0, "scheme": "sifd1", "N": 16, "tau": 0.35}
+    DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    TABLES = {
+        "si1": """\
+cnfd   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
+sifd1  h=0.392699   tau=0.35       tau_max=0.392699   margin=0.891    ok <-- requested
+sifd2  h=0.392699   tau=0.35       tau_max=0.362296   margin=0.966    ok
+lffd   h=0.392699   tau=0.35       tau_max=0.18446    margin=1.9      VIOLATED
+cnfp   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
+sifp1  h=0.392699   tau=0.35       tau_max=0.125      margin=2.8      VIOLATED
+sifp2  h=0.392699   tau=0.35       tau_max=0.362296   margin=0.966    ok
+lffp   h=0.392699   tau=0.35       tau_max=0.0924961  margin=3.78     VIOLATED
+""",
+        "inline_problem": """\
+cnfd   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
+sifd1  h=0.19635    tau=0.005      tau_max=0.19635    margin=0.0255   ok
+sifd2  h=0.19635    tau=0.005      tau_max=0.724585   margin=0.0069   ok
+lffd   h=0.19635    tau=0.005      tau_max=0.152528   margin=0.0328   ok
+cnfp   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
+sifp1  h=0.19635    tau=0.005      tau_max=0.0625     margin=0.08     ok
+sifp2  h=0.19635    tau=0.005      tau_max=0.724585   margin=0.0069   ok
+lffp   h=0.19635    tau=0.005      tau_max=0.0574393  margin=0.087    ok <-- requested
+""",
+        "torus_run": """\
+cnfd   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
+sifd1  h=0.0981748  tau=0.01       tau_max=0.0981748  margin=0.102    ok
+sifd2  h=0.0981748  tau=0.01       tau_max=1.44918    margin=0.0069   ok
+lffd   h=0.0981748  tau=0.01       tau_max=0.0915507  margin=0.109    ok
+cnfp   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok <-- requested
+sifp1  h=0.0981748  tau=0.01       tau_max=0.03125    margin=0.32     ok
+sifp2  h=0.0981748  tau=0.01       tau_max=1.44918    margin=0.0069   ok
+lffp   h=0.0981748  tau=0.01       tau_max=0.0305759  margin=0.327    ok
+""",
+        "refinement_table": None,  # no tau: exit 2, no table
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_stability_table_is_pinned(self, tmp_path, name):
+        if name == "si1":
+            config = tmp_path / "si1.json"
+            config.write_text(json.dumps(self.SI1))
+        else:
+            config = self.DEMO_CONFIGS / f"{name}.json"
+        out = tmp_path / "verdicts.txt"
+        want = self.TABLES[name]
+        assert main(["stability", str(config), "--out", str(out)]) == (2 if want is None else 0)
+        assert (out.read_text() if out.exists() else None) == want
+
+    def test_every_demo_config_is_pinned(self):
+        assert {p.stem for p in self.DEMO_CONFIGS.glob("*.json")} <= set(self.TABLES)
