@@ -18,21 +18,35 @@ TSFP advance Phi^n by a 2N x 2N matrix M, and the three-level schemes, once
 launched, advance the pair [Phi^n; Phi^n-1] by the 4N x 4N companion
 M = [[A, B], [I, 0]].  `Stepper.propagate(n)` forms M by applying the
 scheme's own `_step` to blocks of identity columns, so M is the loop's
-operator by construction, and applies M^n by binary powering:
-bit_length(n) - 1 squarings (kept on the stepper for later calls) and one
-mat-vec per set bit of n.  The result is the same discrete solution as the
-step loop up to rounding.  With m the matrix size it takes this path when
+operator by construction, and applies M^n with k = `squarings(m, n)` for
+the matrix size m: k squarings, one mat-vec with M^(2^j) per set bit j < k
+of n, then n >> k mat-vecs with M^(2^k).  Only one vector needs M^n, so k
+minimises
+
+    k m^3 / MATMUL_MAC_PER_S
+      + (popcount(n mod 2^k) + (n >> k)) (m^2 / MATVEC_MAC_PER_S + MATVEC_CALL_S)
+
+over k < bit_length(n) (k = bit_length(n) - 1 is binary powering), which
+leaves a tail of about m/3 .. 2m/3 mat-vecs at large m.  The squares up to
+M^(2^k) stay on the stepper, and a later call squares further only when
+its k is larger.  The result is the same discrete solution as the step
+loop up to rounding.  It takes this path when
 
     m <= DENSE_MAX_SIZE  and
     2 * bit_length(n) * m^3 / MATMUL_MAC_PER_S < n * (STEP_S + STEP_S_PER_NODE * N),
 
-i.e. when the complex multiply-adds of the squarings (twice, as a margin
-for the build and the mat-vecs) at the measured single-thread matmul rate
-cost less than the measured per-step time of the TSFP loop, the cheapest
-step loop here, so the rule errs towards the loop for every other scheme.
-The size cap bounds the memory of the kept squares, bit_length(n) * m^2 * 16
-bytes (18 MB at m = 256, n = 256000).  Time-dependent potentials, larger
-grids and short runs keep the loop.  `propagation` names the paths taken.
+i.e. when the complex multiply-adds of binary powering's squarings (twice,
+as a margin for the build and the mat-vecs) at the measured single-thread
+matmul rate cost less than the measured per-step time of the TSFP loop,
+the cheapest step loop here, so the rule errs towards the loop for every
+other scheme.  Binary powering costs more than the k squarings and the
+tail, so the rule over-prices the dense path and errs towards the loop;
+every run takes the path it took under binary powering.  The size cap
+bounds the memory of the kept squares, (k + 1) m^2 16 bytes, at most
+bit_length(n) m^2 16 bytes (13 MB at m = 256, n = 256000; 55 MB at
+m = 512, n = 10^6, where binary powering kept 84 MB).  Time-dependent
+potentials, larger grids and short runs keep the loop.  `propagation`
+names the paths taken.
 
 A run that must see every step (it records or watches one) can still step
 by M: after `step_by_matrix`, `advance` is one mat-vec with M, or with its
@@ -73,17 +87,36 @@ from .model import DiracProblem
 # and STEP_S_PER_NODE keep the earlier rate: a lower per-step cost would
 # move runs near the crossover from dense to stepwise, and so change their
 # rounding, while at the earlier rate every run takes the path it took
-# before.  The rule now errs towards the dense path for TSFP.
+# before.  For TSFP the rule now over-prices the loop as well as the dense
+# path (`dense_power_pays`).
 DENSE_MAX_SIZE = 512
 MATMUL_MAC_PER_S = 6e9
 STEP_S = 35e-6
 STEP_S_PER_NODE = 0.05e-6
+# Powering's tail (`squarings`).  A complex mat-vec with one BLAS thread
+# runs 1.8e9 .. 4.0e9 multiply-adds per second at m = 128 .. 256 and
+# 1.3e9 .. 1.6e9 at m = 512 .. 1024, and each call from Python costs about
+# 2 us more (2.3 us at m = 32, 3.7 us at m = 64), while a squaring runs at
+# 5.3e9 .. 9.6e9 (2-core Xeon VM, OpenBLAS 0.3.31, numpy 2.4).
+MATVEC_MAC_PER_S = 2e9
+MATVEC_CALL_S = 2e-6
 BUILD_BLOCK = 64  # identity columns per `_step` call while forming M
+
+
+def squarings(size: int, n_steps: int) -> int:
+    """The number of squarings k < bit_length(n) that makes M^n v cheapest
+    for a size x size M (module docstring)."""
+    square = size ** 3 / MATMUL_MAC_PER_S
+    matvec = size ** 2 / MATVEC_MAC_PER_S + MATVEC_CALL_S
+    return min(range(n_steps.bit_length()), key=lambda k: k * square
+               + ((n_steps % (1 << k)).bit_count() + (n_steps >> k)) * matvec)
 
 
 def dense_power_pays(size: int, n_steps: int, n_nodes: int) -> bool:
     """True when M^n for a size x size M beats n steps on N = n_nodes nodes
-    (module docstring)."""
+    (module docstring).  It prices binary powering, which costs more than
+    the `squarings` and the tail that `Stepper._dense_power` does, so it
+    over-prices the dense path and errs towards the loop."""
     if size > DENSE_MAX_SIZE:
         return False
     dense = 2 * n_steps.bit_length() * size ** 3 / MATMUL_MAC_PER_S
@@ -93,7 +126,8 @@ def dense_power_pays(size: int, n_steps: int, n_nodes: int) -> bool:
 def dense_step_pays(size: int, n_steps: int, n_nodes: int) -> bool:
     """True when n steps, each a mat-vec with the 2N x size top rows of a
     size x size M, repay building M against the step loop on N = n_nodes
-    nodes (module docstring)."""
+    nodes (module docstring).  Powering's tail leaves this path and its
+    price as they were."""
     if size > DENSE_MAX_SIZE:
         return False
     loop = STEP_S + STEP_S_PER_NODE * n_nodes
@@ -236,18 +270,24 @@ class Stepper:
         return operator_matrix(one_step, 2 if self.needs_history else 1, self.grid.N)
 
     def _dense_power(self, n_steps: int) -> None:
-        """Apply M^n_steps to the state by binary powering."""
+        """Apply M^n_steps to the state: k = `squarings` squarings, the low
+        k bits of n_steps by the squares below M^(2^k), then n_steps >> k
+        mat-vecs with M^(2^k)."""
         squares = self._squares
         if not squares:
             squares.append(self._one_step_matrix())
+        k = squarings(self._matrix_size, n_steps)
+        while len(squares) <= k:
+            squares.append(squares[-1] @ squares[-1])
         v = self._curr.reshape(-1)
         if self.needs_history:
             v = np.concatenate((v, self._prev.reshape(-1)))
-        for k in range(n_steps.bit_length()):
-            if k == len(squares):
-                squares.append(squares[-1] @ squares[-1])
-            if n_steps >> k & 1:
-                v = squares[k] @ v
+        for j in range(k):
+            if n_steps >> j & 1:
+                v = squares[j] @ v
+        top = squares[k]
+        for _ in range(n_steps >> k):
+            v = top @ v
         fields = v.reshape(-1, 2, self.grid.N)
         self._curr = fields[0]
         if self.needs_history:

@@ -33,7 +33,7 @@ from dirac1d.linalg import CyclicBlockTridiagSolver
 from dirac1d.model import apply_k
 from dirac1d.reference import TSFPStepper
 from dirac1d.schemes import SI1Stepper
-from dirac1d.stepping import dense_power_pays, dense_step_pays
+from dirac1d.stepping import dense_power_pays, dense_step_pays, squarings
 
 from closed_form import closed_form, k_eigenpairs
 
@@ -136,6 +136,21 @@ def spectral_radius(m):
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
+# `takes_dense_power` and `takes_dense_steps` at PATH_STEPS steps on N nodes,
+# one letter per step count: P powers, D steps by M, B both, "." neither.
+# They depend on the scheme only through its levels (three-level or not).
+PATH_STEPS = (2, 10, 100, 10 ** 3, 10 ** 4, 10 ** 6)
+PINNED_PATHS = {
+    False: {16: "PPBBBB", 64: "...BBB", 128: "...DBB", 256: ".....P", 512: "......"},
+    True: {16: "..BBBB", 64: "...DBB", 128: ".....P", 256: "......", 512: "......"},
+}
+
+
+def paths(stepper, steps):
+    return "".join(".DPB"[2 * stepper.takes_dense_power(n) + stepper.takes_dense_steps(n)]
+                   for n in steps)
+
+
 class TestPropagate:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @settings(max_examples=6, deadline=None)
@@ -187,6 +202,76 @@ class TestPropagate:
         assert split.propagation == whole.propagation == {"dense-power"}
         dist = norm(SpinorField(prob.grid, split._curr - whole._curr), "l2")
         assert dist <= 1e-15 * 4_000 * norm(prob.phi0, "l2")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @settings(max_examples=2, deadline=None)
+    @given(short=st.integers(40, 120), long=st.integers(800, 1500), grows=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(short=40, long=1500, grows=True, seed=0)
+    @example(short=40, long=1500, grows=False, seed=0)
+    def test_two_calls_equal_the_loop(self, scheme, short, long, grows, seed):
+        # The second call needs more squares than the first when it grows,
+        # fewer when it does not; it squares further only in the first case.
+        first, second = (short, long) if grows else (long, short)
+        prob = preset("periodic-s51", 0.25).discretize(N=16)
+        phi0 = random_field(prob.grid, seed)
+        a = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
+        b = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
+        a.propagate(first)
+        kept = list(a._squares)
+        assert len(kept) == squarings(a._matrix_size, first - (scheme in THREE_LEVEL)) + 1
+        need = squarings(a._matrix_size, second) + 1
+        assert (need > len(kept)) == grows
+        a.propagate(second)
+        assert len(a._squares) == max(need, len(kept))
+        assert all(x is y for x, y in zip(kept, a._squares))
+        for _ in range(first + second):
+            b.advance()
+        assert a.propagation == {"dense-power"}
+        assert (a.n, a.t) == (b.n, pytest.approx(b.t))
+        dist = norm(SpinorField(prob.grid, a._curr - b._curr), "l2")
+        assert dist <= 1e-15 * (first + second) * norm(phi0, "l2") + 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 1_000, 2 ** 20 - 1, 2 ** 20])
+    def test_powering_keeps_at_most_bit_length_squares(self, n):
+        stepper = make_stepper("tsfp", preset("periodic-s51", 1.0).discretize(N=16), 1e-3)
+        stepper.propagate(n)
+        assert stepper.propagation == {"dense-power"}
+        assert len(stepper._squares) == squarings(32, n) + 1 <= n.bit_length()
+
+    def test_tail_is_about_a_third_to_two_thirds_of_m(self):
+        for m in (256, 512):
+            for n in range(10 ** 4, 10 ** 9, 9_876_543):
+                k = squarings(m, n)
+                assert k < n.bit_length() - 1 and 0.3 * m <= n >> k <= 0.7 * m, (m, n)
+
+    def test_kept_bytes_at_m512_n1e6(self):
+        # 13 squares, 54.5 MB; binary powering kept bit_length(10^6) = 20, 83.9 MB
+        stepper = make_stepper("tsfp", preset("periodic-s51", 1.0).discretize(N=256), 1e-3)
+        stepper.propagate(10 ** 6)
+        assert stepper.propagation == {"dense-power"}
+        assert sum(sq.nbytes for sq in stepper._squares) == 13 * 512 ** 2 * 16
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_paths_are_pinned(self, scheme):
+        for N, want in PINNED_PATHS[scheme in THREE_LEVEL].items():
+            stepper = make_stepper(scheme, preset("periodic-s51", 1.0).discretize(N=N), 1e-3)
+            assert paths(stepper, PATH_STEPS) == want, N
+
+    @pytest.mark.parametrize("eps, want", [(1.0, "...."), (0.25, "...."), (0.0625, "D...")])
+    def test_converge_cnfd_cells_step(self, eps, want):
+        # perfbench's converge-cnfd table: CNFD at (h, tau) = (pi/64, 0.05) / 2^k,
+        # k = 0..3, to t = T0/eps (cells call `propagate`, so none powers),
+        # and its TSFP reference at N_e = 1024, tau_e = 5e-4
+        setup = preset("periodic-s51", eps)
+        got = ""
+        for k in range(4):
+            tau = 0.05 / 2 ** k
+            stepper = make_stepper("cnfd", setup.discretize(h=np.pi / 64 / 2 ** k), tau)
+            got += paths(stepper, [round(setup.t_final / tau)])
+        assert got == want
+        reference = TSFPStepper(setup.discretize(h=np.pi / 512), 5e-4)
+        assert paths(reference, [round(setup.t_final / 5e-4)]) == "."
 
     def test_cnfd_residual_guard_checks_every_column(self, monkeypatch):
         solve = CyclicBlockTridiagSolver.solve
