@@ -9,10 +9,10 @@ The governed equation on a periodic interval (a, b), with a small parameter
 Eight schemes are provided, built by `make_stepper`: four time
 discretizations (Crank-Nicolson, two semi-implicit, leap-frog) over two
 space operators, the centered difference (cnfd, sifd1, sifd2, lffd) and the
-Fourier derivative (cnfp, sifp1, sifp2, lffp); plus an exact free-flow
-solver and a Strang-splitting (TSFP) reference integrator.  The harness
-measures errors against reference solutions over the long horizon
-t = T0/eps and emits convergence tables as CSV.
+Fourier derivative (cnfp, sifp1, sifp2, lffp); plus the exact-in-time
+flow of either space operator and a Strang-splitting (TSFP) reference
+integrator.  The harness measures errors against reference solutions over
+the long horizon t = T0/eps and emits convergence tables as CSV.
 """
 
 from .errors import (
@@ -55,12 +55,12 @@ from .reference import (
     ReferenceCache,
     ReferenceSolution,
     TSFPStepper,
-    exact_free_reference,
     free_dirac_exact,
     load_reference,
     reference_cache_key,
     reference_solution,
     save_reference,
+    semi_discrete_flow,
 )
 from .harness import (
     ConvergenceTable,

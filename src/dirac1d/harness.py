@@ -24,14 +24,15 @@ blow-up at each step alike.
 A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
 so the parent process checks every cell against its row's reference grid
-(node ratio and nesting) before any task starts, runs the tasks, and then
-restricts each reference and measures each cell itself.  A row whose
-reference the `ReferenceConfig` already keeps from an earlier table or
-`compare_over_time` gets no reference task: the FD and FP sweeps of one
-setup and one config share their references.  Tasks run longest first by
-the static estimate steps x nodes: (t/tau_e) N_e for a reference (one step
-for the exact kind), (t/tau) N for a cell.  Since t = T0/eps, the
-smallest-eps reference usually leads.  With workers > 1 the
+(node ratio and nesting), and an exact reference's problem (`check_flow`),
+before any task starts, runs the tasks, and then restricts each reference
+and measures each cell itself.  A row whose reference the `ReferenceConfig`
+already keeps from an earlier table or `compare_over_time` gets no
+reference task: the FD and FP sweeps of one setup and one config share
+their references.  Tasks run longest first by the static estimate steps x
+nodes: (t/tau_e) N_e for a reference, N_e^3/8 for the exact kind (its eigh
+takes about as long as N_e^2/8 TSFP steps), (t/tau) N for a cell.  Since
+t = T0/eps, the smallest-eps reference usually leads.  With workers > 1 the
 same tasks go to a process pool in that order; the first task that raises
 cancels the ones still queued, and its error is raised as in a serial run.
 """
@@ -49,13 +50,13 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
-from .model import (DiracProblem, ProblemSetup, apply_k, check_bounds, current, density,
+from .model import (DiracProblem, ProblemSetup, check_bounds, current, density,
                     discrete_energy)
-from .reference import (ReferenceCache, ReferenceSolution, check_restriction,
-                        exact_free_reference, reference_cache_key, reference_solution)
+from .reference import (ReferenceCache, ReferenceSolution, check_flow, check_restriction,
+                        reference_cache_key, reference_solution)
 from .schemes import make_stepper
 from .stability import validate
-from .stepping import operator_matrix, whole_steps
+from .stepping import k_matrix, whole_steps
 
 __all__ = [
     "SchemeConfig", "SimulationResult", "run_simulation",
@@ -172,10 +173,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     # the energy by the stepper's own K and its eps*V, eps*A1, sampled once;
     # as a matrix built like M when the steps are mat-vecs
     eps_pots = stepper._kept(stepper._eps_potentials, 0.0) if record_energy else None
-    k_matrix = None
-    if record_energy and by_matrix:
-        k_matrix = operator_matrix(lambda s: apply_k(stepper.space, s[0], *eps_pots)[None],
-                                   1, problem.grid.N)
+    k_mat = k_matrix(stepper.space, *eps_pots) if record_energy and by_matrix else None
 
     h = problem.grid.h
     times, masses, energies = [], [], []
@@ -188,7 +186,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
             times.append(t)
             masses.append(mass_of(values))
             if record_energy:
-                energies.append(discrete_energy(stepper.space, values, *eps_pots, k=k_matrix))
+                energies.append(discrete_energy(stepper.space, values, *eps_pots, k=k_mat))
 
     observe(stepper._curr, 0.0)
     stop_mass = (config.stop_norm_ratio ** 2) * mass_of(stepper._curr) if watch else None
@@ -272,19 +270,19 @@ class ReferenceConfig:
     kind "tsfp": Strang-split run at (h_e, tau_e); unset values default to
     (finest test h)/space_factor and (finest test tau)/time_factor, and
     tau_e must be min_time_ratio x finer than the finest test tau.
-    kind "exact": exact free evolution (free problems only) sampled at h_e.
-    Either kind must be min_space_ratio x finer in space than each test grid,
-    and nest with it: cells are compared with the reference subsampled onto
-    their nodes, never interpolated.
+    kind "exact": the Fourier semi-discrete flow at h_e, exact in time (no
+    tau_e; time-independent potentials and N_e <= 1024 only).  Either kind
+    must be min_space_ratio x finer in space than each test grid, and nest
+    with it: cells are compared with the reference subsampled onto their
+    nodes, never interpolated.
 
     The config keeps every reference that its tables and `compare_over_time`
     obtained (built, or read from the disk cache), keyed by
-    `reference_cache_key` with the kind, for as long as the config object
-    lives: a later call that passes the same object reuses them instead of
-    obtaining them again.  A
-    setup without a key (key=None) is rebuilt on every call.  The kept
-    references are never pickled, so pool tasks that carry the config stay
-    small; copies start empty.
+    `reference_cache_key`, for as long as the config object lives: a later
+    call that passes the same object reuses them instead of obtaining them
+    again.  A setup without a key (key=None) is rebuilt on every call.  The
+    kept references are never pickled, so pool tasks that carry the config
+    stay small; copies start empty.
     """
 
     space_factor: ClassVar[float] = 4.0
@@ -301,6 +299,8 @@ class ReferenceConfig:
     def __post_init__(self):
         if self.kind not in ("tsfp", "exact"):
             raise ConfigurationError(f"unknown reference kind {self.kind!r}")
+        if self.kind == "exact" and self.tau_e is not None:
+            raise ConfigurationError("the exact reference takes no tau_e")
 
     def __getstate__(self):
         return {**self.__dict__, "_kept": {}}
@@ -312,7 +312,7 @@ class ReferenceConfig:
         already keeps it, else None."""
         if setup.key is None:
             return None, None
-        key = reference_cache_key(setup, h_e, tau_e, t_targets, kind=self.kind)
+        key = reference_cache_key(setup, h_e, tau_e, t_targets)
         return key, self._kept.get(key)
 
     def _keep(self, key: Optional[str], ref: ReferenceSolution) -> None:
@@ -344,8 +344,6 @@ def build_reference(setup: ProblemSetup, ref_cfg: ReferenceConfig,
                     t_targets: Sequence[float]):
     """Materialize the reference for one epsilon row of a table."""
     h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
-    if tau_e is None:
-        return exact_free_reference(setup, h_e, t_targets)
     if ref_cfg.cache is not None:
         return ref_cfg.cache.fetch(setup, h_e, tau_e, t_targets)
     return reference_solution(setup, h_e, tau_e, t_targets)
@@ -456,7 +454,9 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
         rows.append((s_eps, t_target, ref_key, reference))
         n_e = s_eps.grid_for_mesh(h_e).N
         if reference is None:
-            ref_steps = t_target / tau_e if tau_e is not None else 1.0
+            if tau_e is None:
+                check_flow(s_eps.discretize(h=h_e))
+            ref_steps = t_target / tau_e if tau_e is not None else n_e ** 2 / 8
             tasks.append((ref_steps * n_e, i,
                           ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
         for k, (h, tau) in enumerate(pairs):

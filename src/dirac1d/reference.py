@@ -1,4 +1,4 @@
-"""Ground-truth generators: exact free evolution and the TSFP integrator.
+"""Ground-truth generators: exact free flow, TSFP and the semi-discrete flow.
 
 The free flow is applied exactly per mode through the symbol
 Gamma_l = mu_l*sigma1 + sigma3, whose exponential is
@@ -22,9 +22,10 @@ merges the interior potential half steps and works in two preallocated
 (2, N) buffers, bit-identical to the same loop of fresh arrays.  The
 reference manifest records the path taken under "propagation".
 
-Reference snapshots can be cached to disk, one numpy .npz file per
-reference (the stacked complex128 snapshots and a JSON string with the
-grid, the times and the manifest); the round trip is bit-exact.
+`semi_discrete_flow` is Q exp(-i w t) Q^H Phi0 for the steppers' own
+K = Q diag(w) Q^H.  References of either kind are cached to disk, one .npz
+file each (complex128 snapshots and a JSON string with the grid, the times
+and the manifest); the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -38,18 +39,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SpinorField, TorusGrid, apply_sym2, make_grid, subsample, sym2
-from .model import ProblemSetup
-from .stepping import Stepper, whole_steps
+from .grid import (FourierDerivative, SpinorField, TorusGrid, apply_sym2, make_grid,
+                   subsample, sym2)
+from .model import DiracProblem, ProblemSetup
+from .stepping import Stepper, k_matrix, whole_steps
 
 __all__ = [
-    "free_dirac_exact", "TSFPStepper",
-    "ReferenceSolution", "exact_free_reference", "reference_solution",
+    "free_dirac_exact", "TSFPStepper", "semi_discrete_flow",
+    "ReferenceSolution", "reference_solution",
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
 
 FORMAT = "npz1"  # in the cache key, so files of another format are never found
 SUBSTEP_ORDER = "potential-first"
+FLOW_MAX_NODES = 1024  # eigh of the 2N x 2N K: 11.6 s and 67 MB at N = 1024
 
 def _free_multipliers(grid: TorusGrid, t: float):
     mu = grid.mu_fft
@@ -159,35 +162,44 @@ def check_restriction(n_e: int, n: int, min_space_ratio: float) -> None:
         )
 
 
-def exact_free_reference(setup: ProblemSetup, h_e: float,
-                         t_targets: Sequence[float]) -> ReferenceSolution:
-    """Snapshots of the exact free flow of the data sampled at h_e (eps = 0)."""
-    if setup.epsilon != 0.0 and (setup.potentials.v_max or setup.potentials.a_max):
-        raise ConfigurationError("exact reference requires the free problem")
-    phi0 = setup.discretize(h=h_e).phi0
-    fields = {float(t): free_dirac_exact(phi0, t) for t in t_targets}
-    return ReferenceSolution(phi0.grid, fields, {"kind": "exact-free", "N": phi0.grid.N})
+def check_flow(problem: DiracProblem) -> None:
+    """Refuse a problem that `semi_discrete_flow` does not serve."""
+    if not problem.time_independent or problem.grid.N > FLOW_MAX_NODES:
+        raise ConfigurationError(f"the exact reference needs time-independent potentials "
+                                 f"and N_e <= {FLOW_MAX_NODES}, got N_e={problem.grid.N}")
 
 
-def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
+def semi_discrete_flow(problem: DiracProblem, space, times: Sequence[float]) -> dict:
+    """{t: Phi(t)} of i dPhi/dt = K Phi over the space operator `space`, exact
+    in time (module docstring), with eps*V and eps*A1 at t = 0."""
+    check_flow(problem)
+    v, a = problem.potentials.evaluate(0.0, problem.grid.x)
+    w, q = np.linalg.eigh(k_matrix(space, problem.epsilon * v, problem.epsilon * a))
+    coef = q.conj().T @ problem.phi0.values.reshape(-1)
+    return {float(t): SpinorField(problem.grid, (q @ (np.exp(-1j * w * t) * coef))
+                                  .reshape(2, -1)) for t in times}
+
+
+def reference_solution(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
                        t_targets: Sequence[float]) -> ReferenceSolution:
-    """Run TSFP on the fine grid and collect snapshots at the target times."""
-    if tau_e <= 0:
+    """Snapshots at the target times at h_e: of TSFP at tau_e or, with tau_e
+    None (the exact kind), of the semi-discrete flow over FourierDerivative."""
+    if tau_e is not None and tau_e <= 0:
         raise ConfigurationError("tau_e must be positive")
     problem = setup.discretize(h=h_e)
-    steps = {whole_steps(t, tau_e, "snapshot time", "tau_e"): float(t) for t in t_targets}
-
-    stepper = TSFPStepper(problem, tau_e)
-    fields = {}
-    last = 0
-    for k in sorted(steps):
-        stepper.propagate(k - last)
-        last = k
-        fields[steps[k]] = stepper.phi.copy()
+    if tau_e is None:
+        fields = semi_discrete_flow(problem, FourierDerivative(problem.grid), t_targets)
+        head = {"kind": "exact", "propagation": "eigh"}
+    else:
+        steps = {whole_steps(t, tau_e, "snapshot time", "tau_e"): float(t) for t in t_targets}
+        stepper, fields = TSFPStepper(problem, tau_e), {}
+        for k in sorted(steps):
+            stepper.propagate(k - stepper.n)
+            fields[steps[k]] = stepper.phi.copy()
+        head = {"kind": "tsfp", "substep_order": SUBSTEP_ORDER,
+                "propagation": stepper.propagation_label}
     manifest = {
-        "kind": "tsfp",
-        "substep_order": SUBSTEP_ORDER,
-        "propagation": stepper.propagation_label,
+        **head,
         "h_e": problem.grid.h,
         "tau_e": tau_e,
         "N": problem.grid.N,
@@ -203,11 +215,9 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: float,
 # ---------------------------------------------------------------------------
 
 def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
-                        t_targets: Sequence[float], kind: str = "tsfp") -> str:
-    """Content hash identifying a reference run of the given kind ("tsfp",
-    or "exact" with tau_e None); needs a describable setup.  Only tsfp runs
-    are cached on disk; since the exact kind alone has tau_e None, the kind
-    separates no two keys today and is there for a later kind with a tau_e."""
+                        t_targets: Sequence[float]) -> str:
+    """Content hash identifying a reference run, of the exact kind when
+    tau_e is None, else of TSFP; needs a describable setup."""
     if setup.key is None:
         raise ConfigurationError(
             "this problem setup has no stable description (key=None); caching "
@@ -222,7 +232,7 @@ def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
         "tau_e": tau_e,
         "times": [float(t) for t in t_targets],
         "substep_order": SUBSTEP_ORDER,
-        "kind": kind,
+        "kind": "tsfp" if tau_e is not None else "exact",
         "format": FORMAT,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -280,7 +290,7 @@ class ReferenceCache:
     def path_for(self, key: str) -> str:
         return os.path.join(self.directory, key + ".dref")
 
-    def fetch(self, setup: ProblemSetup, h_e: float, tau_e: float,
+    def fetch(self, setup: ProblemSetup, h_e: float, tau_e: Optional[float],
               t_targets: Sequence[float]) -> ReferenceSolution:
         """Load a matching cached reference or compute and store one."""
         key = reference_cache_key(setup, h_e, tau_e, t_targets)

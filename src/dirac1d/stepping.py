@@ -63,8 +63,8 @@ above) save more than building M, costed as m loop steps
 takes it from a few hundred steps on; three-level schemes at N >= 128 do
 not.  The step's arithmetic order differs from `_step`'s, so the states
 agree with the loop's up to rounding, as powering's do.
-`operator_matrix` builds M, and the recorded energy's K, column block by
-column block from the operator's own code, so neither is written out twice.
+`operator_matrix` builds M, and K (`k_matrix`), column block by column
+block from the operator's own code, so neither is written out twice.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import SpinorField
-from .model import DiracProblem
+from .model import DiracProblem, apply_k
 
 # Dense-power rule (see the module docstring).  The rates are measured with
 # one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
@@ -149,6 +149,11 @@ def operator_matrix(apply, levels: int, n_nodes: int) -> np.ndarray:
         out = apply(unit.reshape(cols, levels, 2, n_nodes).transpose(1, 2, 0, 3))
         m[:, j:j + cols] = out.transpose(0, 1, 3, 2).reshape(size, cols)
     return m
+
+
+def k_matrix(space, ev: np.ndarray, ea: np.ndarray) -> np.ndarray:
+    """K of `model.apply_k` as a matrix on the flattened (2, N) field."""
+    return operator_matrix(lambda s: apply_k(space, s[0], ev, ea)[None], 1, space.grid.N)
 
 
 def whole_steps(t: float, tau: float, what: str = "horizon", step: str = "tau") -> int:

@@ -313,6 +313,44 @@ class TestTables:
         err = capsys.readouterr().err
         assert "'h_E'" in err and "'min_time_ratio'" in err and "'allow_interpolation'" in err
 
+    @pytest.mark.parametrize("epsilon, potentials, h0, spec, message", [
+        (0.0, {}, np.pi / 8, {"kind": "exact", "tau_e": 0.001},
+         "the exact reference takes no tau_e"),
+        (0.5, {"V": "cos(t)", "V_max": 1.0, "time_independent": False}, np.pi / 8, "exact",
+         "needs time-independent potentials"),
+        (0.0, {}, np.pi / 256, "exact", "N_e <= 1024, got N_e=2048"),
+    ], ids=["tau_e", "time-dependent", "too-many-nodes"])
+    def test_exact_reference_refusals_exit_2(self, tmp_path, capsys, epsilon, potentials, h0,
+                                             spec, message):
+        problem = dict(INLINE_FREE, potentials=dict(INLINE_FREE["potentials"], **potentials))
+        cfg = write_config(tmp_path, {
+            "problem": problem, "epsilon": epsilon,
+            "scheme": "cnfd", "eps_list": [epsilon], "h0": h0, "tau0": 0.05, "levels": 1,
+            "reference": spec,
+        })
+        assert main(["converge", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_exact_reference_read_from_the_cache(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {
+            "problem": INLINE_FREE, "epsilon": 0.0,
+            "scheme": "cnfp", "eps_list": [0.0], "tau0": 0.02, "levels": 2,
+            "h": np.pi / 8, "reference": "exact",
+        })
+        out, cache_dir = tmp_path / "sweep.csv", tmp_path / "cache"
+        argv = ["sweep-temporal", cfg, "--out", str(out), "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        (cached,) = cache_dir.iterdir()
+        first = out.read_text()
+
+        def no_build(*args):
+            raise AssertionError("a cached reference was built again")
+
+        monkeypatch.setattr(reference, "reference_solution", no_build)
+        assert main(argv) == 0
+        assert out.read_text() == first
+        assert reference.load_reference(str(cached)).manifest["kind"] == "exact"
+
 
 class TestStabilityCommand:
     def test_prints_all_schemes(self, tmp_path, capsys):

@@ -324,14 +324,15 @@ class TestConfigurationErrors:
         (lambda: preset("periodic-s51", 1.0).discretize(), "exactly one of h or N"),
         (lambda: harness.reference_solution(preset("periodic-s51", 1.0), np.pi / 8, 0.0, [0.0]),
          "tau_e must be positive"),
-        (lambda: harness.exact_free_reference(bandlimited_free_setup(), np.pi / 8, [0.5])
+        (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, None, [0.5])
          .snapshot(0.25), "no reference snapshot at t=0.25"),
-        (lambda: harness.exact_free_reference(bandlimited_free_setup(), np.pi / 8, [0.5])
+        (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, None, [0.5])
          .restricted(0.5, make_grid(0.0, np.pi, 4)), "same interval"),
         (_energy_run_with_time_dependent_potentials, "needs time-independent potentials"),
+        (lambda: ReferenceConfig(kind="exact", tau_e=1e-3), "the exact reference takes no tau_e"),
     ], ids=["record-mode", "record-every", "reference-kind", "negative-bound",
             "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
-            "other-interval", "time-dependent-energy"])
+            "other-interval", "time-dependent-energy", "exact-tau_e"])
     def test_raises_with_its_message(self, make, message):
         with pytest.raises(ConfigurationError, match=message):
             make()
@@ -443,13 +444,31 @@ class TestConvergenceTables:
             raise AssertionError("work started before the guard")
 
         # the guard runs in the parent before any reference or cell is started
-        for name in ("make_stepper", "run_simulation", "reference_solution",
-                     "exact_free_reference"):
+        for name in ("make_stepper", "run_simulation", "reference_solution"):
             monkeypatch.setattr(harness, name, no_work)
         # h_e = h/2 is only 2x finer than the test grid; the default guard asks 4x
         with pytest.raises(ConfigurationError, match="4x finer"):
             convergence_table(bandlimited_free_setup(), "cnfd", [0.0], np.pi / 8, 0.05, 1,
                               reference=ReferenceConfig(kind=kind, h_e=np.pi / 16))
+
+    @pytest.mark.parametrize("setup, h0, message", [
+        (dataclasses.replace(bandlimited_free_setup(epsilon=1.0), key=None,
+                             potentials=PotentialPair(lambda t, x: np.cos(t) + 0 * x,
+                                                      model._zero_evaluator, False, 1.0, 0.0)),
+         np.pi / 8, "time-independent potentials"),
+        (bandlimited_free_setup(), np.pi / 256, "N_e <= 1024, got N_e=2048"),
+    ], ids=["time-dependent", "too-many-nodes"])
+    def test_exact_reference_refused_before_any_task(self, setup, h0, message, monkeypatch,
+                                                     sync_pools):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the guard")
+
+        for name in ("make_stepper", "run_simulation", "reference_solution"):
+            monkeypatch.setattr(harness, name, no_work)
+        with pytest.raises(ConfigurationError, match=message):
+            convergence_table(setup, "cnfd", [setup.epsilon], h0, 0.05, 1,
+                              reference=ReferenceConfig(kind="exact"), workers=2)
+        assert sync_pools == []  # no pool was started
 
     def test_reference_error_same_for_any_worker_count(self):
         # tau_e = 0.003 divides neither horizon (t = 2 and 8); the eps = 1/4
@@ -503,6 +522,18 @@ class TestConvergenceTables:
 
         estimates = [steps_times_nodes(task) for task in pool.tasks]
         assert estimates == sorted(estimates, reverse=True)
+
+    def test_exact_reference_priced_by_its_eigh(self, sync_pools):
+        # cells of 40 x 16 and 40 x 32 steps x nodes; the eigh at N_e = 256
+        # (about 0.2 s) counts as 256^3 / 8, not as one step, so it goes first
+        h0, h_e = np.pi / 8, np.pi / 128
+        table = epsilon_sweep_spatial(bandlimited_free_setup(), "cnfd", [0.0], h0, 2, 0.05,
+                                      reference=ReferenceConfig(kind="exact", h_e=h_e),
+                                      workers=2)
+        assert np.all(np.isfinite(table.errors("e_phi")))
+        [pool] = sync_pools
+        assert [(task[0], task[3]) for task in pool.tasks] == [
+            ("reference", h0 / 2), ("cell", h0 / 2), ("cell", h0)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_declared_bounds_checked_once_per_row(self, workers):
@@ -596,7 +627,7 @@ class TestSharedReferences:
         assert table(setup) == 1                                    # h_e
         cfg.tau_e = 0.0025
         assert table(setup) == 1                                    # tau_e
-        cfg.kind = "exact"
+        cfg.kind, cfg.tau_e = "exact", None
         assert table(setup) == 1                                    # kind
         assert table(bandlimited_free_setup(epsilon=1.0, T0=4.0)) == 1  # T0 and horizon
         assert table(setup) == table(bandlimited_free_setup(epsilon=1.0)) == 0

@@ -1,7 +1,11 @@
-"""Exact free flow, TSFP splitting, reference snapshots and the disk cache."""
+"""Exact free flow, TSFP splitting, the semi-discrete flow, reference
+snapshots and the disk cache."""
 
+import dataclasses
+import importlib.util
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,8 @@ from dirac1d import (
     save_reference,
     zero_potentials,
 )
-from dirac1d.reference import TSFPStepper, exact_free_reference
+from dirac1d.grid import CenteredDifference, FourierDerivative
+from dirac1d.reference import TSFPStepper, semi_discrete_flow
 from dirac1d.stepping import dense_power_pays
 
 from test_fdtd import free_problem
@@ -376,22 +381,84 @@ class TestReferenceSolution:
         assert short.manifest["propagation"] == "stepwise"
         assert reference_solution(setup, np.pi / 32, 1e-3, [0.0]).manifest["propagation"] == "none"
 
-    def test_exact_free_reference_requires_free_problem(self):
-        with pytest.raises(ConfigurationError, match="free"):
-            exact_free_reference(preset("periodic-s51", 1.0), np.pi / 32, [1.0])
+    def test_exact_reference_refuses_time_dependent_potentials(self):
+        pots = PotentialPair(lambda t, x: np.cos(t) + 0 * x, lambda t, x: 0 * x,
+                             False, 1.0, 0.0)
+        setup = dataclasses.replace(preset("periodic-s51", 1.0), potentials=pots, key=None)
+        with pytest.raises(ConfigurationError, match="time-independent"):
+            reference_solution(setup, np.pi / 32, None, [1.0])
+        # eps = 0 switches the potentials off, and the flow serves it
+        assert reference_solution(setup.with_epsilon(0.0), np.pi / 32, None, [1.0])
 
-    def test_exact_free_reference_is_snapshots_of_the_free_flow(self):
+    def test_exact_reference_is_the_free_flow_at_eps_zero(self):
         setup = preset("periodic-s51", 0.0)
-        ref = exact_free_reference(setup, np.pi / 32, [0.5, 2.0])
+        ref = reference_solution(setup, np.pi / 32, None, [0.5, 2.0])
         phi0 = setup.discretize(h=np.pi / 32).phi0
-        assert ref.manifest == {"kind": "exact-free", "N": 64}
+        assert ref.manifest == {
+            "kind": "exact", "propagation": "eigh", "h_e": np.pi / 32, "tau_e": None,
+            "N": 64, "epsilon": 0.0, "problem": setup.key, "times": [0.5, 2.0]}
         assert ref.times == [0.5, 2.0]
         for t in ref.times:
-            np.testing.assert_array_equal(ref.snapshot(t).values,
-                                          free_dirac_exact(phi0, t).values)
+            np.testing.assert_allclose(ref.snapshot(t).values,
+                                       free_dirac_exact(phi0, t).values, rtol=0, atol=1e-13)
         coarse = setup.grid_with_nodes(16)
         np.testing.assert_array_equal(ref.restricted(2.0, coarse).values,
                                       ref.snapshot(2.0).values[:, ::4])
+
+
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+
+
+def _oracle():
+    """perfbench's independent eigh solver, loaded from its file alone."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _l2(u, v, h):
+    return float(np.sqrt(h * np.sum(np.abs(u - v) ** 2)))
+
+
+def _flow(problem, space, t):
+    return semi_discrete_flow(problem, space(problem.grid), [t])[t].values
+
+
+class TestSemiDiscreteFlow:
+    """Q exp(-i w t) Q^H Phi0 for the steppers' own K, the exact kind's flow."""
+
+    @pytest.mark.parametrize("n_e", [64, 128, 256])
+    def test_is_the_free_flow_at_eps_zero(self, n_e):
+        problem = preset("periodic-s51", 0.0).discretize(N=n_e)
+        want = free_dirac_exact(problem.phi0, 2.0).values
+        assert _l2(_flow(problem, FourierDerivative, 2.0), want, problem.grid.h) <= 1e-12
+
+    @pytest.mark.parametrize("space, name", [(CenteredDifference, "fd"),
+                                             (FourierDerivative, "fp")])
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_the_independent_oracle(self, space, name, n):
+        oracle = _oracle()
+        problem = preset("periodic-s51", 0.25).discretize(N=n)
+        want = oracle.SemiDiscreteFlow(problem, name).at(8.0)
+        assert oracle.l2_distance(_flow(problem, space, 8.0), want, problem.grid.h) <= 1e-12
+
+    def test_tsfp_converges_to_it_at_order_two(self):
+        setup, h_e = preset("periodic-s51", 0.25), 2 * np.pi / 128
+        exact = reference_solution(setup, h_e, None, [8.0]).snapshot(8.0).values
+        errors = [_l2(reference_solution(setup, h_e, tau_e, [8.0]).snapshot(8.0).values,
+                      exact, h_e) for tau_e in (0.05, 0.1, 0.2)]
+        orders = np.log2(np.array(errors[1:]) / errors[:-1])
+        np.testing.assert_allclose(orders, 2.0, atol=0.05)
+
+    def test_refuses_more_than_1024_nodes_before_any_eigh(self, monkeypatch):
+        def no_eigh(*args):
+            raise AssertionError("eigh started before the guard")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        problem = preset("periodic-s51", 0.25).discretize(N=1026)
+        with pytest.raises(ConfigurationError, match="N_e <= 1024, got N_e=1026"):
+            _flow(problem, FourierDerivative, 8.0)
 
 
 class TestCache:
@@ -471,17 +538,21 @@ class TestCache:
         setup = preset("periodic-s51", 1.0)
         pinned = "b09b9ef9df17fd6ff2d1c617f050e80a310ea3ef2468fc9680bb5540cb51ddfb"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == pinned
-        assert reference_cache_key(setup, 0.1, 1e-3, [2.0], kind="tsfp") == pinned
+        # the exact kind (tau_e None) keeps its digest from when the kind was an argument
+        exact = "a9cca81028e9980a3af3aa11b938beb37ad1e11232a8a768f8604effb6d767a8"
+        assert reference_cache_key(setup.with_epsilon(0.0), 0.1, None, [2.0]) == exact
         monkeypatch.setattr(reference, "FORMAT", "DREF2")
         dref2 = "020a5cd0371458b4c33f37957a9141fcdfc3aa7830d503ac265281012e4fc2a9"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == dref2
 
     def test_key_names_the_kind(self):
+        # the kind follows from tau_e: None is the exact flow, a step is TSFP
         setup = preset("periodic-s51", 0.0)
-        exact = reference_cache_key(setup, 0.1, None, [2.0], kind="exact")
+        exact = reference_cache_key(setup, 0.1, None, [2.0])
         assert len(exact) == 64
-        assert exact != reference_cache_key(setup, 0.1, None, [2.0])
-        assert exact != reference_cache_key(setup, 0.1, 1e-3, [2.0], kind="exact")
+        assert exact != reference_cache_key(setup, 0.1, 1e-3, [2.0])
+        assert reference_solution(setup, 0.1 * np.pi, None, [2.0]).manifest["kind"] == "exact"
+        assert reference_solution(setup, 0.1 * np.pi, 1e-3, [2.0]).manifest["kind"] == "tsfp"
 
     def test_key_names_the_file_format(self, monkeypatch):
         setup = preset("periodic-s51", 1.0)
@@ -518,3 +589,20 @@ class TestCache:
         assert (tmp_path / (key + ".dref")).exists()
         r2 = cache.fetch(setup, np.pi / 16, 1e-2, [0.1])
         np.testing.assert_array_equal(r2.snapshot(0.1).values, r1.snapshot(0.1).values)
+
+    def test_exact_reference_cached_bit_identical(self, tmp_path, monkeypatch):
+        setup, cache = preset("periodic-s51", 0.25), ReferenceCache(str(tmp_path))
+        key = reference_cache_key(setup, np.pi / 32, None, [4.0, 8.0])
+        built = reference_solution(setup, np.pi / 32, None, [4.0, 8.0])
+        first = cache.fetch(setup, np.pi / 32, None, [4.0, 8.0])
+        assert os.listdir(tmp_path) == [key + ".dref"]
+
+        def no_build(*args):
+            raise AssertionError("a cached reference was built again")
+
+        monkeypatch.setattr(reference, "reference_solution", no_build)
+        again = cache.fetch(setup, np.pi / 32, None, [4.0, 8.0])
+        assert again.manifest == first.manifest == dict(built.manifest, config_hash=key)
+        for t in (4.0, 8.0):
+            assert_bitwise_equal(first.snapshot(t).values, built.snapshot(t).values)
+            assert_bitwise_equal(again.snapshot(t).values, first.snapshot(t).values)
