@@ -5,7 +5,7 @@ compare.  Each reads a JSON config file and accepts only the flags it
 reads (`_COMMANDS`); results go to stdout or --out.  Exit codes: 0 ok,
 2 config, flag or file error, 3 stability violation, 4 solver failure.
 
-Config keys (subcommand-dependent):
+Config keys (subcommand-dependent; a value of another JSON type exits 2):
     problem    preset name ("periodic-s51", "whole-space-s52") or inline
                {"domain": [a, b], "T0": ..., "epsilon": ...,
                 "potentials": {"V": expr, "A1": expr, "V_max": ..., "A_max":
@@ -50,77 +50,93 @@ EXIT_SOLVER = 4
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _typed(f"config {path}", json.load(fh), dict)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-class _ComplexInitial:
-    """Initial-data component built from real/imaginary expression strings."""
+_REQUIRED = object()
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
+          dict: "an object", list: "a list"}
 
-    def __init__(self, re_expr: Expression, im_expr):
-        self.re_expr = re_expr
-        self.im_expr = im_expr
+
+def _typed(name: str, value, kind):
+    """value as kind, refused unless JSON gave that type (a bool is no number)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind in (float, int) and number and (kind is float or value % 1 == 0):
+        return kind(value)
+    if kind not in (float, int) and isinstance(value, kind):
+        return value
+    raise ConfigurationError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _read(obj: dict, key: str, kind, default=_REQUIRED, where: str = "config"):
+    """obj[key] as kind (float, int, str, bool, dict, list, or [float] / [str] for
+    a list of them); default when the key is absent, which no default refuses."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{where} is missing key {key!r}")
+        return default
+    name = f"{where} key {key!r}"
+    if isinstance(kind, list):
+        return [_typed(f"an entry of {name}", v, kind[0]) for v in _typed(name, obj[key], list)]
+    return _typed(name, obj[key], kind)
+
+
+class _InitialData:
+    """Phi0 of an inline problem: two components, each an expression string or
+    {"re": ..., "im": ...}, evaluated at t = 0.  Picklable, for pool workers."""
+
+    def __init__(self, spec: list):
+        if len(spec) != 2:
+            raise ConfigurationError(f"'phi0' needs exactly two components, got {spec!r}")
+        self.parts = []
+        for part in spec:
+            part = {"re": part} if isinstance(part, str) else part
+            if not (isinstance(part, dict) and "re" in part and set(part) <= {"re", "im"}):
+                raise ConfigurationError(f"initial-data component must be an expression "
+                                         f"string or {{'re': ..., 'im': ...}}, got {part!r}")
+            self.parts.append([Expression(part[k]) for k in ("re", "im") if k in part])
 
     def __call__(self, x):
-        out = np.asarray(self.re_expr(0.0, x), dtype=complex)
-        if self.im_expr is not None:
-            out = out + 1j * np.asarray(self.im_expr(0.0, x), dtype=complex)
-        return out
-
-
-class _SpinorInitial:
-    def __init__(self, comp1, comp2):
-        self.comp1, self.comp2 = comp1, comp2
-
-    def __call__(self, x):
-        return np.stack((self.comp1(x), self.comp2(x)))
-
-
-def _parse_component(spec) -> _ComplexInitial:
-    if isinstance(spec, str):
-        return _ComplexInitial(Expression(spec), None)
-    if isinstance(spec, dict) and "re" in spec:
-        im = Expression(spec["im"]) if "im" in spec else None
-        return _ComplexInitial(Expression(spec["re"]), im)
-    raise ConfigurationError(f"initial-data component must be an expression string or "
-                             f"{{'re': ..., 'im': ...}}, got {spec!r}")
+        def component(re, im=None):
+            out = np.asarray(re(0.0, x), dtype=complex)
+            # + 1j im only when given, so that a zero real part keeps its sign
+            return out if im is None else out + 1j * np.asarray(im(0.0, x), dtype=complex)
+        return np.stack([component(*part) for part in self.parts])
 
 
 def _build_setup(cfg: dict) -> model.ProblemSetup:
     spec = cfg.get("problem")
-    if spec is None:
-        raise ConfigurationError("config needs a 'problem' entry")
     if isinstance(spec, str):
-        return model.preset(spec, float(cfg.get("epsilon", 1.0)))
+        return model.preset(spec, _read(cfg, "epsilon", float, 1.0))
     if not isinstance(spec, dict):
-        raise ConfigurationError("'problem' must be a preset name or an object")
+        raise ConfigurationError(
+            f"config needs a 'problem' entry, a preset name or an object, got {spec!r}")
+    inline = "inline problem"
     # inline problems may carry epsilon inside the object or at the top level
-    epsilon = float(spec.get("epsilon", cfg.get("epsilon", 1.0)))
-    try:
-        a, b = (float(v) for v in spec["domain"])
-        pots_spec = spec["potentials"]
-        phi0_spec = spec["phi0"]
-        v, a1 = Expression(pots_spec["V"]), Expression(pots_spec["A1"])
-        pots = model.PotentialPair(v, a1, not (v.names_t or a1.names_t),
-                                   float(pots_spec["V_max"]), float(pots_spec["A_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"inline problem is missing/invalid fields: {exc}") from exc
-    declared = pots_spec.get("time_independent", pots.time_independent)
+    epsilon = _read(spec, "epsilon", float, _read(cfg, "epsilon", float, 1.0), inline)
+    if len(domain := _read(spec, "domain", [float], where=inline)) != 2:
+        raise ConfigurationError(f"the inline domain needs two ends [a, b], got {domain!r}")
+    pots_spec = _read(spec, "potentials", dict, where=inline)
+    phi0 = _InitialData(_read(spec, "phi0", list, where=inline))
+    inline_pots = "inline potentials"
+    v, a1 = (Expression(_read(pots_spec, k, str, where=inline_pots)) for k in ("V", "A1"))
+    pots = model.PotentialPair(v, a1, not (v.names_t or a1.names_t),
+                               _read(pots_spec, "V_max", float, where=inline_pots),
+                               _read(pots_spec, "A_max", float, where=inline_pots))
+    declared = _read(pots_spec, "time_independent", bool, pots.time_independent, inline_pots)
     if declared != pots.time_independent:
         names = "do not name" if pots.time_independent else "name"
         raise ConfigurationError(
             f"inline potentials declare time_independent={declared}, but V and A1 {names} t")
-    if len(phi0_spec) != 2:
-        raise ConfigurationError("'phi0' needs exactly two components")
-    phi0 = _SpinorInitial(_parse_component(phi0_spec[0]), _parse_component(phi0_spec[1]))
     # the cache key carries the derived declaration, stated or not
     keyed = dict(spec, potentials=dict(pots_spec, time_independent=pots.time_independent))
     return model.ProblemSetup(
-        a, b, epsilon, float(spec.get("T0", 2.0)), pots, phi0,
-        expand_with_horizon=bool(spec.get("expand_with_horizon", False)),
+        *domain, epsilon, _read(spec, "T0", float, 2.0, inline), pots, phi0,
+        expand_with_horizon=_read(spec, "expand_with_horizon", bool, False, inline),
         key={"inline": keyed, "epsilon": epsilon},
     )
 
@@ -130,31 +146,27 @@ _REFERENCE_KEYS = ("kind", "h_e", "tau_e", "min_space_ratio")
 
 def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
     spec = cfg.get("reference")
-    cache = ReferenceCache(args.cache_dir) if args.cache_dir else None
-    if spec is None:
-        return harness.ReferenceConfig(cache=cache)
-    if spec == "exact":
-        return harness.ReferenceConfig(kind="exact", cache=cache)
-    if isinstance(spec, dict):
-        unknown = sorted(set(spec) - set(_REFERENCE_KEYS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown 'reference' keys {unknown}; known keys: {list(_REFERENCE_KEYS)}")
-        return harness.ReferenceConfig(
-            kind=spec.get("kind", "tsfp"),
-            h_e=spec.get("h_e"),
-            tau_e=spec.get("tau_e"),
-            min_space_ratio=float(spec.get("min_space_ratio", 4.0)),
-            cache=cache,
-        )
-    raise ConfigurationError("'reference' must be \"exact\" or an object")
+    spec = {} if spec is None else {"kind": "exact"} if spec == "exact" else spec
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"'reference' must be \"exact\" or an object, got {spec!r}")
+    if unknown := sorted(set(spec) - set(_REFERENCE_KEYS)):
+        raise ConfigurationError(
+            f"unknown 'reference' keys {unknown}; known keys: {list(_REFERENCE_KEYS)}")
+    where = "'reference'"
+    return harness.ReferenceConfig(
+        kind=_read(spec, "kind", str, "tsfp", where),
+        h_e=_read(spec, "h_e", float, None, where),
+        tau_e=_read(spec, "tau_e", float, None, where),
+        min_space_ratio=_read(spec, "min_space_ratio", float, 4.0, where),
+        cache=ReferenceCache(args.cache_dir) if args.cache_dir else None,
+    )
 
 
 def _discretize(setup: model.ProblemSetup, cfg: dict) -> model.DiracProblem:
     if "h" in cfg:
-        return setup.discretize(h=float(cfg["h"]))
+        return setup.discretize(h=_read(cfg, "h", float))
     if "N" in cfg:
-        return setup.discretize(N=int(cfg["N"]))
+        return setup.discretize(N=_read(cfg, "N", int))
     raise ConfigurationError("config needs 'h' or 'N'")
 
 
@@ -166,24 +178,15 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigurationError(f"config is missing keys: {missing}")
-
-
 def _cmd_run(cfg: dict, args) -> int:
-    _require(cfg, "scheme", "tau")
-    setup = _build_setup(cfg)
-    problem = _discretize(setup, cfg)
-    record = "mass+energy" if problem.time_independent else "mass"
+    scheme, tau = _read(cfg, "scheme", str), _read(cfg, "tau", float)
+    problem = _discretize(_build_setup(cfg), cfg)
     config = harness.SchemeConfig(
-        scheme=cfg["scheme"], tau=float(cfg["tau"]),
-        t_final=cfg.get("t_final"),
-        record=record,
-        record_every=int(cfg.get("record_every", 1)),
+        scheme=scheme, tau=tau, t_final=_read(cfg, "t_final", float, None),
+        record="mass+energy" if problem.time_independent else "mass",
+        record_every=_read(cfg, "record_every", int, 1),
         override_stability=args.override_stability,
-        stop_norm_ratio=float(cfg.get("stop_norm_ratio", 1e6)),
+        stop_norm_ratio=_read(cfg, "stop_norm_ratio", float, 1e6),
     )
     result = harness.run_simulation(problem, config)
     if result.blew_up:
@@ -210,23 +213,21 @@ def _table_command(name: str, *ladder_keys: str):
     parameter names, read from the config.  The function is looked up at call
     time so that wrappers installed on the harness module see the call."""
     def command(cfg: dict, args) -> int:
-        _require(cfg, "scheme", "eps_list", "levels", *ladder_keys)
         table = getattr(harness, name)(
-            _build_setup(cfg), cfg["scheme"], [float(e) for e in cfg["eps_list"]],
-            levels=int(cfg["levels"]), reference=_reference_config(cfg, args),
-            workers=args.workers, **{k: float(cfg[k]) for k in ladder_keys},
-        )
+            _build_setup(cfg), _read(cfg, "scheme", str), _read(cfg, "eps_list", [float]),
+            levels=_read(cfg, "levels", int), reference=_reference_config(cfg, args),
+            workers=args.workers, **{k: _read(cfg, k, float) for k in ladder_keys})
         _write(harness.emit_csv(table), args)
         return EXIT_OK
     return command
 
 
 def _cmd_stability(cfg: dict, args) -> int:
-    _require(cfg, "tau")
+    tau = _read(cfg, "tau", float)
     problem = _discretize(_build_setup(cfg), cfg)
-    h, tau, bounds = problem.grid.h, float(cfg["tau"]), problem.operator_bounds
+    h, bounds = problem.grid.h, problem.operator_bounds
     verdicts = {s: stability.validate(s, h, tau, *bounds) for s in stability.ALL_SCHEMES}
-    requested = str(cfg.get("scheme", "")).lower()
+    requested = _read(cfg, "scheme", str, "").lower()
     # the requested name is refused, if at all, by the scheme registry
     verdict = stability.validate(requested, h, tau, *bounds) if requested else None
     lines = [str(v) + (" <-- requested" if s == requested else "") for s, v in verdicts.items()]
@@ -237,12 +238,10 @@ def _cmd_stability(cfg: dict, args) -> int:
 
 
 def _cmd_compare(cfg: dict, args) -> int:
-    _require(cfg, "schemes", "h", "tau")
-    setup = _build_setup(cfg)
     series = harness.compare_over_time(
-        setup, list(cfg["schemes"]), float(cfg["h"]), float(cfg["tau"]),
-        int(cfg.get("snapshots", 20)), reference=_reference_config(cfg, args),
-    )
+        _build_setup(cfg), _read(cfg, "schemes", [str]), _read(cfg, "h", float),
+        _read(cfg, "tau", float), _read(cfg, "snapshots", int, 20),
+        reference=_reference_config(cfg, args))
     _write(harness.emit_plot_data(series), args)
     return EXIT_OK
 

@@ -73,9 +73,9 @@ __all__ = [
 # single runs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
-    """One run request: scheme, time step and run switches."""
+    """One run request: scheme, time step and run switches; frozen, so checked."""
 
     scheme: str
     tau: float
@@ -263,7 +263,7 @@ def measure_errors(sol: SpinorField, ref: SpinorField, t: float = float("nan"),
 # references for tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceConfig:
     """How table cells obtain their reference solution.
 
@@ -282,7 +282,7 @@ class ReferenceConfig:
     call that passes the same object reuses them instead of obtaining them
     again.  A setup without a key (key=None) is rebuilt on every call.  The
     kept references are never pickled, so pool tasks that carry the config
-    stay small; copies start empty.
+    stay small; copies start empty.  Frozen, like `SchemeConfig`.
     """
 
     space_factor: ClassVar[float] = 4.0

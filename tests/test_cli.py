@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, config parsing, exit codes."""
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dirac1d.reference as reference
-from dirac1d.cli import _build_parser, main
+from dirac1d.cli import _build_parser, _InitialData, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -110,8 +111,8 @@ class TestRun:
                                       "N": 16, "tau": 0.1})
         assert main(["run", cfg]) == 2
 
-    @pytest.mark.parametrize("potential", ["1/(t-0)", "10^(t+400)", 0],
-                             ids=["division-by-zero", "overflow", "number"])
+    @pytest.mark.parametrize("potential", ["1/(t-0)", "10^(t+400)", 0, "(-8)^(1/3)"],
+                             ids=["division-by-zero", "overflow", "number", "complex"])
     def test_failing_expression_exits_2(self, tmp_path, capsys, potential):
         # no time_independent key: it is derived from V, which may name t
         pots = {k: v for k, v in INLINE_FREE["potentials"].items() if k != "time_independent"}
@@ -141,9 +142,9 @@ class TestConfigErrors:
         ("run", {"scheme": "cnfd", "N": 16, "tau": 0.1}, "needs a 'problem' entry"),
         ("run", dict(RUN, problem=5), "preset name or an object"),
         ("run", dict(RUN, problem={k: v for k, v in INLINE_FREE.items() if k != "phi0"}),
-         "missing/invalid fields: 'phi0'"),
+         "inline problem is missing key 'phi0'"),
         ("run", dict(RUN, problem=_inline(potentials={"V": "0"})),
-         "missing/invalid fields: 'A1'"),
+         "inline potentials is missing key 'A1'"),
         ("run", dict(RUN, problem=_inline(phi0=[5, "0"])), "initial-data component"),
         ("run", dict(RUN, problem=_inline(phi0=["1"])), "exactly two components"),
         ("run", dict(RUN, problem=_inline(potentials=dict(INLINE_FREE["potentials"],
@@ -173,12 +174,40 @@ class TestConfigErrors:
         ("run", dict(RUN, problem=_inline(potentials=dict(INLINE_FREE["potentials"],
                                                           time_independent=False))),
          "declare time_independent=False, but V and A1 do not name t"),
+        # each value of the wrong JSON type, read by the one typed reader
+        ("run", dict(RUN, problem=_inline(T0="abc")),
+         "inline problem key 'T0' must be a number, got 'abc'"),
+        ("run", dict(RUN, epsilon="abc"), "config key 'epsilon' must be a number, got 'abc'"),
+        ("run", dict(RUN, N="abc"), "config key 'N' must be an integer, got 'abc'"),
+        ("run", dict(RUN, N=16.5), "config key 'N' must be an integer, got 16.5"),
+        ("run", dict(RUN, tau="abc"), "config key 'tau' must be a number, got 'abc'"),
+        ("run", dict(RUN, tau=True), "config key 'tau' must be a number, got True"),
+        ("run", dict(RUN, t_final="abc"), "config key 't_final' must be a number, got 'abc'"),
+        ("run", dict(RUN, scheme=5), "config key 'scheme' must be a string, got 5"),
+        ("converge", dict(TABLE, eps_list=5), "config key 'eps_list' must be a list, got 5"),
+        ("converge", dict(TABLE, eps_list=["abc"]),
+         "an entry of config key 'eps_list' must be a number, got 'abc'"),
+        ("converge", dict(TABLE, reference={"h_e": "abc"}),
+         "'reference' key 'h_e' must be a number, got 'abc'"),
+        ("run", dict(RUN, problem=_inline(phi0=5)),
+         "inline problem key 'phi0' must be a list, got 5"),
+        ("run", dict(RUN, problem=_inline(phi0="11")),
+         "inline problem key 'phi0' must be a list, got '11'"),
+        ("run", dict(RUN, problem=_inline(phi0=[{"re": "1", "imag": "1"}, "0"])),
+         "initial-data component"),
+        ("run", dict(RUN, problem=_inline(expand_with_horizon="false")),
+         "inline problem key 'expand_with_horizon' must be true or false, got 'false'"),
+        ("run", [RUN], "must be an object, got"),
     ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
             "component", "two-components", "negative-bound", "no-mesh", "record-every",
             "zero-tau", "stability-scheme", "stability-tsfp", "run-tsfp", "reference-type",
             "reference-kind", "negative-tau_e", "zero-h", "zero-h0", "zero-tau0", "zero-h_e",
             "zero-tau_e", "zero-levels", "negative-levels", "no-eps", "zero-snapshots",
-            "no-schemes", "declared-time-independent", "declared-time-dependent"])
+            "no-schemes", "declared-time-independent", "declared-time-dependent",
+            "T0-type", "epsilon-type", "N-type", "N-fraction", "tau-type", "tau-bool",
+            "t_final-type", "scheme-type", "eps_list-type", "eps_list-entry",
+            "reference-h_e-type", "phi0-type", "phi0-string", "component-key",
+            "expand_with_horizon-type", "config-type"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
         path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
         assert main([command, path]) == 2
@@ -194,6 +223,17 @@ class TestConfigErrors:
             outputs.append(capsys.readouterr())
         assert outputs[0].out == outputs[1].out
         assert "N=16 " in outputs[1].err
+
+
+class TestInitialData:
+    def test_components_survive_pickling_and_keep_a_signed_zero(self):
+        x = np.linspace(0.0, 1.0, 5)
+        phi0 = pickle.loads(pickle.dumps(_InitialData(
+            ["-0*x", {"re": "cos(x)", "im": "sin(x)"}])))(x)
+        want = np.asarray(np.cos(x), dtype=complex) + 1j * np.asarray(np.sin(x), dtype=complex)
+        np.testing.assert_array_equal(phi0[1], want)
+        # a component without an im part is not shifted by + 0j, so -0 stays -0
+        assert np.array_equal(phi0[0], np.zeros(5)) and np.signbit(phi0[0].real).all()
 
 
 # the flags each subcommand reads (14 in all); every other flag is refused

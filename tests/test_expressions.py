@@ -51,6 +51,9 @@ class TestParsing:
         "0x10", "1_0", "1j", "True", "x if t else 1", "x.real", "[x]", "x<1",
         "lambda: 1", '__import__("os")', "sin(x=1)", "x // 2", "x % 2", "x @ t",
         "~x", "not x", "sin(*x)", "'1'", "(1, 2)", "01",
+        # calls of anything but sin, cos, exp, and those names uncalled
+        "t(1)", "x(2)", "pi(1)", "sin", "exp", "sin(x)(1)",
+        "9" * 400,  # an integer literal beyond the float range
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ExpressionError):
@@ -60,6 +63,14 @@ class TestParsing:
         e = Expression("1/(x-1)")
         with pytest.raises(ExpressionError):
             e(0.0, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("text", ["9^9^9", "(-8)^(1/3)", "x + (-8)^(1/3)", "(t-1)^0.5"])
+    def test_overflowing_or_complex_value_refused(self, text):
+        # 9^9^9 overflows as a float (never a big-integer power), and a
+        # negative number to a fractional power is complex, not its real part
+        for x in (0.5, np.array([0.5, 1.5])):
+            with pytest.raises(ExpressionError):
+                Expression(text)(0.0, x)
 
     def test_pickle_roundtrip(self):
         e = Expression("cos(x)+sin(2*x)")
@@ -169,7 +180,10 @@ def test_generated_expressions_match_numpy(tree, rnd, t):
 
     def expected():
         with np.errstate(divide="raise", invalid="raise"):
-            return np.broadcast_to(direct(tree, t, x), x.shape).astype(float)
+            out = direct(tree, t, x)
+        if np.iscomplexobj(out):  # a negative base to a fractional power
+            raise ExpressionError("complex value")
+        return np.broadcast_to(out, x.shape).astype(float)
 
     kind, want = outcome(expected)
     got_kind, got = outcome(lambda: Expression(text)(t, x))

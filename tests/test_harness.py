@@ -612,25 +612,39 @@ class TestSharedReferences:
 
     def test_every_part_of_the_key_misses(self, monkeypatch):
         built = _counted_builds(monkeypatch)
-        cfg = ReferenceConfig(tau_e=0.005)
+        cfg = ReferenceConfig()  # h_e and tau_e derived from the finest mesh
 
-        def table(setup, eps_list=(1.0,)):
+        def table(setup, eps_list=(1.0,), h0=np.pi / 4, tau0=0.02):
             before = len(built)
-            convergence_table(setup, "cnfd", list(eps_list), np.pi / 4, 0.02, 1, reference=cfg)
+            convergence_table(setup, "cnfd", list(eps_list), h0, tau0, 1, reference=cfg)
+            return len(built) - before
+
+        def compare(n_snapshots):
+            before = len(built)
+            compare_over_time(setup, ["cnfd"], np.pi / 4, 0.02, n_snapshots, reference=cfg)
             return len(built) - before
 
         setup = bandlimited_free_setup(epsilon=1.0)
         assert table(setup) == 1
         assert table(setup) == 0
         assert table(setup, [0.5]) == 1                             # eps (and its horizon)
-        cfg.h_e = np.pi / 32
-        assert table(setup) == 1                                    # h_e
-        cfg.tau_e = 0.0025
-        assert table(setup) == 1                                    # tau_e
-        cfg.kind, cfg.tau_e = "exact", None
-        assert table(setup) == 1                                    # kind
+        assert table(setup, h0=np.pi / 8) == 1                      # the derived h_e
+        assert table(setup, tau0=0.01) == 1                         # the derived tau_e
+        assert compare(1) == 0                                      # the table's horizon
+        assert compare(2) == 1                                      # the target times
         assert table(bandlimited_free_setup(epsilon=1.0, T0=4.0)) == 1  # T0 and horizon
         assert table(setup) == table(bandlimited_free_setup(epsilon=1.0)) == 0
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: ReferenceConfig(tau_e=0.0025), "kind", "exact"),
+        (lambda: ReferenceConfig(kind="exact"), "kind", "spline"),
+        (lambda: SchemeConfig("cnfd", 0.1, record="mass"), "record", "energy"),
+    ], ids=["reference-drops-tau_e", "reference-unknown-kind", "scheme-unknown-record"])
+    def test_configs_refuse_assignment(self, make, field, value):
+        # a changed field would skip the checks made at construction
+        config = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
 
     def test_target_times_miss(self, monkeypatch):
         built = _counted_builds(monkeypatch)
