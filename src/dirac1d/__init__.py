@@ -24,7 +24,6 @@ from .errors import (
 from .grid import (
     SpinorField,
     TorusGrid,
-    field_from_function,
     make_grid,
     norm,
     subsample,
@@ -42,7 +41,7 @@ from .model import (
     preset,
     zero_potentials,
 )
-from .stepping import SolverDiagnostics, Stepper, StepperState
+from .stepping import SolverDiagnostics, Stepper
 from .schemes import make_stepper
 from .stability import (
     ALL_SCHEMES,

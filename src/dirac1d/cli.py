@@ -5,7 +5,7 @@ compare.  Each reads a JSON config file and accepts only the flags it
 reads (`_COMMANDS`); results go to stdout or --out.  Exit codes: 0 ok,
 2 config, flag or file error, 3 stability violation, 4 solver failure.
 
-Config keys (subcommand-dependent; a value of another JSON type exits 2):
+Config keys (subcommand-dependent; another JSON type, NaN or Infinity exits 2):
     problem    preset name ("periodic-s51", "whole-space-s52") or inline
                {"domain": [a, b], "T0": ..., "epsilon": ...,
                 "potentials": {"V": expr, "A1": expr, "V_max": ..., "A_max":
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,8 +64,9 @@ _KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or 
 
 
 def _typed(name: str, value, kind):
-    """value as kind, refused unless JSON gave that type (a bool is no number)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """value as kind, refused unless JSON gave that type (a bool, NaN or Infinity is no number)."""
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) < math.inf)
     if kind in (float, int) and number and (kind is float or value % 1 == 0):
         return kind(value)
     if kind not in (float, int) and isinstance(value, kind):

@@ -88,11 +88,6 @@ class SpinorField:
         return SpinorField(self.grid, self.values.copy())
 
 
-def field_from_function(grid: TorusGrid, f) -> SpinorField:
-    """Sample a callable f(x) -> (2, len(x)) complex array onto the grid."""
-    return SpinorField(grid, np.asarray(f(grid.x), dtype=np.complex128))
-
-
 # The two space operators act along the last axis; apply(v) multiplies
 # Fourier mode l of v by i*symbol[l] (symbol in FFT storage order).
 # `reach` bounds h*|symbol| over every grid: the step bounds depend on the

@@ -12,7 +12,8 @@ marks the level where the mesh matches sqrt(eps) scaling relative to the
 first row (level = log4(eps_0/eps)).
 
 Every run, table cell and compared scheme gets its stepper through one
-gate, `_checked_stepper` (stability verdict, whole number of steps).
+gate, `_checked_stepper` (finite tau and horizon, stability verdict, whole
+number of steps).
 `check_bounds` samples the potentials where the horizon is fixed: once
 per run, per `compare_over_time` and per table row.  A run that records
 and watches nothing powers the one-step matrix ("dense-power"); any other
@@ -51,7 +52,7 @@ import numpy as np
 from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
 from .model import (DiracProblem, ProblemSetup, check_bounds, current, density,
-                    discrete_energy)
+                    discrete_energy, mass)
 from .reference import (ReferenceCache, ReferenceSolution, check_flow, check_restriction,
                         reference_cache_key, reference_solution)
 from .schemes import make_stepper
@@ -117,9 +118,11 @@ class SimulationResult:
 def _checked_stepper(problem: DiracProblem, scheme: str, tau: float, t_final: float,
                      override_stability: bool = False):
     """(stepper, step count to t_final), the gate of every run, cell and
-    compared scheme: the stability verdict from the declared potential bounds
-    scaled by eps, as the operator sees them (never sampled, so verdicts are
-    deterministic), and a whole number of steps to the horizon."""
+    compared scheme: finite tau and horizon, the stability verdict from the
+    declared potential bounds scaled by eps, as the operator sees them (never
+    sampled, so verdicts are deterministic), and whole steps to the horizon."""
+    if not (math.isfinite(t_final) and math.isfinite(tau)):
+        raise ConfigurationError(f"horizon {t_final} and tau={tau} must be finite")
     verdict = validate(scheme, problem.grid.h, tau, *problem.operator_bounds)
     if not verdict.ok and not override_stability:
         raise StabilityError(
@@ -175,21 +178,17 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     eps_pots = stepper._kept(stepper._eps_potentials, 0.0) if record_energy else None
     k_mat = k_matrix(stepper.space, *eps_pots) if record_energy and by_matrix else None
 
-    h = problem.grid.h
     times, masses, energies = [], [], []
 
-    def mass_of(values):
-        return h * float((np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2).sum())
-
-    def observe(values, t):
+    def observe(t):
         if record_mass:
             times.append(t)
-            masses.append(mass_of(values))
+            masses.append(mass(stepper.phi))
             if record_energy:
-                energies.append(discrete_energy(stepper.space, values, *eps_pots, k=k_mat))
+                energies.append(discrete_energy(stepper.space, stepper._curr, *eps_pots, k=k_mat))
 
-    observe(stepper._curr, 0.0)
-    stop_mass = (config.stop_norm_ratio ** 2) * mass_of(stepper._curr) if watch else None
+    observe(0.0)
+    stop_mass = (config.stop_norm_ratio ** 2) * mass(stepper.phi) if watch else None
 
     blowup_step = None
     if powered:
@@ -199,11 +198,10 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
             stepper.propagation.add("dense-step" if by_matrix else "stepwise")
         for k in range(1, n_steps + 1):
             stepper.advance()
-            values = stepper._curr
-            escaped = watch and not mass_of(values) <= stop_mass  # NaN escapes too
+            escaped = watch and not mass(stepper.phi) <= stop_mass  # NaN escapes too
             if escaped or k % config.record_every == 0 or k == n_steps:
-                observe(values, stepper.t)
-                if escaped or not _finite(values):
+                observe(stepper.t)
+                if escaped or not _finite(stepper._curr):
                     blowup_step = k
                     break
     wall = time.perf_counter() - t0

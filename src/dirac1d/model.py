@@ -130,7 +130,7 @@ class DiracProblem(_Horizon):
 
 def mass(f: SpinorField) -> float:
     """Total probability h*sum_j |Phi_j|^2 (the squared l2 norm)."""
-    return float(f.grid.h * density(f).sum())
+    return float(f.grid.h * np.vdot(f.values, f.values).real)
 
 
 def density(f: SpinorField) -> np.ndarray:
@@ -235,7 +235,7 @@ class ProblemSetup(_Horizon):
         if (h is None) == (N is None):
             raise ConfigurationError("give exactly one of h or N")
         grid = self.grid_for_mesh(h) if h is not None else self.grid_with_nodes(N)
-        phi0 = SpinorField(grid, np.asarray(self.phi0_func(grid.x), dtype=np.complex128))
+        phi0 = SpinorField(grid, self.phi0_func(grid.x))
         return DiracProblem(grid, self.epsilon, self.potentials, phi0, T0=self.T0)
 
     def with_epsilon(self, epsilon: float) -> "ProblemSetup":

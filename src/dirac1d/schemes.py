@@ -14,18 +14,16 @@ Three-level schemes launch by forward Euler with the same K,
 
     Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
 
-from the initial data (n = 0) or from a restarted one-field state alike.
-Its local error O(tau^2) is measured against the scheme's own semi-discrete
-flow, so every scheme is second order in tau towards that flow.  Each
-`_step` maps (Phi^{n-1}, Phi^n, t_n) to Phi^{n+1} with no state of its own
-and over any batch of fields, which is how `Stepper.propagate` probes it.
+from the initial data at n = 0.  Its local error O(tau^2) is measured
+against the scheme's own semi-discrete flow, so every scheme is second
+order in tau towards that flow.  Each `_step` maps (Phi^{n-1}, Phi^n, t_n)
+to Phi^{n+1} with no state of its own and over any batch of fields, which
+is how `Stepper.propagate` probes it.
 eps*V, eps*A1, CNFD's factor and SI1's pointwise inverse come through
 `Stepper._kept`: once for a time-independent problem, else every step.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .grid import SPACE_OPERATORS, apply_sym2, sym2
 from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
 from .reference import TSFPStepper
-from .stepping import SolverDiagnostics, Stepper, StepperState
+from .stepping import SolverDiagnostics, Stepper
 
 __all__ = ["SCHEMES", "lookup", "make_stepper"]
 
@@ -48,11 +46,10 @@ class _SpaceTimeStepper(Stepper):
 
     pattern = ""  # scheme name with "{}" for the space name, e.g. "si{}1"
 
-    def __init__(self, space: type, problem: DiracProblem, tau: float,
-                 state: Optional[StepperState] = None):
+    def __init__(self, space: type, problem: DiracProblem, tau: float):
         self.space = space(problem.grid)
         self.scheme = self.pattern.format(space.name)
-        super().__init__(problem, tau, state)
+        super().__init__(problem, tau)
 
     def _launch(self) -> np.ndarray:
         ev, ea = self._kept(self._eps_potentials, self.t)
@@ -253,10 +250,10 @@ def lookup(scheme: str):
         ) from None
 
 
-def make_stepper(scheme: str, problem: DiracProblem, tau: float,
-                 state: Optional[StepperState] = None) -> Stepper:
-    """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp)."""
+def make_stepper(scheme: str, problem: DiracProblem, tau: float) -> Stepper:
+    """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp),
+    starting from problem.phi0 at t = 0."""
     time, space = lookup(scheme)
     if space is None:
-        return time(problem, tau, state=state)
-    return time(space, problem, tau, state=state)
+        return time(problem, tau)
+    return time(space, problem, tau)

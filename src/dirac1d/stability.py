@@ -11,35 +11,20 @@ sees, eps*|V| and eps*|A1| (`DiracProblem.operator_bounds`).
     SI2   tau <= 1/(V_max + A_max)
     LF    tau <= h / (V_max*h + sqrt(h^2 + (r + h*A_max)^2))
 
-TSFP has no bound here.  Unbounded bounds are represented by the UNBOUNDED
-sentinel object, never by an infinite float.
+TSFP has no bound here.  An unbounded step is UNBOUNDED = math.inf, so
+every margin |tau|/tau_max is a float division (0.0 when unbounded).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import ConfigurationError
 from .schemes import SCHEMES, CNStepper, LFStepper, SI1Stepper, SI2Stepper, lookup
 
 
-class Unbounded:
-    """Explicit marker for schemes with no time-step restriction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "unbounded"
-
-
-UNBOUNDED = Unbounded()
+UNBOUNDED = math.inf
 
 
 # bound(h, r, V_max, A_max) per time discretization
@@ -52,7 +37,7 @@ _BOUNDS = {
 ALL_SCHEMES = tuple(name for name, (time, _) in SCHEMES.items() if time in _BOUNDS)
 
 
-def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> Union[float, Unbounded]:
+def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> float:
     """Largest stable time step for the scheme, or UNBOUNDED."""
     if h <= 0:
         raise ConfigurationError("h must be positive")
@@ -69,12 +54,12 @@ class StabilityVerdict:
     scheme: str
     h: float
     tau: float
-    tau_max: Union[float, Unbounded]
+    tau_max: float
     ok: bool
     margin: float  # tau / tau_max, 0 for unbounded schemes
 
     def __str__(self) -> str:
-        bound = "unbounded" if isinstance(self.tau_max, Unbounded) else f"{self.tau_max:.6g}"
+        bound = "unbounded" if self.tau_max == UNBOUNDED else f"{self.tau_max:.6g}"
         flag = "ok" if self.ok else "VIOLATED"
         return (f"{self.scheme:6s} h={self.h:<10.6g} tau={self.tau:<10.6g} "
                 f"tau_max={bound:<10s} margin={self.margin:<8.3g} {flag}")
@@ -86,7 +71,5 @@ def validate(scheme: str, h: float, tau: float, v_max: float, a_max: float) -> S
     Uses |tau| so reversed-time runs are judged by step magnitude.
     """
     bound = tau_max(scheme, h, v_max, a_max)
-    if isinstance(bound, Unbounded):
-        return StabilityVerdict(scheme.lower(), h, tau, bound, True, 0.0)
     margin = abs(tau) / bound
     return StabilityVerdict(scheme.lower(), h, tau, bound, abs(tau) <= bound, margin)

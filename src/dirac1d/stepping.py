@@ -2,11 +2,11 @@
 the three-level schemes, and runs through the one-step matrix: long runs
 by powering it, recorded runs by one mat-vec with it per step.
 
-Every scheme is a Stepper subclass owning its state; `advance()` moves one
-step of size tau.  A three-level scheme with no previous field (fresh from
-the initial data or restarted from a one-field `StepperState`) takes its
-first step through the `_launch` hook, which the schemes implement as
-forward Euler with their own space operator (:mod:`dirac1d.schemes`).
+Every scheme is a Stepper subclass owning its state, which starts from the
+problem's initial data at t = 0; `advance()` moves one step of size tau.  A
+three-level scheme takes its first step, with no previous field, through
+the `_launch` hook, which the schemes implement as forward Euler with their
+own space operator (:mod:`dirac1d.schemes`).
 
 A step's coefficients at time t (eps*V, eps*A1 and what schemes derive
 from them) come through one memo, `Stepper._kept(make, t)`: make(t) every
@@ -69,6 +69,7 @@ block from the operator's own code, so neither is written out twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,6 +159,8 @@ def k_matrix(space, ev: np.ndarray, ea: np.ndarray) -> np.ndarray:
 
 def whole_steps(t: float, tau: float, what: str = "horizon", step: str = "tau") -> int:
     """n >= 0 with n tau = t to 1e-9 max(1, |t|), for runs and references alike."""
+    if not (math.isfinite(t) and math.isfinite(tau)):
+        raise ConfigurationError(f"{what} {t} and {step}={tau} must be finite")
     n = int(round(t / tau))
     if n < 0 or abs(n * tau - t) > 1e-9 * max(1.0, abs(t)):
         raise ConfigurationError(
@@ -173,20 +176,6 @@ class SolverDiagnostics:
     iterations: int = 0
 
 
-@dataclass
-class StepperState:
-    """Snapshot of a stepper: current field, optional previous field, clock."""
-
-    phi_curr: SpinorField
-    phi_prev: Optional[SpinorField] = None
-    t_n: float = 0.0
-    n: int = 0
-
-    def __post_init__(self):
-        if self.phi_prev is not None and self.phi_prev.grid != self.phi_curr.grid:
-            raise ConfigurationError("state fields must share one grid")
-
-
 class Stepper:
     """Base class: owns (phi_prev, phi_curr, t, n), the advance loop and
     `propagate`.  `propagation` names the paths the stepper has taken
@@ -195,25 +184,16 @@ class Stepper:
     scheme = "base"
     needs_history = True  # three-level schemes start with `_launch`
 
-    def __init__(self, problem: DiracProblem, tau: float,
-                 state: Optional[StepperState] = None):
+    def __init__(self, problem: DiracProblem, tau: float):
         if tau == 0:
             raise ConfigurationError("tau must be nonzero")
         self.problem = problem
         self.grid = problem.grid
         self.tau = float(tau)
-        if state is None:
-            self._curr = problem.phi0.values.copy()
-            self._prev = None
-            self.n = 0
-            self.t = 0.0
-        else:
-            if state.phi_curr.grid != self.grid:
-                raise ConfigurationError("state grid does not match the problem grid")
-            self._curr = state.phi_curr.values.copy()
-            self._prev = None if state.phi_prev is None else state.phi_prev.values.copy()
-            self.n = state.n
-            self.t = state.t_n
+        self._curr = problem.phi0.values.copy()
+        self._prev = None
+        self.n = 0
+        self.t = 0.0
         self._time_independent = problem.time_independent
         self._memo = {}  # hook function -> what it made at t = 0 (`_kept`)
         self.diagnostics = SolverDiagnostics()
@@ -369,7 +349,3 @@ class Stepper:
     def phi(self) -> SpinorField:
         """Current solution (a view on live storage; copy() to keep it)."""
         return SpinorField(self.grid, self._curr)
-
-    def state(self) -> StepperState:
-        prev = None if self._prev is None else SpinorField(self.grid, self._prev.copy())
-        return StepperState(SpinorField(self.grid, self._curr.copy()), prev, self.t, self.n)

@@ -18,7 +18,6 @@ from dirac1d import (
     convergence_table,
     epsilon_sweep_spatial,
     epsilon_sweep_temporal,
-    field_from_function,
     free_dirac_exact,
     make_grid,
     make_stepper,
@@ -71,7 +70,7 @@ def bandlimited_phi0(x):
 def free_problem_on(N, phi0_func, T0=2.0):
     grid = make_grid(0.0, 2 * PI, N)
     return model.DiracProblem(grid, 0.0, zero_potentials(),
-                              field_from_function(grid, phi0_func), T0=T0)
+                              SpinorField(grid, phi0_func(grid.x)), T0=T0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,8 @@ def test_time_reversal_500_steps(scheme):
     fwd = make_stepper(scheme, prob, tau)
     for _ in range(m):
         fwd.advance()
-    back = make_stepper(scheme, prob, -tau, state=fwd.state())
+    back = make_stepper(scheme, model.DiracProblem(prob.grid, prob.epsilon, prob.potentials,
+                                                   fwd.phi.copy(), T0=prob.T0), -tau)
     for _ in range(m):
         back.advance()
     err = norm(SpinorField(prob.grid, back.phi.values - prob.phi0.values), "l2")

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config parsing, exit codes."""
 
 import json
+import math
 import pickle
 from pathlib import Path
 
@@ -198,6 +199,19 @@ class TestConfigErrors:
         ("run", dict(RUN, problem=_inline(expand_with_horizon="false")),
          "inline problem key 'expand_with_horizon' must be true or false, got 'false'"),
         ("run", [RUN], "must be an object, got"),
+        # NaN and Infinity, which Python's json reads, are no numbers
+        ("run", dict(RUN, tau=math.inf), "config key 'tau' must be a number, got inf"),
+        ("run", dict(RUN, tau=math.nan), "config key 'tau' must be a number, got nan"),
+        ("run", dict(RUN, scheme="lffp", tau=math.nan),
+         "config key 'tau' must be a number, got nan"),
+        ("run", dict(RUN, t_final=math.inf), "config key 't_final' must be a number, got inf"),
+        ("run", dict(RUN, t_final=math.nan), "config key 't_final' must be a number, got nan"),
+        ("run", dict(RUN, problem=_inline(T0=math.inf)),
+         "inline problem key 'T0' must be a number, got inf"),
+        ("converge", dict(TABLE, tau0=math.inf), "config key 'tau0' must be a number, got inf"),
+        ("compare", dict(COMPARE, tau=math.nan), "config key 'tau' must be a number, got nan"),
+        ("run", dict(RUN, stop_norm_ratio=math.nan),
+         "config key 'stop_norm_ratio' must be a number, got nan"),
     ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
             "component", "two-components", "negative-bound", "no-mesh", "record-every",
             "zero-tau", "stability-scheme", "stability-tsfp", "run-tsfp", "reference-type",
@@ -207,7 +221,9 @@ class TestConfigErrors:
             "T0-type", "epsilon-type", "N-type", "N-fraction", "tau-type", "tau-bool",
             "t_final-type", "scheme-type", "eps_list-type", "eps_list-entry",
             "reference-h_e-type", "phi0-type", "phi0-string", "component-key",
-            "expand_with_horizon-type", "config-type"])
+            "expand_with_horizon-type", "config-type", "tau-infinite", "tau-nan",
+            "lffp-tau-nan", "t_final-infinite", "t_final-nan", "T0-infinite",
+            "tau0-infinite", "compare-tau-nan", "stop_norm_ratio-nan"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
         path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
         assert main([command, path]) == 2

@@ -9,9 +9,7 @@ from dirac1d import (
     DiracProblem,
     SchemeConfig,
     SpinorField,
-    StepperState,
     energy_fd,
-    field_from_function,
     make_grid,
     make_stepper,
     mass,
@@ -34,7 +32,7 @@ def benchmark_problem(N=32, eps=1.0):
 
 
 def free_problem(grid, phi0_func):
-    phi0 = field_from_function(grid, phi0_func)
+    phi0 = SpinorField(grid, phi0_func(grid.x))
     return DiracProblem(grid, 0.0, zero_potentials(), phi0, T0=2.0)
 
 
@@ -45,10 +43,10 @@ def single_mode_problem(N, l, u):
     return free_problem(grid, lambda x: np.outer(u, np.exp(1j * l * x))), grid
 
 
-def one_step(scheme, state, problem, tau):
-    """One step of the scheme from the given state (the launch step if the
-    state has no history)."""
-    stepper = make_stepper(scheme, problem, tau, state=state)
+def one_step(scheme, problem, tau):
+    """The first step of the scheme from problem.phi0 (the launch step of a
+    three-level scheme)."""
+    stepper = make_stepper(scheme, problem, tau)
     stepper.advance()
     return stepper.phi.copy()
 
@@ -65,13 +63,13 @@ class TestFirstStep:
     def test_zero_data_stays_zero(self):
         grid = make_grid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.zeros((2, len(x)), dtype=complex))
-        assert np.abs(one_step("lffd", None, prob, 0.05).values).max() == 0.0
+        assert np.abs(one_step("lffd", prob, 0.05).values).max() == 0.0
 
     def test_constant_up_spinor_free(self):
         grid = make_grid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.stack((np.ones_like(x, complex),
                                                       np.zeros_like(x, complex))))
-        phi1 = one_step("lffd", None, prob, 0.05)
+        phi1 = one_step("lffd", prob, 0.05)
         np.testing.assert_allclose(phi1.values[0], 1.0 - 0.05j, atol=1e-15)
         np.testing.assert_allclose(phi1.values[1], 0.0, atol=1e-15)
 
@@ -80,7 +78,7 @@ class TestFirstStep:
         # launch formula at x = 0, eps = 1, tau = 0.05 (the initial data are
         # even about x = 0, so their centered difference vanishes there)
         prob = benchmark_problem(N=64, eps=1.0)
-        phi1 = one_step("lffd", None, prob, 0.05)
+        phi1 = one_step("lffd", prob, 0.05)
         assert phi1.values[0, 0] == pytest.approx(1.0 - 0.0875j, abs=1e-14)
         assert phi1.values[1, 0] == pytest.approx(0.25 + 0.05j, abs=1e-14)
 
@@ -284,7 +282,8 @@ class TestConservation:
         st = make_stepper("cnfd", prob, 0.01)
         for _ in range(50):
             st.advance()
-        back = make_stepper("cnfd", prob, -0.01, state=st.state())
+        back = make_stepper("cnfd", DiracProblem(prob.grid, prob.epsilon, prob.potentials,
+                                                 st.phi.copy(), T0=prob.T0), -0.01)
         for _ in range(50):
             back.advance()
         err = norm(SpinorField(prob.grid, back._curr - prob.phi0.values), "l2")
@@ -326,59 +325,19 @@ class TestGuards:
 
 
 # ---------------------------------------------------------------------------
-# single steps from a given state, and state handling
+# single steps from given fields
 # ---------------------------------------------------------------------------
 
 class TestStepFunctions:
-    def grid_and_zero(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
-        zero = SpinorField(grid, np.zeros((2, 16)))
-        prob = free_problem(grid, lambda x: np.zeros((2, len(x)), dtype=complex))
-        return grid, zero, prob
-
     def test_zero_states_stay_zero(self):
-        grid, zero, prob = self.grid_and_zero()
-        state = StepperState(zero, zero, t_n=0.0, n=1)
-        for scheme in ("sifd1", "sifd2", "lffd"):
-            out = one_step(scheme, state, prob, 0.01)
-            assert np.abs(out.values).max() == 0.0
-        out = one_step("cnfd", StepperState(zero), prob, 0.01)
-        assert np.abs(out.values).max() == 0.0
+        grid = make_grid(0.0, 2 * np.pi, 16)
+        zero = np.zeros((2, 16), dtype=complex)
+        prob = free_problem(grid, lambda x: zero)
+        for scheme in ("cnfd", "sifd1", "sifd2", "lffd"):
+            out = make_stepper(scheme, prob, 0.01)._step(zero, zero, 0.0)
+            assert np.abs(out).max() == 0.0
 
     def test_history_free_state_takes_taylor_step(self):
         prob = benchmark_problem(N=32)
-        state = StepperState(prob.phi0)
-        out = one_step("sifd1", state, prob, 0.05)
-        np.testing.assert_allclose(out.values, one_step("lffd", None, prob, 0.05).values,
-                                   atol=1e-14)
-
-    def test_state_grid_mismatch_rejected(self):
-        prob = benchmark_problem(N=32)
-        other = make_grid(0.0, 2 * np.pi, 16)
-        state = StepperState(SpinorField(other, np.zeros((2, 16))))
-        with pytest.raises(ConfigurationError):
-            make_stepper("cnfd", prob, 0.01, state=state)
-
-    def test_mismatched_state_grids_rejected(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
-        other = make_grid(0.0, 2 * np.pi, 32)
-        with pytest.raises(ConfigurationError):
-            StepperState(SpinorField(grid, np.zeros((2, 16))),
-                         SpinorField(other, np.zeros((2, 32))))
-
-    def test_continuation_from_state_matches_uninterrupted_run(self):
-        prob = benchmark_problem(N=32)
-        st = make_stepper("sifd2", prob, 0.01)
-        for _ in range(6):
-            st.advance()
-        full = st._curr.copy()
-
-        st2 = make_stepper("sifd2", prob, 0.01)
-        for _ in range(3):
-            st2.advance()
-        resumed = make_stepper("sifd2", prob, 0.01, state=st2.state())
-        for _ in range(3):
-            resumed.advance()
-        np.testing.assert_allclose(resumed._curr, full, atol=1e-13)
-        assert resumed.n == 6
-        assert resumed.t == pytest.approx(0.06)
+        np.testing.assert_allclose(one_step("sifd1", prob, 0.05).values,
+                                   one_step("lffd", prob, 0.05).values, atol=1e-14)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dirac1d import (
     ConfigurationError,
     SpinorField,
-    field_from_function,
     make_grid,
     norm,
     subsample,
@@ -181,7 +180,7 @@ class TestSpectralDerivative:
 
     def test_eigenfunction(self):
         g = make_grid(0.0, 2 * np.pi, 16)
-        f = field_from_function(g, lambda x: np.stack((np.exp(1j * x), np.zeros_like(x, dtype=complex))))
+        f = SpinorField(g, np.stack((np.exp(1j * g.x), np.zeros_like(g.x, dtype=complex))))
         df = FourierDerivative(g).apply(f.values)
         np.testing.assert_allclose(df[0], 1j * np.exp(1j * g.x), atol=1e-13)
 
@@ -195,8 +194,7 @@ class TestSpectralDerivative:
     def test_single_modes_multiply_by_imu(self, l):
         g = make_grid(0.0, 4.0, 8)
         mu = 2 * np.pi * l / 4.0
-        f = field_from_function(g, lambda x: np.stack((np.exp(1j * mu * x),
-                                                       2 * np.exp(1j * mu * x))))
+        f = SpinorField(g, np.stack((np.exp(1j * mu * g.x), 2 * np.exp(1j * mu * g.x))))
         df = FourierDerivative(g).apply(f.values)
         np.testing.assert_allclose(df, 1j * mu * f.values, atol=1e-12)
 
@@ -211,8 +209,7 @@ class TestCenteredDifference:
         # acting on exp(i mu x) the stencil multiplies by i sin(mu h)/h
         g = make_grid(0.0, 2 * np.pi, 16)
         mu = g.mu_fft[1]  # l = 1
-        f = field_from_function(g, lambda x: np.stack((np.exp(1j * mu * x),
-                                                       np.exp(1j * mu * x))))
+        f = SpinorField(g, np.stack((np.exp(1j * mu * g.x), np.exp(1j * mu * g.x))))
         df = CenteredDifference(g).apply(f.values)
         np.testing.assert_allclose(df, 1j * np.sin(mu * g.h) / g.h * f.values, atol=1e-13)
 

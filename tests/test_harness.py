@@ -1,6 +1,7 @@
 """Simulation driver, error measurement, tables and CSV emission."""
 
 import dataclasses
+import math
 import pickle
 import warnings
 from concurrent.futures import Future
@@ -28,7 +29,6 @@ from dirac1d import (
     energy_fp,
     epsilon_sweep_spatial,
     epsilon_sweep_temporal,
-    field_from_function,
     make_grid,
     make_stepper,
     measure_errors,
@@ -40,6 +40,7 @@ from dirac1d import (
 )
 from dirac1d.grid import CenteredDifference
 from dirac1d.harness import ConvergenceTable
+from dirac1d.stepping import whole_steps
 
 RNG = np.random.default_rng(17)
 
@@ -57,6 +58,10 @@ def _bandlimited_phi0(x):
     c2 = 0.5 * np.exp(-1j * x) + 0.2 * np.exp(2j * x)
     z = np.stack((c1, c2))
     return z / 1.2186057606953941  # unit l2 norm on (0, 2*pi)
+
+
+def _bandlimited_field(grid):
+    return SpinorField(grid, _bandlimited_phi0(grid.x))
 
 
 class SyncPool:
@@ -127,7 +132,7 @@ class TestRunSimulation:
 
     def test_stability_refusal_and_override(self):
         grid = make_grid(0.0, 2 * np.pi, 32)
-        phi0 = field_from_function(grid, _bandlimited_phi0)
+        phi0 = _bandlimited_field(grid)
         prob = model.DiracProblem(grid, 0.0, zero_potentials(), phi0, T0=2.0)
         bad_tau = 2.0 * tau_max("lffd", grid.h, 0.0, 0.0)
         t_final = 100 * bad_tau
@@ -275,7 +280,7 @@ class TestRecordedEnergy:
 
         grid = make_grid(0.0, 2 * np.pi, 16)
         pots = PotentialPair(counted_v, lambda t, x: 0.5 * np.cos(x), True, 1.0, 0.5)
-        prob = DiracProblem(grid, 0.5, pots, field_from_function(grid, _bandlimited_phi0))
+        prob = DiracProblem(grid, 0.5, pots, _bandlimited_field(grid))
         counts = []
         for n_steps in (10, 1_000):
             calls.clear()
@@ -306,7 +311,7 @@ def _nan_potential(t, x):
 def _energy_run_with_time_dependent_potentials():
     grid = make_grid(0.0, 2 * np.pi, 16)
     pots = PotentialPair(lambda t, x: np.cos(t) + 0 * x, model._zero_evaluator, False, 1.0, 0.0)
-    prob = DiracProblem(grid, 0.5, pots, field_from_function(grid, _bandlimited_phi0))
+    prob = DiracProblem(grid, 0.5, pots, _bandlimited_field(grid))
     run_simulation(prob, SchemeConfig("cnfd", 0.1, t_final=0.2, record="mass+energy"))
 
 
@@ -330,9 +335,21 @@ class TestConfigurationErrors:
          .restricted(0.5, make_grid(0.0, np.pi, 4)), "same interval"),
         (_energy_run_with_time_dependent_potentials, "needs time-independent potentials"),
         (lambda: ReferenceConfig(kind="exact", tau_e=1e-3), "the exact reference takes no tau_e"),
+        # a non-finite step or horizon, refused before the stability verdict
+        (lambda: run_simulation(preset("periodic-s51", 1.0).discretize(N=16),
+                                SchemeConfig("cnfd", math.inf, t_final=0.2)),
+         "horizon 0.2 and tau=inf must be finite"),
+        (lambda: run_simulation(preset("periodic-s51", 1.0).discretize(N=16),
+                                SchemeConfig("lffp", math.nan, t_final=0.2)),
+         "horizon 0.2 and tau=nan must be finite"),
+        (lambda: run_simulation(preset("periodic-s51", 1.0).discretize(N=16),
+                                SchemeConfig("cnfd", 0.1, t_final=math.nan)),
+         "horizon nan and tau=0.1 must be finite"),
+        (lambda: whole_steps(math.inf, 0.1), "horizon inf and tau=0.1 must be finite"),
     ], ids=["record-mode", "record-every", "reference-kind", "negative-bound",
             "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
-            "other-interval", "time-dependent-energy", "exact-tau_e"])
+            "other-interval", "time-dependent-energy", "exact-tau_e", "infinite-tau",
+            "nan-tau", "nan-horizon", "infinite-whole-steps"])
     def test_raises_with_its_message(self, make, message):
         with pytest.raises(ConfigurationError, match=message):
             make()
@@ -341,13 +358,13 @@ class TestConfigurationErrors:
 class TestMeasureErrors:
     def test_identical_fields_give_zero(self):
         g = make_grid(0.0, 2 * np.pi, 16)
-        f = field_from_function(g, _bandlimited_phi0)
+        f = _bandlimited_field(g)
         rep = measure_errors(f, f)
         assert rep.e_phi == rep.e_rho == rep.e_j == 0.0
 
     def test_constant_offset_has_exact_l2(self):
         g = make_grid(0.0, 2 * np.pi, 16)
-        f = field_from_function(g, _bandlimited_phi0)
+        f = _bandlimited_field(g)
         delta = 1e-3
         shifted = SpinorField(g, f.values + np.array([[delta], [0.0]]))
         rep = measure_errors(shifted, f)
@@ -355,8 +372,8 @@ class TestMeasureErrors:
         assert rep.e_rho > 0 and rep.e_j > 0
 
     def test_grid_mismatch_rejected(self):
-        f1 = field_from_function(make_grid(0.0, 2 * np.pi, 16), _bandlimited_phi0)
-        f2 = field_from_function(make_grid(0.0, 2 * np.pi, 32), _bandlimited_phi0)
+        f1 = _bandlimited_field(make_grid(0.0, 2 * np.pi, 16))
+        f2 = _bandlimited_field(make_grid(0.0, 2 * np.pi, 32))
         with pytest.raises(ConfigurationError):
             measure_errors(f1, f2)
 

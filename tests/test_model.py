@@ -16,7 +16,6 @@ from dirac1d import (
     density,
     energy_fd,
     energy_fp,
-    field_from_function,
     make_grid,
     mass,
     norm,
@@ -124,11 +123,10 @@ class TestEnergies:
         # (e^{ix}, 0): sigma1 swaps components, so the kinetic term vanishes
         # and only the sigma3 term contributes 2*pi
         g = make_grid(0.0, 2 * np.pi, 16)
-        f = field_from_function(g, lambda x: np.stack((np.exp(1j * x),
-                                                       np.zeros_like(x, complex))))
+        f = SpinorField(g, np.stack((np.exp(1j * g.x), np.zeros_like(g.x, complex))))
         assert energy_fp(f, zero_potentials(), 1.0) == pytest.approx(2 * np.pi, rel=1e-12)
         # (e^{ix}, e^{ix}): kinetic 4*pi, sigma3 term cancels
-        f2 = field_from_function(g, lambda x: np.stack((np.exp(1j * x), np.exp(1j * x))))
+        f2 = SpinorField(g, np.stack((np.exp(1j * g.x), np.exp(1j * g.x))))
         assert energy_fp(f2, zero_potentials(), 1.0) == pytest.approx(4 * np.pi, rel=1e-12)
 
     def test_fd_energy_matches_direct_assembly(self):
@@ -151,8 +149,8 @@ class TestEnergies:
         g = make_grid(0.0, 2 * np.pi, 16)
         pots = PotentialPair(lambda t, x: np.cos(t) + np.sin(x),
                              lambda t, x: 0.5 * np.cos(x + t), False, 2.0, 0.5)
-        phi0 = field_from_function(g, lambda x: np.stack((np.exp(1j * x) / (2 + np.cos(x)),
-                                                          np.exp(-2j * x) / (3 + np.sin(x)))))
+        phi0 = SpinorField(g, np.stack((np.exp(1j * g.x) / (2 + np.cos(g.x)),
+                                        np.exp(-2j * g.x) / (3 + np.sin(g.x)))))
         prob = DiracProblem(g, 0.0, pots, phi0, T0=2.0)
         res = run_simulation(prob, SchemeConfig("cnfd", 0.1, t_final=0.5, record="mass+energy"))
         assert energy_fd(phi0, pots, 0.0) == pytest.approx(res.energy_series[0], rel=1e-13)
@@ -170,7 +168,8 @@ class TestEnergies:
 
         diffs = []
         for N in (16, 32):
-            f = field_from_function(make_grid(0.0, 2 * np.pi, N), data)
+            g = make_grid(0.0, 2 * np.pi, N)
+            f = SpinorField(g, data(g.x))
             diffs.append(abs(energy_fd(f, setup.potentials, 1.0)
                              - energy_fp(f, setup.potentials, 1.0)))
         assert diffs[0] > 0

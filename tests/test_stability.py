@@ -20,7 +20,6 @@ from dirac1d import (
     validate,
 )
 from dirac1d.cli import main
-from dirac1d.stability import Unbounded
 
 
 class TestTauMax:
@@ -76,16 +75,18 @@ class TestTauMax:
         grid_vals = [0.0, 0.5, 1.0, 2.0, 4.0]
         for a in grid_vals:
             bounds = [tau_max(scheme, h, v, a) for v in grid_vals]
-            bounds = [b if not isinstance(b, Unbounded) else math.inf for b in bounds]
             assert all(x >= y - 1e-15 for x, y in zip(bounds, bounds[1:]))
         for v in grid_vals:
             bounds = [tau_max(scheme, h, v, a) for a in grid_vals]
-            bounds = [b if not isinstance(b, Unbounded) else math.inf for b in bounds]
             assert all(x >= y - 1e-15 for x, y in zip(bounds, bounds[1:]))
 
-    def test_unbounded_is_not_a_float(self):
-        assert not isinstance(tau_max("cnfd", 0.1, 1.0, 1.0), float)
-        assert repr(UNBOUNDED) == "unbounded"
+    @pytest.mark.parametrize("scheme, v, a", [("cnfd", 5.0, 7.0), ("cnfp", 5.0, 7.0),
+                                              ("sifd2", 0.0, 0.0), ("sifp2", 0.0, 0.0)])
+    def test_unbounded_is_infinite_with_margin_zero(self, scheme, v, a):
+        assert tau_max(scheme, 0.1, v, a) == math.inf
+        verdict = validate(scheme, 0.1, -1e6, v, a)
+        assert verdict.ok and verdict.margin == 0.0
+        assert "tau_max=unbounded " in str(verdict)
 
 
 class TestValidate:

@@ -8,6 +8,7 @@ the 4N x 4N companion on [Phi^n; Phi^n-1] for SI1, SI2 and LF.
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from dirac1d import (
     PotentialPair,
     SolverError,
     SpinorField,
-    StepperState,
     energy_fd,
     energy_fp,
     make_grid,
@@ -162,8 +162,9 @@ class TestPropagate:
         N = 2 * half_n
         prob = preset("periodic-s51", eps).discretize(N=N)
         phi0 = random_field(prob.grid, seed)
-        a = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
-        b = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
+        prob = replace(prob, phi0=phi0)
+        a = make_stepper(scheme, prob, 1e-3)
+        b = make_stepper(scheme, prob, 1e-3)
         a.propagate(n)
         for _ in range(n):
             b.advance()
@@ -215,8 +216,9 @@ class TestPropagate:
         first, second = (short, long) if grows else (long, short)
         prob = preset("periodic-s51", 0.25).discretize(N=16)
         phi0 = random_field(prob.grid, seed)
-        a = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
-        b = make_stepper(scheme, prob, 1e-3, state=StepperState(phi0))
+        prob = replace(prob, phi0=phi0)
+        a = make_stepper(scheme, prob, 1e-3)
+        b = make_stepper(scheme, prob, 1e-3)
         a.propagate(first)
         kept = list(a._squares)
         assert len(kept) == squarings(a._matrix_size, first - (scheme in THREE_LEVEL)) + 1
@@ -521,14 +523,11 @@ class TestLaunch:
 
     @pytest.mark.parametrize("scheme", sorted(THREE_LEVEL))
     def test_first_advance_is_forward_euler(self, scheme):
-        # one launch whether the stepper starts from the problem's initial
-        # data, from a state holding that same data, or from a restart
+        # one launch from the preset's initial data and from random data
         prob = preset("periodic-s51", 0.25).discretize(N=32)
         tau = 1e-2
-        states = (None, StepperState(prob.phi0),
-                  StepperState(random_field(prob.grid, 5), t_n=0.3, n=30))
-        for state in states:
-            stepper = make_stepper(scheme, prob, tau, state=state)
+        for phi0 in (prob.phi0, random_field(prob.grid, 5)):
+            stepper = make_stepper(scheme, replace(prob, phi0=phi0), tau)
             phi = stepper._curr.reshape(-1).copy()
             want = phi - 1j * tau * (k_matrix(stepper) @ phi)
             stepper.advance()
