@@ -12,7 +12,7 @@ from dirac1d import (
     DiracProblem,
     SchemeConfig,
     SpinorField,
-    make_grid,
+    TorusGrid,
     norm,
     run_simulation,
     tau_max,
@@ -20,7 +20,7 @@ from dirac1d import (
     zero_potentials,
 )
 
-grid = make_grid(0.0, 2 * np.pi, 64)
+grid = TorusGrid(0.0, 2 * np.pi, 64)
 rng = np.random.default_rng(0)
 smooth = np.stack((np.exp(1j * grid.x) / (2 + np.sin(grid.x)),
                    np.cos(grid.x) / (2 + np.cos(grid.x)) + 0j))

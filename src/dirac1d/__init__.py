@@ -6,13 +6,14 @@ The governed equation on a periodic interval (a, b), with a small parameter
     i dPhi/dt = (-i sigma1 d/dx + sigma3) Phi
                 + eps (V(t,x) I2 - A1(t,x) sigma1) Phi.
 
-Eight schemes are provided, built by `make_stepper`: four time
+Nine schemes are provided, built by `make_stepper`: four time
 discretizations (Crank-Nicolson, two semi-implicit, leap-frog) over two
 space operators, the centered difference (cnfd, sifd1, sifd2, lffd) and the
-Fourier derivative (cnfp, sifp1, sifp2, lffp); plus the exact-in-time
-flow of either space operator and a Strang-splitting (TSFP) reference
-integrator.  The harness measures errors against reference solutions over
-the long horizon t = T0/eps and emits convergence tables as CSV.
+Fourier derivative (cnfp, sifp1, sifp2, lffp), and the Strang splitting
+over the latter (tsfp), which also builds references; plus the exact-in-time
+flow of either space operator.  The harness measures errors against
+reference solutions over the long horizon t = T0/eps and emits convergence
+tables as CSV.
 """
 
 from .errors import (
@@ -24,7 +25,6 @@ from .errors import (
 from .grid import (
     SpinorField,
     TorusGrid,
-    make_grid,
     norm,
     subsample,
 )
@@ -35,8 +35,7 @@ from .model import (
     check_bounds,
     current,
     density,
-    energy_fd,
-    energy_fp,
+    energy,
     mass,
     preset,
     zero_potentials,

@@ -14,7 +14,7 @@ Config keys (subcommand-dependent; another JSON type, NaN or Infinity exits 2):
                 "expand_with_horizon": bool}
     epsilon    potential strength (top level; inline problems may carry it
                inside the problem object instead)
-    scheme     one of cnfd sifd1 sifd2 lffd cnfp sifp1 sifp2 lffp
+    scheme     one of cnfd sifd1 sifd2 lffd cnfp sifp1 sifp2 lffp tsfp
     h | N      mesh size or node count        tau      time step
     t_final, record_every, stop_norm_ratio   (run) horizon (T0/epsilon),
                record stride (1), norm growth that ends the run (1e6)
@@ -54,7 +54,7 @@ def _load_config(path: str) -> dict:
             return _typed(f"config {path}", json.load(fh), dict)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -68,6 +68,8 @@ def _typed(name: str, value, kind):
     number = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and abs(value) < math.inf)
     if kind in (float, int) and number and (kind is float or value % 1 == 0):
+        if kind is float and abs(value) > sys.float_info.max:  # an integer no float holds
+            raise ConfigurationError(f"{name} is beyond the float range")
         return kind(value)
     if kind not in (float, int) and isinstance(value, kind):
         return value
@@ -165,11 +167,7 @@ def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
 
 
 def _discretize(setup: model.ProblemSetup, cfg: dict) -> model.DiracProblem:
-    if "h" in cfg:
-        return setup.discretize(h=_read(cfg, "h", float))
-    if "N" in cfg:
-        return setup.discretize(N=_read(cfg, "N", int))
-    raise ConfigurationError("config needs 'h' or 'N'")
+    return setup.discretize(h=_read(cfg, "h", float, None), N=_read(cfg, "N", int, None))
 
 
 def _write(text: str, args) -> None:

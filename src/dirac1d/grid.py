@@ -21,13 +21,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+MAX_NODES = np.iinfo(np.intp).max // 32  # numpy holds no (2, N) complex field beyond
+
 
 class TorusGrid:
     """Uniform periodic grid on [a, b] with an even number of nodes.
 
     Attributes:
         a, b: domain endpoints (b > a)
-        N: node count (even, >= 4); nodes 0..N-1 are stored, node N aliases 0
+        N: node count (even, 4 .. MAX_NODES); nodes 0..N-1 are stored, node N aliases 0
         h: mesh size (b - a)/N
         x: node coordinates, shape (N,)
         mu_fft: frequencies mu_l = 2*pi*l/(b - a) in FFT storage order
@@ -39,8 +41,8 @@ class TorusGrid:
     def __init__(self, a: float, b: float, N: int):
         if not b > a:
             raise ConfigurationError(f"domain endpoints must satisfy b > a, got ({a}, {b})")
-        if N % 2 != 0 or N < 4:
-            raise ConfigurationError(f"N must be even and >= 4, got {N}")
+        if N % 2 != 0 or not 4 <= N <= MAX_NODES:
+            raise ConfigurationError(f"N must be even, >= 4 and <= {MAX_NODES}, got {N}")
         self.a = float(a)
         self.b = float(b)
         self.N = int(N)
@@ -62,11 +64,6 @@ class TorusGrid:
 
     def __repr__(self) -> str:
         return f"TorusGrid(a={self.a}, b={self.b}, N={self.N})"
-
-
-def make_grid(a: float, b: float, N: int) -> TorusGrid:
-    """Build the periodic grid with mesh size h = (b - a)/N."""
-    return TorusGrid(a, b, N)
 
 
 @dataclass

@@ -238,9 +238,6 @@ class ErrorReport:
     tau: float = float("nan")
     epsilon: float = float("nan")
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.e_phi, self.e_rho, self.e_j)))
-
 
 def measure_errors(sol: SpinorField, ref: SpinorField, t: float = float("nan"),
                    scheme: str = "", tau: float = float("nan"),
@@ -356,7 +353,6 @@ class ConvergenceTable:
     scheme: str
     eps_list: list
     levels: int
-    kind: str  # "space-time" | "temporal" | "spatial"
     cells: dict = field(default_factory=dict)  # (eps_idx, level) -> ErrorReport
 
     def cell(self, eps_idx: int, level: int) -> ErrorReport:
@@ -407,11 +403,11 @@ def _run_row_star(args):
 
 def _run_tasks(tasks: list, workers: int) -> list:
     """`_run_row` of each task, in order.  With workers > 1 they run in a
-    process pool; the first task (in this order) that raises has its error
-    raised, and the tasks still queued when one raises are cancelled."""
+    pool of at most one process per task; the first task (in this order)
+    that raises has its error raised, and the tasks still queued are cancelled."""
     if workers <= 1:
         return [_run_row(*task) for task in tasks]
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
     try:
         futures = [pool.submit(_run_row_star, task) for task in tasks]
         wait(futures, return_when=FIRST_EXCEPTION)
@@ -424,16 +420,14 @@ def _run_tasks(tasks: list, workers: int) -> list:
 
 def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
                   levels: int, pair_of_level: Callable[[int], tuple],
-                  ref_cfg: Optional[ReferenceConfig], workers: int,
-                  kind: str) -> ConvergenceTable:
+                  ref_cfg: Optional[ReferenceConfig], workers: int) -> ConvergenceTable:
     ref_cfg = ref_cfg or ReferenceConfig()
     if len(eps_list) == 0:
         raise ConfigurationError("eps_list is empty")
     if levels < 1:
         raise ConfigurationError(f"levels must be >= 1, got {levels}")
     pairs = [pair_of_level(k) for k in range(levels)]
-    table = ConvergenceTable(scheme=scheme.lower(), eps_list=list(eps_list),
-                             levels=levels, kind=kind)
+    table = ConvergenceTable(scheme=scheme.lower(), eps_list=list(eps_list), levels=levels)
     h_finest = min(p[0] for p in pairs)
     tau_finest = min(p[1] for p in pairs)
     if not (h_finest > 0 and tau_finest > 0):
@@ -492,7 +486,7 @@ def convergence_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float
     """Simultaneous (h, tau) refinement table at t = T0/eps per epsilon row."""
     return _ladder_table(setup, scheme, eps_list, levels,
                          lambda k: (h0 / 2 ** k, tau0 / 2 ** k),
-                         reference, workers, "space-time")
+                         reference, workers)
 
 
 def epsilon_sweep_temporal(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
@@ -502,7 +496,7 @@ def epsilon_sweep_temporal(setup: ProblemSetup, scheme: str, eps_list: Sequence[
     """Tau refinement at fixed (fine) h."""
     return _ladder_table(setup, scheme, eps_list, levels,
                          lambda k: (h, tau0 / 2 ** k),
-                         reference, workers, "temporal")
+                         reference, workers)
 
 
 def epsilon_sweep_spatial(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
@@ -512,7 +506,7 @@ def epsilon_sweep_spatial(setup: ProblemSetup, scheme: str, eps_list: Sequence[f
     """h refinement at fixed (fine) tau."""
     return _ladder_table(setup, scheme, eps_list, levels,
                          lambda k: (h0 / 2 ** k, tau),
-                         reference, workers, "spatial")
+                         reference, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import CenteredDifference, FourierDerivative, SpinorField, TorusGrid, make_grid
+from .grid import SpinorField, TorusGrid
 
 # max over x of |cos(x) + sin(2x)|, attained at sin(x) = (sqrt(33)-1)/8
 _COS_PLUS_SIN2_MAX = 1.7601725930461
@@ -171,22 +171,14 @@ def discrete_energy(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray,
     return float(total.real)
 
 
-def _energy(f: SpinorField, space, p: PotentialPair, eps: float) -> float:
+def energy(f: SpinorField, space, p: PotentialPair, eps: float) -> float:
+    """h Re<Phi, K Phi> of f, K over `space`, a space operator on f's grid as
+    `semi_discrete_flow` takes it; time-independent potentials only."""
     # the rule of DiracProblem.time_independent: eps = 0 switches V and A1 off
     if not (p.time_independent or eps == 0.0):
         raise ConfigurationError("the discrete energy is defined only for time-independent potentials")
     v, a = p.evaluate(0.0, f.grid.x)
     return discrete_energy(space, f.values, eps * v, eps * a)
-
-
-def energy_fd(f: SpinorField, p: PotentialPair, eps: float) -> float:
-    """Discrete energy with the centered-difference kinetic term."""
-    return _energy(f, CenteredDifference(f.grid), p, eps)
-
-
-def energy_fp(f: SpinorField, p: PotentialPair, eps: float) -> float:
-    """Discrete energy with the spectral kinetic term."""
-    return _energy(f, FourierDerivative(f.grid), p, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +217,12 @@ class ProblemSetup(_Horizon):
         N = int(math.ceil(n - 1e-9))
         if N % 2 != 0:
             N += 1
-        return make_grid(a, b, N)
-
-    def grid_with_nodes(self, N: int) -> TorusGrid:
-        a, b = self.domain()
-        return make_grid(a, b, N)
+        return TorusGrid(a, b, N)
 
     def discretize(self, h: Optional[float] = None, N: Optional[int] = None) -> DiracProblem:
         if (h is None) == (N is None):
             raise ConfigurationError("give exactly one of h or N")
-        grid = self.grid_for_mesh(h) if h is not None else self.grid_with_nodes(N)
+        grid = self.grid_for_mesh(h) if h is not None else TorusGrid(*self.domain(), N)
         phi0 = SpinorField(grid, self.phi0_func(grid.x))
         return DiracProblem(grid, self.epsilon, self.potentials, phi0, T0=self.T0)
 

@@ -39,8 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (FourierDerivative, SpinorField, TorusGrid, apply_sym2, make_grid,
-                   subsample, sym2)
+from .grid import FourierDerivative, SpinorField, TorusGrid, apply_sym2, subsample, sym2
 from .model import DiracProblem, ProblemSetup
 from .stepping import Stepper, k_matrix, whole_steps
 
@@ -72,14 +71,15 @@ def free_dirac_exact(phi0: SpinorField, t: float) -> SpinorField:
 
 
 class TSFPStepper(Stepper):
-    """Strang-split reference integrator (reference use only).
+    """Strang splitting over the Fourier derivative: the scheme "tsfp" and
+    the integrator of every TSFP reference.
 
     potential half step (t + tau/4), full free step, potential half step
     (t + 3*tau/4); potentials at the half-interval midpoints matter only in
     the time-dependent case.
     """
 
-    scheme = "tsfp"
+    pattern = "ts{}"
     needs_history = False
 
     def _prepare(self):
@@ -192,7 +192,7 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
         head = {"kind": "exact", "propagation": "eigh"}
     else:
         steps = {whole_steps(t, tau_e, "snapshot time", "tau_e"): float(t) for t in t_targets}
-        stepper, fields = TSFPStepper(problem, tau_e), {}
+        stepper, fields = TSFPStepper(FourierDerivative, problem, tau_e), {}
         for k in sorted(steps):
             stepper.propagate(k - stepper.n)
             fields[steps[k]] = stepper.phi.copy()
@@ -270,7 +270,7 @@ def load_reference(path: str) -> ReferenceSolution:
         with np.load(path) as data:  # no pickle: numpy's default
             snapshots = data["snapshots"]
             meta = json.loads(str(data["meta"]))
-        grid = make_grid(meta["a"], meta["b"], snapshots.shape[-1])
+        grid = TorusGrid(meta["a"], meta["b"], snapshots.shape[-1])
         fields = {float(t): SpinorField(grid, s) for t, s in zip(meta["times"], snapshots)}
         return ReferenceSolution(grid, fields, meta["manifest"])
     except (ValueError, KeyError, IndexError, TypeError, EOFError, zipfile.BadZipFile,

@@ -1,15 +1,18 @@
-"""The eight steppers: four time discretizations over two space operators.
+"""The nine steppers: four time discretizations over two space operators,
+and the Strang splitting (TS) over the Fourier derivative.
 
                centered difference "fd"   Fourier derivative "fp"
     CN         cnfd                       cnfp
     SI1        sifd1                      sifp1
     SI2        sifd2                      sifp2
     LF         lffd                       lffp
+    TS                                    tsfp
 
 The space operator D (:mod:`dirac1d.grid`) is the centered difference,
 symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
-mu_l; each time discretization is one class below, written with
-K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1) (`model.apply_k`).
+mu_l; each time discretization is one `Stepper(space, problem, tau)` class,
+written with K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1)
+(`model.apply_k`), the paper's four below and TSFP in :mod:`dirac1d.reference`.
 Three-level schemes launch by forward Euler with the same K,
 
     Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
@@ -28,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import SPACE_OPERATORS, apply_sym2, sym2
+from .grid import SPACE_OPERATORS, FourierDerivative, apply_sym2, sym2
 from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
 from .reference import TSFPStepper
@@ -41,29 +44,15 @@ FIXED_POINT_TOL = 1e-14  # CNFP: sweep-to-sweep change relative to ||Phi^n||
 FIXED_POINT_MAX_SWEEPS = 50
 
 
-class _SpaceTimeStepper(Stepper):
-    """A time discretization over the space operator named by `space`."""
-
-    pattern = ""  # scheme name with "{}" for the space name, e.g. "si{}1"
-
-    def __init__(self, space: type, problem: DiracProblem, tau: float):
-        self.space = space(problem.grid)
-        self.scheme = self.pattern.format(space.name)
-        super().__init__(problem, tau)
-
-    def _launch(self) -> np.ndarray:
-        ev, ea = self._kept(self._eps_potentials, self.t)
-        return self._curr - 1j * self.tau * apply_k(self.space, self._curr, ev, ea)
-
-    def _per_mode(self, c: float):
-        """Per-mode `sym2` multipliers of L^{-1} and of 2i I2 - L for
-        L = i I2 - c*(s_l*sigma1 + sigma3), s_l the symbol of D.  2i I2 - L is
-        the adjugate of L, and det L = -1 - c^2 (1 + s_l^2) is real and <= -1,
-        so L is never singular."""
-        s = self.space.symbol
-        det = -1.0 - c * c * (1.0 + s * s)
-        adjugate = (1j + c, c * s, 1j - c)
-        return sym2(*(m / det for m in adjugate)), sym2(*adjugate)
+def _per_mode(space, c: float):
+    """Per-mode `sym2` multipliers of L^{-1} and of 2i I2 - L for
+    L = i I2 - c*(s_l*sigma1 + sigma3), s_l the symbol of the space operator
+    `space`.  2i I2 - L is the adjugate of L, and det L = -1 - c^2 (1 + s_l^2)
+    is real and <= -1, so L is never singular."""
+    s = space.symbol
+    det = -1.0 - c * c * (1.0 + s * s)
+    adjugate = (1j + c, c * s, 1j - c)
+    return sym2(*(m / det for m in adjugate)), sym2(*adjugate)
 
 
 def _field_norms(v: np.ndarray):
@@ -71,7 +60,7 @@ def _field_norms(v: np.ndarray):
     return np.linalg.norm(v) if v.ndim == 2 else np.linalg.norm(v, axis=(0, -1))
 
 
-class CNStepper(_SpaceTimeStepper):
+class CNStepper(Stepper):
     """Crank-Nicolson: (i*I - tau/2*K) Phi^{n+1} = (i*I + tau/2*K) Phi^n, K at
     t_n + tau/2.  Unconditionally stable; conserves mass and, for
     time-independent potentials, the discrete energy.
@@ -93,7 +82,7 @@ class CNStepper(_SpaceTimeStepper):
 
     def _prepare(self):
         if self.space.name == "fp":
-            self._inverse, self._rhs = self._per_mode(0.5 * self.tau)
+            self._inverse, self._rhs = _per_mode(self.space, 0.5 * self.tau)
         elif self._time_independent:  # now: made at the first step it raised peak RSS
             self._kept(self._factor, 0.0)
 
@@ -167,7 +156,7 @@ class CNStepper(_SpaceTimeStepper):
         )
 
 
-class SI1Stepper(_SpaceTimeStepper):
+class SI1Stepper(Stepper):
     """Semi-implicit scheme with an explicit transport term (leap-frog).
 
     The implicit bracket decouples per node:
@@ -201,7 +190,7 @@ class SI1Stepper(_SpaceTimeStepper):
         return apply_sym2(self._kept(self._invert, t), np.stack((h1, h2)))
 
 
-class SI2Stepper(_SpaceTimeStepper):
+class SI2Stepper(Stepper):
     """Semi-implicit scheme: implicit transport and mass, explicit potential.
 
     L hat(Phi)^{n+1}_l = (2i - L) hat(Phi)^{n-1}_l + 2*tau*hat(G^n Phi^n)_l,
@@ -214,7 +203,7 @@ class SI2Stepper(_SpaceTimeStepper):
     pattern = "si{}2"
 
     def _prepare(self):
-        self._inverse = self._per_mode(self.tau)[0]
+        self._inverse = _per_mode(self.space, self.tau)[0]
 
     def _step(self, prev, curr, t) -> np.ndarray:
         ev, ea = self._kept(self._eps_potentials, t)
@@ -223,7 +212,7 @@ class SI2Stepper(_SpaceTimeStepper):
         return 2.0 * np.fft.ifft(apply_sym2(self._inverse, z_hat), axis=-1) - prev
 
 
-class LFStepper(_SpaceTimeStepper):
+class LFStepper(Stepper):
     """Fully explicit leap-frog: Phi^{n+1} = Phi^{n-1} - 2i*tau*K(t_n)Phi^n."""
 
     pattern = "lf{}"
@@ -236,12 +225,12 @@ class LFStepper(_SpaceTimeStepper):
 SCHEMES = {cls.pattern.format(space.name): (cls, space)
            for space in SPACE_OPERATORS.values()
            for cls in (CNStepper, SI1Stepper, SI2Stepper, LFStepper)}
-SCHEMES["tsfp"] = (TSFPStepper, None)  # the Strang splitting: no space operator class
+SCHEMES["tsfp"] = (TSFPStepper, FourierDerivative)
 
 
 def lookup(scheme: str):
     """(time discretization, space operator) classes of a scheme name, the
-    one check of every name; tsfp's space operator is None."""
+    one check of every name."""
     try:
         return SCHEMES[scheme.lower()]
     except KeyError:
@@ -254,6 +243,4 @@ def make_stepper(scheme: str, problem: DiracProblem, tau: float) -> Stepper:
     """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp),
     starting from problem.phi0 at t = 0."""
     time, space = lookup(scheme)
-    if space is None:
-        return time(problem, tau)
     return time(space, problem, tau)

@@ -6,13 +6,14 @@ r, the bound on h*|symbol| (`grid`): 1 for the centered difference, pi for
 the Fourier derivative.  V_max, A_max bound the potentials the operator
 sees, eps*|V| and eps*|A1| (`DiracProblem.operator_bounds`).
 
-    CN    unconditional
+    CN    unconditional: a unitary step for every tau
     SI1   tau <= h/r
     SI2   tau <= 1/(V_max + A_max)
     LF    tau <= h / (V_max*h + sqrt(h^2 + (r + h*A_max)^2))
+    TS    unconditional: both Strang sub-flows are unitary for every tau
 
-TSFP has no bound here.  An unbounded step is UNBOUNDED = math.inf, so
-every margin |tau|/tau_max is a float division (0.0 when unbounded).
+An unbounded step is UNBOUNDED = math.inf, so every margin |tau|/tau_max
+is a float division (0.0 when unbounded); h and tau must be finite.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .reference import TSFPStepper
 from .schemes import SCHEMES, CNStepper, LFStepper, SI1Stepper, SI2Stepper, lookup
 
 
@@ -33,19 +35,18 @@ _BOUNDS = {
     SI1Stepper: lambda h, r, v, a: h / r,
     SI2Stepper: lambda h, r, v, a: UNBOUNDED if v + a == 0 else 1.0 / (v + a),
     LFStepper: lambda h, r, v, a: h / (v * h + math.sqrt(h * h + (r + h * a) ** 2)),
+    TSFPStepper: lambda h, r, v, a: UNBOUNDED,
 }
-ALL_SCHEMES = tuple(name for name, (time, _) in SCHEMES.items() if time in _BOUNDS)
+ALL_SCHEMES = tuple(SCHEMES)
 
 
 def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> float:
     """Largest stable time step for the scheme, or UNBOUNDED."""
-    if h <= 0:
-        raise ConfigurationError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ConfigurationError(f"h must be positive and finite, got {h}")
     if v_max < 0 or a_max < 0:
         raise ConfigurationError("potential bounds must be nonnegative")
     time, space = lookup(scheme)
-    if time not in _BOUNDS:
-        raise ConfigurationError(f"scheme {scheme!r} has no step bound; bounded: {ALL_SCHEMES}")
     return _BOUNDS[time](h, space.reach, v_max, a_max)
 
 
@@ -70,6 +71,8 @@ def validate(scheme: str, h: float, tau: float, v_max: float, a_max: float) -> S
 
     Uses |tau| so reversed-time runs are judged by step magnitude.
     """
+    if not math.isfinite(tau):
+        raise ConfigurationError(f"tau must be finite, got {tau}")
     bound = tau_max(scheme, h, v_max, a_max)
     margin = abs(tau) / bound
     return StabilityVerdict(scheme.lower(), h, tau, bound, abs(tau) <= bound, margin)

@@ -1,12 +1,12 @@
-"""Shared time-stepping machinery: state, diagnostics, the launch hook of
-the three-level schemes, and runs through the one-step matrix: long runs
-by powering it, recorded runs by one mat-vec with it per step.
+"""Shared time-stepping machinery: state, diagnostics, the launch of the
+three-level schemes, and runs through the one-step matrix: long runs by
+powering it, recorded runs by one mat-vec with it per step.
 
-Every scheme is a Stepper subclass owning its state, which starts from the
-problem's initial data at t = 0; `advance()` moves one step of size tau.  A
-three-level scheme takes its first step, with no previous field, through
-the `_launch` hook, which the schemes implement as forward Euler with their
-own space operator (:mod:`dirac1d.schemes`).
+Every scheme is a Stepper subclass, built as `Stepper(space, problem, tau)`
+over a space operator class (:mod:`dirac1d.schemes`), and owns its state,
+which starts from the problem's initial data at t = 0; `advance()` moves
+one step of size tau.  A three-level scheme takes its first step, with no
+previous field, through `_launch`: forward Euler with the stepper's own K.
 
 A step's coefficients at time t (eps*V, eps*A1 and what schemes derive
 from them) come through one memo, `Stepper._kept(make, t)`: make(t) every
@@ -177,16 +177,19 @@ class SolverDiagnostics:
 
 
 class Stepper:
-    """Base class: owns (phi_prev, phi_curr, t, n), the advance loop and
-    `propagate`.  `propagation` names the paths the stepper has taken
-    ("dense-power", "dense-step", "stepwise")."""
+    """Base class: a time discretization over the space operator class
+    `space` (`scheme` is `pattern` with its name).  It owns (phi_prev,
+    phi_curr, t, n), the advance loop and `propagate`.  `propagation` names
+    the paths the stepper has taken ("dense-power", "dense-step", "stepwise")."""
 
-    scheme = "base"
+    pattern = "{}"  # scheme name with "{}" for the space name, e.g. "si{}1"
     needs_history = True  # three-level schemes start with `_launch`
 
-    def __init__(self, problem: DiracProblem, tau: float):
+    def __init__(self, space: type, problem: DiracProblem, tau: float):
         if tau == 0:
             raise ConfigurationError("tau must be nonzero")
+        self.space = space(problem.grid)
+        self.scheme = self.pattern.format(space.name)
         self.problem = problem
         self.grid = problem.grid
         self.tau = float(tau)
@@ -213,8 +216,9 @@ class Stepper:
         raise NotImplementedError
 
     def _launch(self) -> np.ndarray:
-        """Phi^{n+1} from Phi^n alone, for a three-level scheme without history."""
-        raise NotImplementedError
+        """Phi^{n+1} from Phi^n alone, by forward Euler with K: a three-level start."""
+        ev, ea = self._kept(self._eps_potentials, self.t)
+        return self._curr - 1j * self.tau * apply_k(self.space, self._curr, ev, ea)
 
     def _loop(self, n_steps: int) -> None:
         """n_steps by the step loop."""

@@ -15,11 +15,11 @@ from dirac1d import (
     ReferenceConfig,
     SchemeConfig,
     SpinorField,
+    TorusGrid,
     convergence_table,
     epsilon_sweep_spatial,
     epsilon_sweep_temporal,
     free_dirac_exact,
-    make_grid,
     make_stepper,
     measure_errors,
     norm,
@@ -68,7 +68,7 @@ def bandlimited_phi0(x):
 
 
 def free_problem_on(N, phi0_func, T0=2.0):
-    grid = make_grid(0.0, 2 * PI, N)
+    grid = TorusGrid(0.0, 2 * PI, N)
     return model.DiracProblem(grid, 0.0, zero_potentials(),
                               SpinorField(grid, phi0_func(grid.x)), T0=T0)
 
@@ -249,7 +249,7 @@ def test_lffp_temporal_first_cell(lffp_temporal_table):
 
 @pytest.mark.parametrize("scheme", ["lffd", "lffp"])
 def test_leapfrog_cfl_boundary(scheme):
-    grid = make_grid(0.0, 2 * PI, 64)  # h = pi/32
+    grid = TorusGrid(0.0, 2 * PI, 64)  # h = pi/32
     phi0 = seeded_stability_field(grid, seed=3)
     prob = model.DiracProblem(grid, 0.0, zero_potentials(), phi0, T0=1.0)
     bound = tau_max(scheme, grid.h, 0.0, 0.0)
@@ -276,7 +276,7 @@ def test_leapfrog_cfl_boundary(scheme):
 
 @pytest.mark.parametrize("scheme,tau_factor", [("sifd1", 0.9), ("sifp1", 0.9)])
 def test_semi_implicit_stable_inside_bound(scheme, tau_factor):
-    grid = make_grid(0.0, 2 * PI, 64)
+    grid = TorusGrid(0.0, 2 * PI, 64)
     phi0 = seeded_stability_field(grid, seed=4)
     prob = model.DiracProblem(grid, 0.0, zero_potentials(), phi0, T0=1.0)
     tau = tau_factor * tau_max(scheme, grid.h, 0.0, 0.0)

@@ -10,6 +10,7 @@ import pytest
 
 import dirac1d.reference as reference
 from dirac1d.cli import _build_parser, _InitialData, main
+from dirac1d.grid import MAX_NODES
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -40,6 +41,16 @@ class TestRun:
         assert len(lines) == 12  # header + 11 recorded steps
         err = capsys.readouterr().err
         assert "relative drift" in err
+
+    def test_tsfp_run_conserves_mass(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(RUN, scheme="tsfp", tau=0.5, t_final=50.0))
+        out = tmp_path / "series.csv"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "t,mass,energy" and len(lines) == 102
+        masses = [float(line.split(",")[1]) for line in lines[1:]]
+        assert max(masses) - min(masses) <= 1e-12 * masses[0]
+        assert "scheme=tsfp N=16 tau=0.5 steps=100" in capsys.readouterr().err
 
     def test_inline_problem_with_expressions(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -150,12 +161,10 @@ class TestConfigErrors:
         ("run", dict(RUN, problem=_inline(phi0=["1"])), "exactly two components"),
         ("run", dict(RUN, problem=_inline(potentials=dict(INLINE_FREE["potentials"],
                                                           V_max=-1.0))), "nonnegative"),
-        ("run", {k: v for k, v in RUN.items() if k != "N"}, "needs 'h' or 'N'"),
+        ("run", {k: v for k, v in RUN.items() if k != "N"}, "give exactly one of h or N"),
         ("run", dict(RUN, record_every=0), "record_every"),
         ("run", dict(RUN, tau=0.0), "tau must be nonzero"),
         ("stability", dict(RUN, scheme="cnxx"), "unknown scheme 'cnxx'"),
-        ("stability", dict(RUN, scheme="tsfp"), "scheme 'tsfp' has no step bound"),
-        ("run", dict(RUN, scheme="tsfp"), "scheme 'tsfp' has no step bound"),
         ("converge", dict(TABLE, reference=5), "'reference' must be"),
         ("converge", dict(TABLE, reference={"kind": "spline"}), "unknown reference kind"),
         ("compare", dict(COMPARE, reference={"tau_e": -0.01}), "tau_e must be positive"),
@@ -212,9 +221,13 @@ class TestConfigErrors:
         ("compare", dict(COMPARE, tau=math.nan), "config key 'tau' must be a number, got nan"),
         ("run", dict(RUN, stop_norm_ratio=math.nan),
          "config key 'stop_norm_ratio' must be a number, got nan"),
+        # json writes and reads these as integers; neither allocates anything
+        ("run", dict(RUN, tau=10 ** 400), "config key 'tau' is beyond the float range"),
+        ("run", dict(RUN, N=10 ** 30), f"N must be even, >= 4 and <= {MAX_NODES}, got {10 ** 30}"),
+        ("run", dict(RUN, h=0.5), "give exactly one of h or N"),
     ], ids=["no-file", "no-problem", "problem-type", "inline-fields", "potential-fields",
             "component", "two-components", "negative-bound", "no-mesh", "record-every",
-            "zero-tau", "stability-scheme", "stability-tsfp", "run-tsfp", "reference-type",
+            "zero-tau", "stability-scheme", "reference-type",
             "reference-kind", "negative-tau_e", "zero-h", "zero-h0", "zero-tau0", "zero-h_e",
             "zero-tau_e", "zero-levels", "negative-levels", "no-eps", "zero-snapshots",
             "no-schemes", "declared-time-independent", "declared-time-dependent",
@@ -223,11 +236,19 @@ class TestConfigErrors:
             "reference-h_e-type", "phi0-type", "phi0-string", "component-key",
             "expand_with_horizon-type", "config-type", "tau-infinite", "tau-nan",
             "lffp-tau-nan", "t_final-infinite", "t_final-nan", "T0-infinite",
-            "tau0-infinite", "compare-tau-nan", "stop_norm_ratio-nan"])
+            "tau0-infinite", "compare-tau-nan", "stop_norm_ratio-nan", "tau-overflow",
+            "N-overflow", "h-and-N"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, command, config, message):
         path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
         assert main([command, path]) == 2
         assert message in capsys.readouterr().err
+
+    def test_integer_of_too_many_digits_exits_2(self, tmp_path, capsys):
+        # Python's json refuses to read an integer of more than 4300 digits
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(RUN)[:-1] + ', "t_final": 1' + "0" * 5000 + "}")
+        assert main(["run", str(path)]) == 2
+        assert "is not valid JSON: Exceeds the limit" in capsys.readouterr().err
 
     def test_mesh_size_key_reads_like_the_node_count(self, tmp_path, capsys):
         # h = pi/8 on (0, 2 pi) is the N = 16 grid
@@ -418,6 +439,14 @@ class TestStabilityCommand:
         for scheme in ("cnfd", "sifd1", "sifd2", "lffd", "cnfp", "sifp1", "sifp2", "lffp"):
             assert scheme in text
         assert "<-- requested" in text
+
+    def test_tsfp_is_a_row_and_can_be_requested(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(RUN, scheme="tsfp"))
+        assert main(["stability", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 9
+        assert rows[-1].startswith("tsfp ") and "tau_max=unbounded" in rows[-1]
+        assert rows[-1].endswith(" ok <-- requested")
 
     def test_requested_scheme_violation_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from dirac1d import (
-    preset,
     SolverError,
-    make_grid,
+    TorusGrid,
     make_stepper,
     mass,
     norm,
+    preset,
     tau_max,
 )
 
@@ -163,7 +163,7 @@ class TestFreeModeRecurrences:
 
 class TestCNFPFixedPoint:
     def test_zero_field_one_sweep(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.zeros((2, len(x)), dtype=complex))
         st = make_stepper("cnfp", prob, 0.01)
         st.advance()
@@ -213,7 +213,7 @@ class TestSemiImplicitStability:
         assert worst <= 2.0 * n0
 
     def test_sifp1_blows_up_just_above_bound(self):
-        grid = make_grid(0.0, 2 * np.pi, 32)
+        grid = TorusGrid(0.0, 2 * np.pi, 32)
         rng = np.random.default_rng(9)
         smooth = np.stack((np.exp(1j * grid.x), np.exp(-1j * grid.x)))
         v = smooth + 1e-8 * (rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32)))
@@ -229,7 +229,7 @@ class TestSemiImplicitStability:
 
 class TestLFFPStability:
     def test_blows_up_beyond_cfl(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         rng = np.random.default_rng(1)
         prob = free_problem(grid, lambda x: np.exp(1j * np.outer([1, -1], x))
                             + 0.1 * rng.standard_normal((2, len(x))))
@@ -240,7 +240,7 @@ class TestLFFPStability:
         assert norm(st.phi, "l2") > 1e3 * n0
 
     def test_stable_below_cfl(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         rng = np.random.default_rng(2)
         v = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
         prob = free_problem(grid, lambda x: v)
@@ -253,7 +253,7 @@ class TestLFFPStability:
 
 class TestStepFunctions:
     def test_zero_states_stay_zero(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         zero = np.zeros((2, 16), dtype=complex)
         prob = free_problem(grid, lambda x: zero)
         for scheme in ("cnfp", "sifp1", "sifp2", "lffp"):

@@ -9,8 +9,8 @@ from dirac1d import (
     DiracProblem,
     SchemeConfig,
     SpinorField,
-    energy_fd,
-    make_grid,
+    TorusGrid,
+    energy,
     make_stepper,
     mass,
     norm,
@@ -38,7 +38,7 @@ def free_problem(grid, phi0_func):
 
 def single_mode_problem(N, l, u):
     """Free problem whose initial data is u * exp(i*mu_l*x)."""
-    grid = make_grid(0.0, 2 * np.pi, N)
+    grid = TorusGrid(0.0, 2 * np.pi, N)
     u = np.asarray(u, dtype=complex)
     return free_problem(grid, lambda x: np.outer(u, np.exp(1j * l * x))), grid
 
@@ -61,12 +61,12 @@ def centered(v, h):
 
 class TestFirstStep:
     def test_zero_data_stays_zero(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.zeros((2, len(x)), dtype=complex))
         assert np.abs(one_step("lffd", prob, 0.05).values).max() == 0.0
 
     def test_constant_up_spinor_free(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.stack((np.ones_like(x, complex),
                                                       np.zeros_like(x, complex))))
         phi1 = one_step("lffd", prob, 0.05)
@@ -224,7 +224,7 @@ class TestFreeModeRecurrences:
     def test_lffd_constant_field_scalar_recurrence(self):
         # constant (1,0) data: the transport term vanishes and the first
         # component obeys i*delta_t(phi) = phi with phi^1 = 1 - i*tau
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         prob = free_problem(grid, lambda x: np.stack((np.ones_like(x, complex),
                                                       np.zeros_like(x, complex))))
         tau = 0.05
@@ -271,10 +271,10 @@ class TestConservation:
     def test_cnfd_energy_1000_steps(self):
         prob = benchmark_problem(N=32)
         st = make_stepper("cnfd", prob, 0.01)
-        e0 = energy_fd(st.phi, prob.potentials, prob.epsilon)
+        e0 = energy(st.phi, st.space, prob.potentials, prob.epsilon)
         for _ in range(1000):
             st.advance()
-        en = energy_fd(st.phi, prob.potentials, prob.epsilon)
+        en = energy(st.phi, st.space, prob.potentials, prob.epsilon)
         assert abs(en - e0) <= 1e-10 * (1 + abs(e0))
 
     def test_cnfd_time_reversal(self):
@@ -313,7 +313,7 @@ class TestGuards:
             make_stepper("upwind", prob, 0.01)
 
     def test_lffd_blows_up_beyond_cfl(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         rng = np.random.default_rng(0)
         prob = free_problem(grid, lambda x: np.exp(1j * np.outer([1, -1], x))
                             + 0.1 * rng.standard_normal((2, len(x))))
@@ -330,7 +330,7 @@ class TestGuards:
 
 class TestStepFunctions:
     def test_zero_states_stay_zero(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         zero = np.zeros((2, 16), dtype=complex)
         prob = free_problem(grid, lambda x: zero)
         for scheme in ("cnfd", "sifd1", "sifd2", "lffd"):

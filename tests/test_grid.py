@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from dirac1d import (
     ConfigurationError,
     SpinorField,
-    make_grid,
+    TorusGrid,
     norm,
     subsample,
 )
 from dirac1d.grid import (
+    MAX_NODES,
     SPACE_OPERATORS,
     CenteredDifference,
     FourierDerivative,
@@ -50,16 +51,16 @@ def spectral_derivative_oracle(field):
 
 class TestMakeGrid:
     def test_unit_torus_frequencies_are_integers(self):
-        g = make_grid(0.0, 2 * np.pi, 4)
+        g = TorusGrid(0.0, 2 * np.pi, 4)
         assert g.h == pytest.approx(np.pi / 2)
         np.testing.assert_allclose(g.mu_fft, [0, 1, -2, -1], atol=1e-15)
 
     def test_benchmark_resolution(self):
-        g = make_grid(0.0, 2 * np.pi, 128)
+        g = TorusGrid(0.0, 2 * np.pi, 128)
         assert g.h == pytest.approx(np.pi / 64)
 
     def test_scaled_interval(self):
-        g = make_grid(-9.0, 9.0, 36)
+        g = TorusGrid(-9.0, 9.0, 36)
         assert g.h == pytest.approx(0.5)
         np.testing.assert_allclose(g.mu_fft, np.pi * np.fft.ifftshift(np.arange(-18, 18)) / 9,
                                    atol=1e-14)
@@ -67,19 +68,24 @@ class TestMakeGrid:
     @pytest.mark.parametrize("N", [3, 5, 2, 0, -4])
     def test_rejects_bad_node_counts(self, N):
         with pytest.raises(ConfigurationError):
-            make_grid(0.0, 1.0, N)
+            TorusGrid(0.0, 1.0, N)
+
+    def test_rejects_a_node_count_numpy_cannot_hold(self):
+        # numpy refuses this size before allocating anything
+        with pytest.raises(ConfigurationError, match=f"<= {MAX_NODES}, got {10 ** 30}"):
+            TorusGrid(0.0, 1.0, 10 ** 30)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ConfigurationError):
-            make_grid(1.0, 1.0, 8)
+            TorusGrid(1.0, 1.0, 8)
 
     def test_highest_mode_frequency(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         assert g.mu_fft[g.N // 2] == pytest.approx(-np.pi / g.h)
 
     def test_mu_fft_labels_fft_storage_order(self):
         # c = fft(f)/N holds the coefficient of exp(i*mu_fft[k]*(x - a)) at k
-        g = make_grid(-1.0, 3.0, 8)
+        g = TorusGrid(-1.0, 3.0, 8)
         f = random_field(g)
         c = np.fft.fft(f.values, axis=1) / g.N
         waves = np.exp(1j * np.outer(g.mu_fft, g.x - g.a))  # (k, j)
@@ -89,7 +95,7 @@ class TestMakeGrid:
 
 class TestFieldValidation:
     def test_shape_checked(self):
-        g = make_grid(0.0, 1.0, 8)
+        g = TorusGrid(0.0, 1.0, 8)
         with pytest.raises(ConfigurationError):
             SpinorField(g, np.zeros((2, 6)))
 
@@ -174,25 +180,25 @@ class TestApplySym2:
 
 class TestSpectralDerivative:
     def test_constant_goes_to_zero(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = SpinorField(g, np.ones((2, 8), dtype=complex))
         assert np.abs(FourierDerivative(g).apply(f.values)).max() < 1e-14
 
     def test_eigenfunction(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = SpinorField(g, np.stack((np.exp(1j * g.x), np.zeros_like(g.x, dtype=complex))))
         df = FourierDerivative(g).apply(f.values)
         np.testing.assert_allclose(df[0], 1j * np.exp(1j * g.x), atol=1e-13)
 
     def test_matches_double_sum_formula(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = random_field(g)
         np.testing.assert_allclose(FourierDerivative(g).apply(f.values),
                                    spectral_derivative_oracle(f), atol=1e-12)
 
     @pytest.mark.parametrize("l", [-3, -1, 0, 2])
     def test_single_modes_multiply_by_imu(self, l):
-        g = make_grid(0.0, 4.0, 8)
+        g = TorusGrid(0.0, 4.0, 8)
         mu = 2 * np.pi * l / 4.0
         f = SpinorField(g, np.stack((np.exp(1j * mu * g.x), 2 * np.exp(1j * mu * g.x))))
         df = FourierDerivative(g).apply(f.values)
@@ -201,27 +207,27 @@ class TestSpectralDerivative:
 
 class TestCenteredDifference:
     def test_constant_goes_to_zero(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = SpinorField(g, np.full((2, 8), 3.0 + 4j))
         assert np.abs(CenteredDifference(g).apply(f.values)).max() < 1e-14
 
     def test_single_mode_symbol(self):
         # acting on exp(i mu x) the stencil multiplies by i sin(mu h)/h
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         mu = g.mu_fft[1]  # l = 1
         f = SpinorField(g, np.stack((np.exp(1j * mu * g.x), np.exp(1j * mu * g.x))))
         df = CenteredDifference(g).apply(f.values)
         np.testing.assert_allclose(df, 1j * np.sin(mu * g.h) / g.h * f.values, atol=1e-13)
 
     def test_periodic_wrap_tiny_grid(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = TorusGrid(0.0, 1.0, 4)
         v = np.arange(8, dtype=complex).reshape(2, 4)
         df = CenteredDifference(g).apply(v)
         np.testing.assert_allclose(df[:, 0], (v[:, 1] - v[:, 3]) / (2 * g.h))
 
     def test_summation_by_parts(self):
         # sum_j g_j^* (d f)_j = -sum_j (d g)_j^* f_j for periodic fields
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f, w = random_field(g), random_field(g)
         d = CenteredDifference(g)
         lhs = np.vdot(w.values, d.apply(f.values))
@@ -233,7 +239,7 @@ class TestCenteredDifference:
     def test_slices_equal_the_roll_formula_bitwise(self, N, batch):
         # every entry, the two wrapped ones included, is the same floating
         # point expression as (v_{j+1} - v_{j-1}) / (2h) with np.roll
-        g = make_grid(-1.0, 2.5, N)
+        g = TorusGrid(-1.0, 2.5, N)
         shape = (2,) + batch + (N,)
         v = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
         want = (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * g.h)
@@ -250,7 +256,7 @@ class TestSpaceOperatorSymbols:
     @given(half_n=st.integers(2, 256), length=st.floats(0.5, 50.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_apply_is_multiplication_by_symbol(self, space, half_n, length, seed):
-        g = make_grid(-0.3 * length, 0.7 * length, 2 * half_n)
+        g = TorusGrid(-0.3 * length, 0.7 * length, 2 * half_n)
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
         op = SPACE_OPERATORS[space](g)
@@ -265,17 +271,17 @@ class TestSpaceOperatorSymbols:
 
 class TestNorms:
     def test_zero_field(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         z = SpinorField(g, np.zeros((2, 8)))
         assert norm(z, "l1") == norm(z, "l2") == norm(z, "linf") == 0.0
 
     def test_constant_unit_spinor(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = SpinorField(g, np.stack((np.ones(16, complex), np.zeros(16, complex))))
         assert norm(f, "l2") == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
 
     def test_matches_direct_summation(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = random_field(g)
         mags = [np.hypot(abs(f.values[0, j]), abs(f.values[1, j])) for j in range(8)]
         assert norm(f, "l1") == pytest.approx(g.h * sum(mags), rel=1e-13)
@@ -283,7 +289,7 @@ class TestNorms:
         assert norm(f, "linf") == pytest.approx(max(mags), rel=1e-13)
 
     def test_unknown_kind_rejected(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         with pytest.raises(ConfigurationError):
             norm(random_field(g), "l3")
 
@@ -294,14 +300,14 @@ class TestNorms:
 
 class TestRestriction:
     def test_subsample_picks_shared_nodes(self):
-        fine = make_grid(0.0, 2 * np.pi, 32)
-        coarse = make_grid(0.0, 2 * np.pi, 8)
+        fine = TorusGrid(0.0, 2 * np.pi, 32)
+        coarse = TorusGrid(0.0, 2 * np.pi, 8)
         f = random_field(fine)
         sub = subsample(f, coarse)
         np.testing.assert_array_equal(sub.values, f.values[:, ::4])
 
     def test_subsample_requires_nesting(self):
-        fine = make_grid(0.0, 2 * np.pi, 32)
-        odd = make_grid(0.0, 2 * np.pi, 12)
+        fine = TorusGrid(0.0, 2 * np.pi, 32)
+        odd = TorusGrid(0.0, 2 * np.pi, 12)
         with pytest.raises(ConfigurationError):
             subsample(random_field(fine), odd)

@@ -21,15 +21,14 @@ from dirac1d import (
     SchemeConfig,
     SpinorField,
     StabilityError,
+    TorusGrid,
     compare_over_time,
     convergence_table,
     emit_csv,
     emit_plot_data,
-    energy_fd,
-    energy_fp,
+    energy,
     epsilon_sweep_spatial,
     epsilon_sweep_temporal,
-    make_grid,
     make_stepper,
     measure_errors,
     norm,
@@ -65,10 +64,12 @@ def _bandlimited_field(grid):
 
 
 class SyncPool:
-    """Runs each task at submission, in this process, and records it."""
+    """Runs each task at submission, in this process, and records it and
+    the worker count the pool was asked for."""
 
-    def __init__(self, pools):
+    def __init__(self, pools, max_workers):
         self.tasks = []
+        self.max_workers = max_workers
         pools.append(self)
 
     def submit(self, fn, task):
@@ -87,7 +88,7 @@ def sync_pools(monkeypatch):
     pools made, one per table run with workers > 1."""
     pools = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
-                        lambda max_workers: SyncPool(pools))
+                        lambda max_workers: SyncPool(pools, max_workers))
     return pools
 
 
@@ -130,8 +131,14 @@ class TestRunSimulation:
         e_drift = np.abs(res.energy_series - res.energy_series[0]).max()
         assert e_drift <= 1e-10 * (1 + abs(res.energy_series[0]))
 
+    def test_tsfp_runs_at_a_large_step_and_keeps_its_mass(self):
+        prob = preset("periodic-s51", 0.25).discretize(N=32)
+        res = run_simulation(prob, SchemeConfig("tsfp", 0.4, record="mass+energy"))
+        assert res.scheme == "tsfp" and res.n_steps == 20 and not res.blew_up
+        assert np.abs(res.mass_series - res.mass_series[0]).max() <= 1e-12 * res.mass_series[0]
+
     def test_stability_refusal_and_override(self):
-        grid = make_grid(0.0, 2 * np.pi, 32)
+        grid = TorusGrid(0.0, 2 * np.pi, 32)
         phi0 = _bandlimited_field(grid)
         prob = model.DiracProblem(grid, 0.0, zero_potentials(), phi0, T0=2.0)
         bad_tau = 2.0 * tau_max("lffd", grid.h, 0.0, 0.0)
@@ -221,14 +228,13 @@ class TestDenseSteps:
         res = run_simulation(prob, SchemeConfig(scheme, tau, t_final=n_steps * tau,
                                                 record="mass+energy", record_every=every))
         assert res.propagation == "dense-step"
-        energy = energy_fd if "fd" in scheme else energy_fp
         stepper = make_stepper(scheme, prob, tau)
         stepper.step_by_matrix()
-        want = [energy(stepper.phi, prob.potentials, prob.epsilon)]
+        want = [energy(stepper.phi, stepper.space, prob.potentials, prob.epsilon)]
         for k in range(1, n_steps + 1):
             stepper.advance()
             if k % every == 0:
-                want.append(energy(stepper.phi, prob.potentials, prob.epsilon))
+                want.append(energy(stepper.phi, stepper.space, prob.potentials, prob.epsilon))
         assert len(res.energy_series) == len(want) == 6
         np.testing.assert_allclose(res.energy_series, want, rtol=1e-13, atol=0)
 
@@ -260,13 +266,12 @@ class TestRecordedEnergy:
         tau, n_steps, every = 1e-2, 50, 7
         res = run_simulation(prob, SchemeConfig(scheme, tau, t_final=n_steps * tau,
                                                 record="mass+energy", record_every=every))
-        energy = energy_fd if "fd" in scheme else energy_fp
         stepper = make_stepper(scheme, prob, tau)
-        want = [energy(stepper.phi, prob.potentials, prob.epsilon)]
+        want = [energy(stepper.phi, stepper.space, prob.potentials, prob.epsilon)]
         for k in range(1, n_steps + 1):
             stepper.advance()
             if k % every == 0 or k == n_steps:
-                want.append(energy(stepper.phi, prob.potentials, prob.epsilon))
+                want.append(energy(stepper.phi, stepper.space, prob.potentials, prob.epsilon))
         assert len(res.energy_series) == len(want) == 9
         np.testing.assert_allclose(res.energy_series, want, rtol=1e-13, atol=0)
 
@@ -278,7 +283,7 @@ class TestRecordedEnergy:
             calls.append(t)
             return 1.0 / (1.0 + np.sin(x) ** 2)
 
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         pots = PotentialPair(counted_v, lambda t, x: 0.5 * np.cos(x), True, 1.0, 0.5)
         prob = DiracProblem(grid, 0.5, pots, _bandlimited_field(grid))
         counts = []
@@ -299,7 +304,7 @@ class TestRecordedEnergy:
         monkeypatch.setattr(CenteredDifference, "apply", one_sided)
         prob = preset("periodic-s51", 1.0).discretize(N=32)
         with pytest.raises(ConfigurationError, match="imaginary part"):
-            energy_fd(prob.phi0, prob.potentials, prob.epsilon)
+            energy(prob.phi0, CenteredDifference(prob.grid), prob.potentials, prob.epsilon)
         with pytest.raises(ConfigurationError, match="imaginary part"):
             run_simulation(prob, SchemeConfig("lffd", 1e-2, t_final=0.1, record="mass+energy"))
 
@@ -309,7 +314,7 @@ def _nan_potential(t, x):
 
 
 def _energy_run_with_time_dependent_potentials():
-    grid = make_grid(0.0, 2 * np.pi, 16)
+    grid = TorusGrid(0.0, 2 * np.pi, 16)
     pots = PotentialPair(lambda t, x: np.cos(t) + 0 * x, model._zero_evaluator, False, 1.0, 0.0)
     prob = DiracProblem(grid, 0.5, pots, _bandlimited_field(grid))
     run_simulation(prob, SchemeConfig("cnfd", 0.1, t_final=0.2, record="mass+energy"))
@@ -332,7 +337,7 @@ class TestConfigurationErrors:
         (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, None, [0.5])
          .snapshot(0.25), "no reference snapshot at t=0.25"),
         (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, None, [0.5])
-         .restricted(0.5, make_grid(0.0, np.pi, 4)), "same interval"),
+         .restricted(0.5, TorusGrid(0.0, np.pi, 4)), "same interval"),
         (_energy_run_with_time_dependent_potentials, "needs time-independent potentials"),
         (lambda: ReferenceConfig(kind="exact", tau_e=1e-3), "the exact reference takes no tau_e"),
         # a non-finite step or horizon, refused before the stability verdict
@@ -357,13 +362,13 @@ class TestConfigurationErrors:
 
 class TestMeasureErrors:
     def test_identical_fields_give_zero(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = _bandlimited_field(g)
         rep = measure_errors(f, f)
         assert rep.e_phi == rep.e_rho == rep.e_j == 0.0
 
     def test_constant_offset_has_exact_l2(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = _bandlimited_field(g)
         delta = 1e-3
         shifted = SpinorField(g, f.values + np.array([[delta], [0.0]]))
@@ -372,8 +377,8 @@ class TestMeasureErrors:
         assert rep.e_rho > 0 and rep.e_j > 0
 
     def test_grid_mismatch_rejected(self):
-        f1 = _bandlimited_field(make_grid(0.0, 2 * np.pi, 16))
-        f2 = _bandlimited_field(make_grid(0.0, 2 * np.pi, 32))
+        f1 = _bandlimited_field(TorusGrid(0.0, 2 * np.pi, 16))
+        f2 = _bandlimited_field(TorusGrid(0.0, 2 * np.pi, 32))
         with pytest.raises(ConfigurationError):
             measure_errors(f1, f2)
 
@@ -424,13 +429,25 @@ class TestConvergenceTables:
         bad_tau = 4.0 * tau_max("lffd", h0 / 2, 0.0, 0.0)
         table = convergence_table(setup, "lffd", [0.0], h0, bad_tau, 2,
                                   reference=ReferenceConfig(kind="exact"), workers=workers)
-        assert not table.cell(0, 0).is_finite()
-        assert not table.cell(0, 1).is_finite()
+        for k in range(2):
+            cell = table.cell(0, k)
+            assert np.isnan([cell.e_phi, cell.e_rho, cell.e_j]).all()
         text = emit_csv(table)
         assert "nan" in text
 
+    def test_tsfp_time_error_falls_with_eps(self):
+        # TSFP against the FP flow at the same N, so only its time error is
+        # left: at tau = 0.1 it falls like eps, and the order in tau is 2
+        table = epsilon_sweep_temporal(preset("periodic-s51", 1.0), "tsfp",
+                                       [1.0, 1 / 4, 1 / 16, 1 / 64], 0.2, 3, 2 * np.pi / 32,
+                                       reference=ReferenceConfig(kind="exact", h_e=2 * np.pi / 32,
+                                                                 min_space_ratio=1.0))
+        np.testing.assert_allclose(table.errors("e_phi")[:, 1],
+                                   [7.17e-3, 1.74e-3, 6.43e-4, 1.19e-4], rtol=5e-3)
+        np.testing.assert_allclose(table.orders("e_phi")[:, 1:], 2.0, atol=0.01)
+
     def test_diagonal_index_follows_quarter_powers(self):
-        table = ConvergenceTable("cnfd", [1.0, 0.25, 0.0625], 4, "space-time")
+        table = ConvergenceTable("cnfd", [1.0, 0.25, 0.0625], 4)
         assert [table.diagonal_index(e) for e in table.eps_list] == [0, 1, 2]
 
     def test_temporal_sweep_shares_h(self):
@@ -513,6 +530,14 @@ class TestConvergenceTables:
             for which in ("e_phi", "e_rho", "e_j"):
                 np.testing.assert_array_equal(serial.errors(which), parallel.errors(which))
             assert emit_csv(serial) == emit_csv(parallel)
+
+    def test_pool_has_at_most_one_worker_per_task(self, sync_pools):
+        # one reference and two cells: a pool of 5000 would fork 5000 workers
+        table = convergence_table(bandlimited_free_setup(), "cnfp", [0.0], np.pi / 8, 0.05, 2,
+                                  reference=ReferenceConfig(kind="exact"), workers=5000)
+        assert np.all(np.isfinite(table.errors("e_phi")))
+        [pool] = sync_pools
+        assert len(pool.tasks) == pool.max_workers == 3
 
     def test_pool_tasks_submitted_once_longest_first(self, sync_pools):
         setup, eps_list, h0, tau = preset("periodic-s51", 1.0), [1.0, 0.5, 0.25], np.pi / 4, 0.02
@@ -722,7 +747,7 @@ class TestSharedReferences:
 
 class TestEmission:
     def test_empty_table_is_header_only(self):
-        table = ConvergenceTable("cnfd", [], 0, "space-time")
+        table = ConvergenceTable("cnfd", [], 0)
         assert emit_csv(table) == (
             "epsilon,level,h,tau,e_phi,e_rho,e_J,order_phi,order_rho,order_J,diagonal\n")
 

@@ -11,18 +11,18 @@ from dirac1d import (
     PotentialPair,
     SchemeConfig,
     SpinorField,
+    TorusGrid,
     check_bounds,
     current,
     density,
-    energy_fd,
-    energy_fp,
-    make_grid,
+    energy,
     mass,
     norm,
     preset,
     run_simulation,
     zero_potentials,
 )
+from dirac1d.grid import CenteredDifference, FourierDerivative
 
 RNG = np.random.default_rng(7)
 
@@ -56,11 +56,11 @@ def energy_fd_oracle(f, pots, eps):
 
 class TestMass:
     def test_zero_field(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         assert mass(SpinorField(g, np.zeros((2, 8)))) == 0.0
 
     def test_constant_spinor(self):
-        g = make_grid(0.0, 2 * np.pi, 32)
+        g = TorusGrid(0.0, 2 * np.pi, 32)
         f = SpinorField(g, np.ones((2, 32), dtype=complex))
         assert mass(f) == pytest.approx(4 * np.pi, rel=1e-14)
 
@@ -70,37 +70,37 @@ class TestMass:
         assert mass(prob.phi0) == pytest.approx(BENCHMARK_MASS, abs=1e-10)
 
     def test_equals_squared_l2_norm(self):
-        g = make_grid(-1.0, 4.0, 16)
+        g = TorusGrid(-1.0, 4.0, 16)
         f = random_field(g)
         assert mass(f) == pytest.approx(norm(f, "l2") ** 2, rel=1e-14)
 
     def test_density_integrates_to_mass(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = random_field(g)
         assert g.h * density(f).sum() == pytest.approx(mass(f), rel=1e-14)
 
 
 class TestDensityCurrent:
     def test_up_spinor(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = SpinorField(g, np.stack((np.ones(8, complex), np.zeros(8, complex))))
         np.testing.assert_allclose(density(f), 1.0)
         np.testing.assert_allclose(current(f), 0.0)
 
     def test_sigma1_eigenvector(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = SpinorField(g, np.full((2, 8), 1 / np.sqrt(2), dtype=complex))
         np.testing.assert_allclose(density(f), 1.0, rtol=1e-14)
         np.testing.assert_allclose(current(f), 1.0, rtol=1e-14)
 
     def test_phase_quadrature_kills_current(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         f = SpinorField(g, np.stack((np.ones(8, complex), 1j * np.ones(8, complex))))
         np.testing.assert_allclose(density(f), 2.0, rtol=1e-14)
         np.testing.assert_allclose(current(f), 0.0, atol=1e-14)
 
     def test_current_bounded_by_density(self):
-        g = make_grid(0.0, 2 * np.pi, 64)
+        g = TorusGrid(0.0, 2 * np.pi, 64)
         for _ in range(5):
             f = random_field(g)
             assert np.all(current(f) ** 2 <= density(f) ** 2 * (1 + 1e-12))
@@ -108,54 +108,56 @@ class TestDensityCurrent:
 
 class TestEnergies:
     def test_zero_field(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         z = SpinorField(g, np.zeros((2, 8)))
-        assert energy_fd(z, zero_potentials(), 1.0) == 0.0
-        assert energy_fp(z, zero_potentials(), 1.0) == 0.0
+        assert energy(z, CenteredDifference(g), zero_potentials(), 1.0) == 0.0
+        assert energy(z, FourierDerivative(g), zero_potentials(), 1.0) == 0.0
 
     def test_constant_up_spinor_free(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = SpinorField(g, np.stack((np.ones(16, complex), np.zeros(16, complex))))
-        assert energy_fd(f, zero_potentials(), 1.0) == pytest.approx(2 * np.pi, rel=1e-13)
-        assert energy_fp(f, zero_potentials(), 1.0) == pytest.approx(2 * np.pi, rel=1e-13)
+        for space in (CenteredDifference(g), FourierDerivative(g)):
+            assert energy(f, space, zero_potentials(), 1.0) == pytest.approx(2 * np.pi, rel=1e-13)
 
     def test_single_mode_spectral_energy(self):
         # (e^{ix}, 0): sigma1 swaps components, so the kinetic term vanishes
         # and only the sigma3 term contributes 2*pi
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = SpinorField(g, np.stack((np.exp(1j * g.x), np.zeros_like(g.x, complex))))
-        assert energy_fp(f, zero_potentials(), 1.0) == pytest.approx(2 * np.pi, rel=1e-12)
+        fp = FourierDerivative(g)
+        assert energy(f, fp, zero_potentials(), 1.0) == pytest.approx(2 * np.pi, rel=1e-12)
         # (e^{ix}, e^{ix}): kinetic 4*pi, sigma3 term cancels
         f2 = SpinorField(g, np.stack((np.exp(1j * g.x), np.exp(1j * g.x))))
-        assert energy_fp(f2, zero_potentials(), 1.0) == pytest.approx(4 * np.pi, rel=1e-12)
+        assert energy(f2, fp, zero_potentials(), 1.0) == pytest.approx(4 * np.pi, rel=1e-12)
 
     def test_fd_energy_matches_direct_assembly(self):
         setup = preset("periodic-s51", 1.0)
         prob = setup.discretize(N=64)
-        got = energy_fd(prob.phi0, setup.potentials, 1.0)
+        got = energy(prob.phi0, CenteredDifference(prob.grid), setup.potentials, 1.0)
         assert got == pytest.approx(energy_fd_oracle(prob.phi0, setup.potentials, 1.0),
                                     rel=1e-12)
 
     def test_requires_time_independent(self):
-        g = make_grid(0.0, 2 * np.pi, 8)
+        g = TorusGrid(0.0, 2 * np.pi, 8)
         pots = PotentialPair(lambda t, x: np.cos(t) * np.ones_like(x),
                              lambda t, x: np.zeros_like(x), False, 1.0, 0.0)
         with pytest.raises(ConfigurationError):
-            energy_fd(random_field(g), pots, 1.0)
+            energy(random_field(g), CenteredDifference(g), pots, 1.0)
 
     def test_eps_zero_switches_time_dependence_off(self):
         # the rule of DiracProblem.time_independent: at eps = 0 the energy is
         # defined and equals the one run_simulation records at step 0
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         pots = PotentialPair(lambda t, x: np.cos(t) + np.sin(x),
                              lambda t, x: 0.5 * np.cos(x + t), False, 2.0, 0.5)
         phi0 = SpinorField(g, np.stack((np.exp(1j * g.x) / (2 + np.cos(g.x)),
                                         np.exp(-2j * g.x) / (3 + np.sin(g.x)))))
         prob = DiracProblem(g, 0.0, pots, phi0, T0=2.0)
         res = run_simulation(prob, SchemeConfig("cnfd", 0.1, t_final=0.5, record="mass+energy"))
-        assert energy_fd(phi0, pots, 0.0) == pytest.approx(res.energy_series[0], rel=1e-13)
+        fd = CenteredDifference(g)
+        assert energy(phi0, fd, pots, 0.0) == pytest.approx(res.energy_series[0], rel=1e-13)
         with pytest.raises(ConfigurationError, match="time-independent"):
-            energy_fd(phi0, pots, 0.5)
+            energy(phi0, fd, pots, 0.5)
 
     def test_fd_and_fp_agree_at_second_order(self):
         # complex-phased data so the kinetic term is active; |E_fd - E_fp|
@@ -168,10 +170,10 @@ class TestEnergies:
 
         diffs = []
         for N in (16, 32):
-            g = make_grid(0.0, 2 * np.pi, N)
+            g = TorusGrid(0.0, 2 * np.pi, N)
             f = SpinorField(g, data(g.x))
-            diffs.append(abs(energy_fd(f, setup.potentials, 1.0)
-                             - energy_fp(f, setup.potentials, 1.0)))
+            diffs.append(abs(energy(f, CenteredDifference(g), setup.potentials, 1.0)
+                             - energy(f, FourierDerivative(g), setup.potentials, 1.0)))
         assert diffs[0] > 0
         assert diffs[1] <= diffs[0] / 4.0 * 1.2
 
@@ -179,14 +181,14 @@ class TestEnergies:
 class TestBoundsCheck:
     def test_valid_bounds_quiet(self):
         setup = preset("periodic-s51", 1.0)
-        g = make_grid(0.0, 2 * np.pi, 32)
+        g = TorusGrid(0.0, 2 * np.pi, 32)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert check_bounds(setup.potentials, g, 2.0)
         assert caught == []
 
     def test_violated_bounds_warn(self):
-        g = make_grid(0.0, 2 * np.pi, 32)
+        g = TorusGrid(0.0, 2 * np.pi, 32)
         lying = PotentialPair(lambda t, x: 2.0 * np.cos(x), lambda t, x: np.zeros_like(x),
                               True, v_max=1.0, a_max=0.0)
         with pytest.warns(UserWarning, match="bounds exceeded"):
@@ -246,7 +248,7 @@ class TestProblemAndPresets:
     def test_problem_validation(self):
         setup = preset("periodic-s51", 1.0)
         prob = setup.discretize(N=16)
-        other = make_grid(0.0, 2 * np.pi, 32)
+        other = TorusGrid(0.0, 2 * np.pi, 32)
         with pytest.raises(ConfigurationError):
             DiracProblem(other, 1.0, setup.potentials, prob.phi0)
         with pytest.raises(ConfigurationError):

@@ -21,9 +21,9 @@ from dirac1d import (
     ReferenceCache,
     SchemeConfig,
     SpinorField,
+    TorusGrid,
     free_dirac_exact,
     load_reference,
-    make_grid,
     make_stepper,
     mass,
     norm,
@@ -35,7 +35,7 @@ from dirac1d import (
     zero_potentials,
 )
 from dirac1d.grid import CenteredDifference, FourierDerivative
-from dirac1d.reference import TSFPStepper, semi_discrete_flow
+from dirac1d.reference import semi_discrete_flow
 from dirac1d.stepping import dense_power_pays
 
 from test_fdtd import free_problem
@@ -51,7 +51,7 @@ def random_field(grid, rng=RNG):
 
 class TestFreeExact:
     def test_mode_zero_rotates_by_mass_phases(self):
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         f = SpinorField(g, np.stack((np.full(16, 0.7 + 0.1j), np.full(16, -0.2 + 0.4j))))
         t = 0.83
         out = free_dirac_exact(f, t)
@@ -60,7 +60,7 @@ class TestFreeExact:
 
     def test_single_mode_matches_matrix_exponential(self):
         # dense eigendecomposition oracle for exp(-i t (mu*sigma1 + sigma3))
-        g = make_grid(0.0, 2 * np.pi, 16)
+        g = TorusGrid(0.0, 2 * np.pi, 16)
         u = np.array([0.3 - 0.5j, 0.8 + 0.2j])
         f = SpinorField(g, np.outer(u, np.exp(1j * g.x)))
         t = 1.37
@@ -72,14 +72,14 @@ class TestFreeExact:
                                    atol=1e-13)
 
     def test_unitary_on_random_data(self):
-        g = make_grid(0.0, 2 * np.pi, 32)
+        g = TorusGrid(0.0, 2 * np.pi, 32)
         f = random_field(g)
         for t in (0.1, 2.7, 40.0):
             assert norm(free_dirac_exact(f, t), "l2") == pytest.approx(
                 norm(f, "l2"), rel=1e-13)
 
     def test_composition(self):
-        g = make_grid(0.0, 2 * np.pi, 32)
+        g = TorusGrid(0.0, 2 * np.pi, 32)
         f = random_field(g)
         once = free_dirac_exact(f, 0.7 + 1.9)
         twice = free_dirac_exact(free_dirac_exact(f, 0.7), 1.9)
@@ -87,7 +87,7 @@ class TestFreeExact:
             1e-12 * norm(f, "l2")
 
     def test_negative_time_inverts(self):
-        g = make_grid(0.0, 2 * np.pi, 32)
+        g = TorusGrid(0.0, 2 * np.pi, 32)
         f = random_field(g)
         back = free_dirac_exact(free_dirac_exact(f, 1.3), -1.3)
         np.testing.assert_allclose(back.values, f.values, atol=1e-13)
@@ -95,7 +95,7 @@ class TestFreeExact:
 
 class TestTSFP:
     def test_free_case_degenerates_to_exact(self):
-        grid = make_grid(0.0, 2 * np.pi, 32)
+        grid = TorusGrid(0.0, 2 * np.pi, 32)
         prob = free_problem(grid, lambda x: np.stack((np.exp(1j * x) / (2 + np.sin(x)),
                                                       np.cos(x) + 0j)))
         st = make_stepper("tsfp", prob, 0.05)
@@ -105,7 +105,7 @@ class TestTSFP:
 
     def test_constant_electric_potential_is_global_phase(self):
         # with V = c, A1 = 0 the potential flow commutes with the free flow
-        grid = make_grid(0.0, 2 * np.pi, 32)
+        grid = TorusGrid(0.0, 2 * np.pi, 32)
         c, eps, tau = 0.8, 0.5, 0.04
         pots = PotentialPair(lambda t, x: np.full_like(x, c),
                              lambda t, x: np.zeros_like(x), True, c, 0.0)
@@ -159,8 +159,8 @@ class TestTSFP:
         prob = preset("periodic-s51", eps).discretize(N=N)
         phi0 = random_field(prob.grid, np.random.default_rng(seed))
         prob = dataclasses.replace(prob, phi0=phi0)
-        a = TSFPStepper(prob, 1e-3)
-        b = TSFPStepper(prob, 1e-3)
+        a = make_stepper("tsfp", prob, 1e-3)
+        b = make_stepper("tsfp", prob, 1e-3)
         a.propagate(n)
         for _ in range(n):
             b.advance()
@@ -174,10 +174,10 @@ class TestTSFP:
         prob = preset("periodic-s51", 0.25).discretize(N=64)
         n = 20_000
         assert dense_power_pays(128, n, 64)
-        dense = TSFPStepper(prob, 1e-4)
+        dense = make_stepper("tsfp", prob, 1e-4)
         dense.propagate(n)
         monkeypatch.setattr(stepping, "dense_power_pays", lambda size, n_steps, n_nodes: False)
-        loop = TSFPStepper(prob, 1e-4)
+        loop = make_stepper("tsfp", prob, 1e-4)
         loop.propagate(n)
         assert dense.propagation == {"dense-power"} and loop.propagation == {"stepwise"}
         dist = norm(SpinorField(prob.grid, dense._curr - loop._curr), "l2")
@@ -185,10 +185,10 @@ class TestTSFP:
 
     def test_successive_propagations_compose(self):
         prob = preset("periodic-s51", 0.25).discretize(N=64)
-        split = TSFPStepper(prob, 1e-4)
+        split = make_stepper("tsfp", prob, 1e-4)
         split.propagate(3_000)
         split.propagate(5_000)
-        whole = TSFPStepper(prob, 1e-4)
+        whole = make_stepper("tsfp", prob, 1e-4)
         whole.propagate(8_000)
         assert split.propagation == whole.propagation == {"dense-power"}
         assert split.n == whole.n == 8_000
@@ -196,12 +196,12 @@ class TestTSFP:
         assert dist <= 1e-15 * 8_000 * norm(prob.phi0, "l2")
 
     def test_time_dependent_potential_keeps_the_loop(self):
-        grid = make_grid(0.0, 2 * np.pi, 16)
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
         pots = PotentialPair(lambda t, x: np.cos(t) / (1 + np.sin(x) ** 2),
                              lambda t, x: np.sin(2 * t) * np.cos(x), False, 1.0, 1.0)
         prob = DiracProblem(grid, 1.0, pots, random_field(grid), T0=2.0)
-        a = TSFPStepper(prob, 1e-3)
-        b = TSFPStepper(prob, 1e-3)
+        a = make_stepper("tsfp", prob, 1e-3)
+        b = make_stepper("tsfp", prob, 1e-3)
         a.propagate(2_000)
         for _ in range(2_000):
             b.advance()
@@ -220,7 +220,7 @@ class TestTSFP:
         prob = DiracProblem(grid, 1.0, pots, phi0, T0=2.0)
 
         def solve(tau):
-            stepper = TSFPStepper(prob, tau)
+            stepper = make_stepper("tsfp", prob, tau)
             stepper.propagate(round(2.0 / tau))
             return stepper._curr
 
@@ -257,7 +257,7 @@ class TestBitIdentity:
     def test_stepwise_propagate_equals_the_merged_recurrence(self):
         prob = preset("periodic-s51", 0.25).discretize(N=1024)
         tau = 1e-3
-        stepper = TSFPStepper(prob, tau)
+        stepper = make_stepper("tsfp", prob, tau)
         ev, ea = stepper._eps_potentials(0.0)
 
         def potential(s):
@@ -278,7 +278,7 @@ class TestBitIdentity:
         assert stepper.propagation == {"stepwise"} and stepper.n == 200
 
     def test_free_dirac_exact_equals_the_stacked_products(self):
-        grid = make_grid(0.0, 2 * np.pi, 1024)
+        grid = TorusGrid(0.0, 2 * np.pi, 1024)
         phi0 = random_field(grid)
         for t in (3.7, -0.25):
             assert_bitwise_equal(free_dirac_exact(phi0, t).values,
@@ -331,14 +331,14 @@ class TestReferenceSolution:
     def test_restriction_by_subsampling(self):
         setup = preset("periodic-s51", 1.0)
         ref = reference_solution(setup, np.pi / 64, 1e-3, [0.5])
-        coarse = make_grid(0.0, 2 * np.pi, 16)
+        coarse = TorusGrid(0.0, 2 * np.pi, 16)
         r = ref.restricted(0.5, coarse)
         np.testing.assert_array_equal(r.values, ref.snapshot(0.5).values[:, ::8])
 
     def test_min_space_ratio_enforced(self):
         setup = preset("periodic-s51", 1.0)
         ref = reference_solution(setup, np.pi / 16, 1e-3, [0.5])  # N = 32
-        coarse = make_grid(0.0, 2 * np.pi, 16)
+        coarse = TorusGrid(0.0, 2 * np.pi, 16)
         with pytest.raises(ConfigurationError, match="finer"):
             ref.restricted(0.5, coarse, min_space_ratio=4.0)
         assert ref.restricted(0.5, coarse, min_space_ratio=2.0).grid.N == 16
@@ -346,7 +346,7 @@ class TestReferenceSolution:
     def test_non_nesting_needs_interpolation_flag(self):
         setup = preset("periodic-s51", 1.0)
         ref = reference_solution(setup, np.pi / 64, 1e-3, [0.5])
-        odd = make_grid(0.0, 2 * np.pi, 24)
+        odd = TorusGrid(0.0, 2 * np.pi, 24)
         # references are only subsampled: a grid that does not nest is refused
         with pytest.raises(ConfigurationError, match="interpolation"):
             ref.restricted(0.5, odd)
@@ -397,7 +397,7 @@ class TestReferenceSolution:
         for t in ref.times:
             np.testing.assert_allclose(ref.snapshot(t).values,
                                        free_dirac_exact(phi0, t).values, rtol=0, atol=1e-13)
-        coarse = setup.grid_with_nodes(16)
+        coarse = TorusGrid(*setup.domain(), 16)
         np.testing.assert_array_equal(ref.restricted(2.0, coarse).values,
                                       ref.snapshot(2.0).values[:, ::4])
 
@@ -557,7 +557,7 @@ class TestCache:
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) != k2
 
     def test_key_requires_description(self):
-        grid_free = free_problem(make_grid(0.0, 2 * np.pi, 16),
+        grid_free = free_problem(TorusGrid(0.0, 2 * np.pi, 16),
                                  lambda x: np.zeros((2, len(x)), dtype=complex))
         import dirac1d.model as model
 

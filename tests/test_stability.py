@@ -20,6 +20,7 @@ from dirac1d import (
     validate,
 )
 from dirac1d.cli import main
+from dirac1d.schemes import SCHEMES
 
 
 class TestTauMax:
@@ -58,10 +59,18 @@ class TestTauMax:
         assert tau_max("lffp", h, v, a) == pytest.approx(expected)
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tau_max("tsfp", 0.1, 0.0, 0.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown scheme 'rk4'"):
             tau_max("rk4", 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: validate("cnfd", 0.1, math.inf, 0.0, 0.0), "tau must be finite, got inf"),
+        (lambda: validate("tsfp", 0.1, math.nan, 0.0, 0.0), "tau must be finite, got nan"),
+        (lambda: validate("lffd", math.inf, 0.01, 0.0, 0.0), "h must be positive and finite"),
+        (lambda: tau_max("sifd1", math.nan, 0.0, 0.0), "h must be positive and finite, got nan"),
+    ], ids=["cn-tau-inf", "tsfp-tau-nan", "lf-h-inf", "si1-h-nan"])
+    def test_non_finite_h_or_tau_refused(self, call, message):
+        with pytest.raises(ConfigurationError, match=message):
+            call()
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -81,7 +90,8 @@ class TestTauMax:
             assert all(x >= y - 1e-15 for x, y in zip(bounds, bounds[1:]))
 
     @pytest.mark.parametrize("scheme, v, a", [("cnfd", 5.0, 7.0), ("cnfp", 5.0, 7.0),
-                                              ("sifd2", 0.0, 0.0), ("sifp2", 0.0, 0.0)])
+                                              ("sifd2", 0.0, 0.0), ("sifp2", 0.0, 0.0),
+                                              ("tsfp", 5.0, 7.0)])
     def test_unbounded_is_infinite_with_margin_zero(self, scheme, v, a):
         assert tau_max(scheme, 0.1, v, a) == math.inf
         verdict = validate(scheme, 0.1, -1e6, v, a)
@@ -184,6 +194,7 @@ class TestPinned:
             "sifp1": h / math.pi,
             "sifp2": si2,
             "lffp": h / (v * h + math.sqrt(h * h + (math.pi + h * a) ** 2)),
+            "tsfp": UNBOUNDED,
         }
         assert ALL_SCHEMES == tuple(want)
         assert {s: tau_max(s, h, v, a) for s in ALL_SCHEMES} == want
@@ -192,11 +203,17 @@ class TestPinned:
         prob = preset("periodic-s51", 1.0).discretize(N=16)
         assert [make_stepper(s, prob, 0.01).scheme for s in ALL_SCHEMES] == list(ALL_SCHEMES)
 
-    def test_tsfp_builds_a_stepper_but_has_no_bound(self):
+    def test_every_stepper_holds_its_registry_space_operator(self):
+        prob = preset("periodic-s51", 1.0).discretize(N=16)
+        assert len(SCHEMES) == 9
+        for name, (_, space) in SCHEMES.items():
+            stepper = make_stepper(name, prob, 0.01)
+            assert isinstance(stepper.space, space) and stepper.space.grid == prob.grid
+
+    def test_tsfp_builds_a_stepper_and_is_unbounded(self):
         prob = preset("periodic-s51", 1.0).discretize(N=16)
         assert make_stepper("tsfp", prob, 0.01).scheme == "tsfp"
-        with pytest.raises(ConfigurationError, match="no step bound"):
-            tau_max("tsfp", 0.1, 0.0, 0.0)
+        assert tau_max("tsfp", 0.1, 5.0, 7.0) is UNBOUNDED
 
     SI1 = {"problem": "periodic-s51", "epsilon": 1.0, "scheme": "sifd1", "N": 16, "tau": 0.35}
     DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -210,6 +227,7 @@ cnfp   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
 sifp1  h=0.392699   tau=0.35       tau_max=0.125      margin=2.8      VIOLATED
 sifp2  h=0.392699   tau=0.35       tau_max=0.362296   margin=0.966    ok
 lffp   h=0.392699   tau=0.35       tau_max=0.0924961  margin=3.78     VIOLATED
+tsfp   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
 """,
         "inline_problem": """\
 cnfd   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
@@ -220,6 +238,7 @@ cnfp   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
 sifp1  h=0.19635    tau=0.005      tau_max=0.0625     margin=0.08     ok
 sifp2  h=0.19635    tau=0.005      tau_max=0.724585   margin=0.0069   ok
 lffp   h=0.19635    tau=0.005      tau_max=0.0574393  margin=0.087    ok <-- requested
+tsfp   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
 """,
         "torus_run": """\
 cnfd   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
@@ -230,6 +249,7 @@ cnfp   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok <-- req
 sifp1  h=0.0981748  tau=0.01       tau_max=0.03125    margin=0.32     ok
 sifp2  h=0.0981748  tau=0.01       tau_max=1.44918    margin=0.0069   ok
 lffp   h=0.0981748  tau=0.01       tau_max=0.0305759  margin=0.327    ok
+tsfp   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
 """,
         "refinement_table": None,  # no tau: exit 2, no table
     }
