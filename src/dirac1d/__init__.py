@@ -6,14 +6,14 @@ The governed equation on a periodic interval (a, b), with a small parameter
     i dPhi/dt = (-i sigma1 d/dx + sigma3) Phi
                 + eps (V(t,x) I2 - A1(t,x) sigma1) Phi.
 
-Nine schemes are provided, built by `make_stepper`: four time
+Eleven schemes are provided, built by `make_stepper`: four time
 discretizations (Crank-Nicolson, two semi-implicit, leap-frog) over two
 space operators, the centered difference (cnfd, sifd1, sifd2, lffd) and the
-Fourier derivative (cnfp, sifp1, sifp2, lffp), and the Strang splitting
-over the latter (tsfp), which also builds references; plus the exact-in-time
-flow of either space operator.  The harness measures errors against
-reference solutions over the long horizon t = T0/eps and emits convergence
-tables as CSV.
+Fourier derivative (cnfp, sifp1, sifp2, lffp), the Strang splitting over
+the latter (tsfp), and the flow exact in time over either (exfd, exfp);
+every reference is a run of tsfp, exfp or exfd.  The harness measures
+errors against reference solutions over the long horizon t = T0/eps and
+emits convergence tables as CSV.
 """
 
 from .errors import (
@@ -51,6 +51,7 @@ from .stability import (
 )
 from .reference import (
     ReferenceCache,
+    EXStepper,
     ReferenceSolution,
     TSFPStepper,
     free_dirac_exact,
@@ -58,7 +59,6 @@ from .reference import (
     reference_cache_key,
     reference_solution,
     save_reference,
-    semi_discrete_flow,
 )
 from .harness import (
     ConvergenceTable,

@@ -18,8 +18,8 @@ Config keys (subcommand-dependent; another JSON type, NaN or Infinity exits 2):
     h | N      mesh size or node count        tau      time step
     t_final, record_every, stop_norm_ratio   (run) horizon (T0/epsilon),
                record stride (1), norm growth that ends the run (1e6)
-    reference  "exact" or an object with only kind, h_e, tau_e,
-               min_space_ratio                           (tables/compare)
+    reference  tsfp | exfp | exfd, or an object with only kind (one of
+               these), h_e, tau_e, min_space_ratio       (tables/compare)
     eps_list, levels and the step keys named as in the harness function:
                converge h0 tau0, sweep-spatial h0 tau, sweep-temporal tau0 h
     schemes, snapshots                        (compare)
@@ -150,9 +150,9 @@ _REFERENCE_KEYS = ("kind", "h_e", "tau_e", "min_space_ratio")
 
 def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
     spec = cfg.get("reference")
-    spec = {} if spec is None else {"kind": "exact"} if spec == "exact" else spec
+    spec = {} if spec is None else {"kind": spec} if isinstance(spec, str) else spec
     if not isinstance(spec, dict):
-        raise ConfigurationError(f"'reference' must be \"exact\" or an object, got {spec!r}")
+        raise ConfigurationError(f"'reference' must be a scheme name or an object, got {spec!r}")
     if unknown := sorted(set(spec) - set(_REFERENCE_KEYS)):
         raise ConfigurationError(
             f"unknown 'reference' keys {unknown}; known keys: {list(_REFERENCE_KEYS)}")

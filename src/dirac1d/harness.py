@@ -25,14 +25,14 @@ blow-up at each step alike.
 A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
 so the parent process checks every cell against its row's reference grid
-(node ratio and nesting), and an exact reference's problem (`check_flow`),
+(node ratio and nesting), and its reference's problem (`Stepper.refuse`),
 before any task starts, runs the tasks, and then restricts each reference
 and measures each cell itself.  A row whose reference the `ReferenceConfig`
 already keeps from an earlier table or `compare_over_time` gets no
 reference task: the FD and FP sweeps of one setup and one config share
-their references.  Tasks run longest first by the static estimate steps x
-nodes: (t/tau_e) N_e for a reference, N_e^3/8 for the exact kind (its eigh
-takes about as long as N_e^2/8 TSFP steps), (t/tau) N for a cell.  Since
+their references.  Tasks run longest first by their scheme's estimate
+(`Stepper.task_cost`), steps x nodes: (t/tau) N, or N^3/8 for an exact
+flow (its eigh takes about as long as N^2/8 TSFP steps).  Since
 t = T0/eps, the smallest-eps reference usually leads.  With workers > 1 the
 same tasks go to a process pool in that order; the first task that raises
 cancels the ones still queued, and its error is raised as in a serial run.
@@ -53,9 +53,9 @@ from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
 from .model import (DiracProblem, ProblemSetup, check_bounds, current, density,
                     discrete_energy, mass)
-from .reference import (ReferenceCache, ReferenceSolution, check_flow, check_restriction,
+from .reference import (EXACT_FLOWS, ReferenceCache, ReferenceSolution, check_restriction,
                         reference_cache_key, reference_solution)
-from .schemes import make_stepper
+from .schemes import lookup, make_stepper
 from .stability import validate
 from .stepping import k_matrix, whole_steps
 
@@ -105,7 +105,7 @@ class SimulationResult:
     wall_time: float
     blew_up: bool = False
     blowup_step: Optional[int] = None
-    propagation: str = "none"  # "dense-power", "dense-step" or "stepwise"
+    propagation: str = "none"  # "dense-power", "dense-step", "stepwise" or "eigh"
 
     @property
     def max_norm_ratio(self) -> float:
@@ -262,14 +262,14 @@ def measure_errors(sol: SpinorField, ref: SpinorField, t: float = float("nan"),
 class ReferenceConfig:
     """How table cells obtain their reference solution.
 
-    kind "tsfp": Strang-split run at (h_e, tau_e); unset values default to
-    (finest test h)/space_factor and (finest test tau)/time_factor, and
-    tau_e must be min_time_ratio x finer than the finest test tau.
-    kind "exact": the Fourier semi-discrete flow at h_e, exact in time (no
-    tau_e; time-independent potentials and N_e <= 1024 only).  Either kind
-    must be min_space_ratio x finer in space than each test grid, and nest
-    with it: cells are compared with the reference subsampled onto their
-    nodes, never interpolated.
+    kind is the reference scheme.  "tsfp" runs at (h_e, tau_e); unset values
+    default to (finest test h)/space_factor and (finest test tau)/time_factor,
+    and tau_e must be min_time_ratio x finer than the finest test tau.
+    "exfp", "exfd": that flow at h_e, exact in time (no tau_e; time-
+    independent potentials and N_e <= 1024 only).  Every kind must be
+    min_space_ratio x finer in space than each test grid, and nest with it:
+    cells are compared with the reference subsampled onto their nodes,
+    never interpolated.
 
     The config keeps every reference that its tables and `compare_over_time`
     obtained (built, or read from the disk cache), keyed by
@@ -292,15 +292,15 @@ class ReferenceConfig:
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("tsfp", "exact"):
+        if self.kind not in ("tsfp", *EXACT_FLOWS):
             raise ConfigurationError(f"unknown reference kind {self.kind!r}")
-        if self.kind == "exact" and self.tau_e is not None:
-            raise ConfigurationError("the exact reference takes no tau_e")
+        if self.kind != "tsfp" and self.tau_e is not None:
+            raise ConfigurationError(f"the {self.kind} reference takes no tau_e")
 
     def __getstate__(self):
         return {**self.__dict__, "_kept": {}}
 
-    def _lookup(self, setup: ProblemSetup, h_e: float, tau_e: Optional[float],
+    def _lookup(self, setup: ProblemSetup, h_e: float, tau_e,
                 t_targets: Sequence[float]) -> tuple:
         """(key, reference): the key this config keeps the reference under
         (None for a setup without a key) and the reference if this config
@@ -317,12 +317,12 @@ class ReferenceConfig:
 
 def _reference_mesh(ref_cfg: ReferenceConfig, h_finest: float,
                     tau_finest: float) -> tuple:
-    """(h_e, tau_e) of a row's reference; tau_e is None for the exact kind."""
+    """(h_e, tau_e) of a row's reference; an exact flow's tau_e is its name."""
     h_e = ref_cfg.h_e if ref_cfg.h_e is not None else h_finest / ref_cfg.space_factor
     if not h_e > 0:
         raise ConfigurationError(f"reference h_e must be positive, got {h_e}")
-    if ref_cfg.kind == "exact":
-        return h_e, None
+    if ref_cfg.kind in EXACT_FLOWS:
+        return h_e, ref_cfg.kind
     tau_e = ref_cfg.tau_e if ref_cfg.tau_e is not None else tau_finest / ref_cfg.time_factor
     if not tau_e > 0:
         raise ConfigurationError(f"reference tau_e must be positive, got {tau_e}")
@@ -434,6 +434,7 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
         raise ConfigurationError(
             f"mesh size and time step must be positive, got h={h_finest}, tau={tau_finest}")
     h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
+    scheme_cls, ref_cls = lookup(scheme)[0], lookup(ref_cfg.kind)[0]
     rows, tasks = [], []  # tasks: (estimated steps x nodes, key, task)
     for i, eps in enumerate(eps_list):
         s_eps = setup.with_epsilon(eps)
@@ -446,15 +447,13 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
         rows.append((s_eps, t_target, ref_key, reference))
         n_e = s_eps.grid_for_mesh(h_e).N
         if reference is None:
-            if tau_e is None:
-                check_flow(s_eps.discretize(h=h_e))
-            ref_steps = t_target / tau_e if tau_e is not None else n_e ** 2 / 8
-            tasks.append((ref_steps * n_e, i,
+            ref_cls.refuse(s_eps.discretize(h=h_e))
+            tasks.append((ref_cls.task_cost(n_e, t_target, tau_e), i,
                           ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
         for k, (h, tau) in enumerate(pairs):
             n = s_eps.grid_for_mesh(h).N
             check_restriction(n_e, n, ref_cfg.min_space_ratio)
-            tasks.append((t_target / tau * n, (i, k),
+            tasks.append((scheme_cls.task_cost(n, t_target, tau), (i, k),
                           ("cell", s_eps, scheme, h, tau, t_target)))
 
     tasks.sort(key=lambda task: -task[0])  # longest first; stable on ties

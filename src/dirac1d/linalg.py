@@ -17,7 +17,6 @@ one gather, gbtrs and one scatter.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import SolverError
 
@@ -54,6 +53,7 @@ class CyclicBlockTridiagSolver:
         ab = np.zeros((2 * _KL + _KU + 1, self.n), dtype=np.complex128, order="F")
         ab[_KL + _KU + rows - cols, cols] = blocks
 
+        from scipy.linalg import get_lapack_funcs  # here: importing scipy.linalg costs 0.3 s
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         lu, ipiv, info = gbtrf(ab, _KL, _KU, overwrite_ab=True)  # in place: no copy
         if info != 0:

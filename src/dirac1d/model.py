@@ -46,7 +46,7 @@ class PotentialPair:
     a_max: float
 
     def __post_init__(self):
-        if self.v_max < 0 or self.a_max < 0:
+        if not (self.v_max >= 0 and self.a_max >= 0):  # NaN too
             raise ConfigurationError("potential bounds must be nonnegative")
 
     def evaluate(self, t: float, x: np.ndarray):
@@ -172,8 +172,10 @@ def discrete_energy(space, v: np.ndarray, ev: np.ndarray, ea: np.ndarray,
 
 
 def energy(f: SpinorField, space, p: PotentialPair, eps: float) -> float:
-    """h Re<Phi, K Phi> of f, K over `space`, a space operator on f's grid as
-    `semi_discrete_flow` takes it; time-independent potentials only."""
+    """h Re<Phi, K Phi> of f, K over `space`, a space operator on f's grid
+    as a stepper holds it; time-independent potentials only."""
+    if space.grid != f.grid:
+        raise ConfigurationError(f"the space operator is on {space.grid}, the field on {f.grid}")
     # the rule of DiracProblem.time_independent: eps = 0 switches V and A1 off
     if not (p.time_independent or eps == 0.0):
         raise ConfigurationError("the discrete energy is defined only for time-independent potentials")

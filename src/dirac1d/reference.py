@@ -1,4 +1,4 @@
-"""Ground-truth generators: exact free flow, TSFP and the semi-discrete flow.
+"""Ground-truth generators: exact free flow, TSFP, the exact flow (EX).
 
 The free flow is applied exactly per mode through the symbol
 Gamma_l = mu_l*sigma1 + sigma3, whose exponential is
@@ -22,10 +22,9 @@ merges the interior potential half steps and works in two preallocated
 (2, N) buffers, bit-identical to the same loop of fresh arrays.  The
 reference manifest records the path taken under "propagation".
 
-`semi_discrete_flow` is Q exp(-i w t) Q^H Phi0 for the steppers' own
-K = Q diag(w) Q^H.  References of either kind are cached to disk, one .npz
-file each (complex128 snapshots and a JSON string with the grid, the times
-and the manifest); the round trip is bit-exact.
+A reference is one run of "tsfp", "exfp" or "exfd" to each snapshot time,
+cached to disk as one .npz file (complex128 snapshots and a JSON string
+with the grid, the times and the manifest); the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -39,19 +38,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import FourierDerivative, SpinorField, TorusGrid, apply_sym2, subsample, sym2
-from .model import DiracProblem, ProblemSetup
+from .grid import SpinorField, TorusGrid, apply_sym2, subsample, sym2
+from .model import ProblemSetup
 from .stepping import Stepper, k_matrix, whole_steps
 
 __all__ = [
-    "free_dirac_exact", "TSFPStepper", "semi_discrete_flow",
+    "free_dirac_exact", "TSFPStepper", "EXStepper",
     "ReferenceSolution", "reference_solution",
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
 
 FORMAT = "npz1"  # in the cache key, so files of another format are never found
 SUBSTEP_ORDER = "potential-first"
-FLOW_MAX_NODES = 1024  # eigh of the 2N x 2N K: 11.6 s and 67 MB at N = 1024
+# exact flow -> its kind in the cache key; exfp keeps the former "exact" digest
+EXACT_FLOWS = {"exfp": "exact", "exfd": "exfd"}
 
 def _free_multipliers(grid: TorusGrid, t: float):
     mu = grid.mu_fft
@@ -120,6 +120,43 @@ class TSFPStepper(Stepper):
         self.t += n_steps * self.tau
 
 
+class EXStepper(Stepper):
+    """The semi-discrete flow i dPhi/dt = K Phi, exact in time ("exfd", "exfp"),
+    by one eigh of the steppers' own K = Q diag(w) Q^H (eps*V, eps*A1 at t = 0):
+    a step is Q exp(-i w tau) Q^H, and `propagate(n)` is Q exp(-i w t) Q^H Phi0
+    at t = n tau from the initial coefficients, never building or powering M."""
+
+    pattern = "ex{}"
+    needs_history = False
+
+    @classmethod
+    def refuse(cls, problem) -> None:
+        if not problem.time_independent or problem.grid.N > 1024:  # eigh: 11.6 s, 67 MB
+            raise ConfigurationError(f"the exact flow needs time-independent potentials "
+                                     f"and N <= 1024, got N={problem.grid.N}")
+
+    @staticmethod
+    def task_cost(n_nodes: int, t: float, tau: float) -> float:
+        return n_nodes ** 3 / 8  # the eigh takes about as long as N^2/8 TSFP steps
+
+    def _prepare(self):
+        k = k_matrix(self.space, *self._kept(self._eps_potentials, 0.0))
+        self._w, self._q = np.linalg.eigh(k)
+        self._coef = self._q.conj().T @ self._curr.reshape(-1)
+
+    def _step(self, prev, curr, t) -> np.ndarray:
+        cols = np.moveaxis(curr, -1, 1).reshape(2 * self.grid.N, -1)  # a column per field
+        new = self._q @ (np.exp(-1j * self._w * self.tau)[:, None] * (self._q.conj().T @ cols))
+        return np.moveaxis(new.reshape(2, self.grid.N, *curr.shape[1:-1]), 1, -1)
+
+    def propagate(self, n_steps: int) -> None:
+        if n_steps > 0:
+            self.propagation.add("eigh")
+            self.n, self.t = self.n + n_steps, self.t + n_steps * self.tau
+            phase = np.exp(-1j * self._w * (self.n * self.tau))
+            self._curr = (self._q @ (phase * self._coef)).reshape(2, -1)
+
+
 class ReferenceSolution:
     """Fine-grid snapshots at fixed times, restrictable to coarser grids."""
 
@@ -162,46 +199,30 @@ def check_restriction(n_e: int, n: int, min_space_ratio: float) -> None:
         )
 
 
-def check_flow(problem: DiracProblem) -> None:
-    """Refuse a problem that `semi_discrete_flow` does not serve."""
-    if not problem.time_independent or problem.grid.N > FLOW_MAX_NODES:
-        raise ConfigurationError(f"the exact reference needs time-independent potentials "
-                                 f"and N_e <= {FLOW_MAX_NODES}, got N_e={problem.grid.N}")
-
-
-def semi_discrete_flow(problem: DiracProblem, space, times: Sequence[float]) -> dict:
-    """{t: Phi(t)} of i dPhi/dt = K Phi over the space operator `space`, exact
-    in time (module docstring), with eps*V and eps*A1 at t = 0."""
-    check_flow(problem)
-    v, a = problem.potentials.evaluate(0.0, problem.grid.x)
-    w, q = np.linalg.eigh(k_matrix(space, problem.epsilon * v, problem.epsilon * a))
-    coef = q.conj().T @ problem.phi0.values.reshape(-1)
-    return {float(t): SpinorField(problem.grid, (q @ (np.exp(-1j * w * t) * coef))
-                                  .reshape(2, -1)) for t in times}
-
-
-def reference_solution(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
+def reference_solution(setup: ProblemSetup, h_e: float, tau_e,
                        t_targets: Sequence[float]) -> ReferenceSolution:
-    """Snapshots at the target times at h_e: of TSFP at tau_e or, with tau_e
-    None (the exact kind), of the semi-discrete flow over FourierDerivative."""
-    if tau_e is not None and tau_e <= 0:
-        raise ConfigurationError("tau_e must be positive")
+    """Snapshots at the target times of one reference run at h_e: of TSFP at
+    the step tau_e, or of the exact flow that tau_e names ("exfp", "exfd"),
+    stepped by the first positive target time (one step for one target)."""
+    from .schemes import make_stepper  # schemes registers the steppers above
+
+    exact = tau_e in EXACT_FLOWS
+    if not (exact or isinstance(tau_e, (int, float)) and tau_e > 0):
+        raise ConfigurationError(f"tau_e must be positive, or exfp or exfd; got {tau_e!r}")
+    scheme, tau = ((tau_e, min((t for t in t_targets if t > 0), default=1.0)) if exact
+                   else ("tsfp", tau_e))
     problem = setup.discretize(h=h_e)
-    if tau_e is None:
-        fields = semi_discrete_flow(problem, FourierDerivative(problem.grid), t_targets)
-        head = {"kind": "exact", "propagation": "eigh"}
-    else:
-        steps = {whole_steps(t, tau_e, "snapshot time", "tau_e"): float(t) for t in t_targets}
-        stepper, fields = TSFPStepper(FourierDerivative, problem, tau_e), {}
-        for k in sorted(steps):
-            stepper.propagate(k - stepper.n)
-            fields[steps[k]] = stepper.phi.copy()
-        head = {"kind": "tsfp", "substep_order": SUBSTEP_ORDER,
-                "propagation": stepper.propagation_label}
+    steps = {whole_steps(t, tau, "snapshot time", "tau_e"): float(t) for t in t_targets}
+    stepper, fields = make_stepper(scheme, problem, tau), {}
+    for k in sorted(steps):
+        stepper.propagate(k - stepper.n)
+        fields[steps[k]] = stepper.phi.copy()
     manifest = {
-        **head,
+        "kind": scheme,
+        **({"substep_order": SUBSTEP_ORDER} if scheme == "tsfp" else {}),
+        "propagation": stepper.propagation_label,
         "h_e": problem.grid.h,
-        "tau_e": tau_e,
+        "tau_e": None if exact else tau,
         "N": problem.grid.N,
         "epsilon": setup.epsilon,
         "problem": setup.key,
@@ -214,10 +235,10 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
 # disk cache
 # ---------------------------------------------------------------------------
 
-def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
+def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e,
                         t_targets: Sequence[float]) -> str:
-    """Content hash identifying a reference run, of the exact kind when
-    tau_e is None, else of TSFP; needs a describable setup."""
+    """Content hash identifying a reference run (`reference_solution`); needs
+    a describable setup."""
     if setup.key is None:
         raise ConfigurationError(
             "this problem setup has no stable description (key=None); caching "
@@ -229,10 +250,10 @@ def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e: Optional[float],
         "epsilon": setup.epsilon,
         "T0": setup.T0,
         "h_e": h_e,
-        "tau_e": tau_e,
+        "tau_e": None if tau_e in EXACT_FLOWS else tau_e,
         "times": [float(t) for t in t_targets],
         "substep_order": SUBSTEP_ORDER,
-        "kind": "tsfp" if tau_e is not None else "exact",
+        "kind": EXACT_FLOWS.get(tau_e, "tsfp"),
         "format": FORMAT,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -290,7 +311,7 @@ class ReferenceCache:
     def path_for(self, key: str) -> str:
         return os.path.join(self.directory, key + ".dref")
 
-    def fetch(self, setup: ProblemSetup, h_e: float, tau_e: Optional[float],
+    def fetch(self, setup: ProblemSetup, h_e: float, tau_e,
               t_targets: Sequence[float]) -> ReferenceSolution:
         """Load a matching cached reference or compute and store one."""
         key = reference_cache_key(setup, h_e, tau_e, t_targets)

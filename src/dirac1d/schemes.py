@@ -1,4 +1,4 @@
-"""The nine steppers: four time discretizations over two space operators,
+"""The eleven steppers: five time discretizations over two space operators,
 and the Strang splitting (TS) over the Fourier derivative.
 
                centered difference "fd"   Fourier derivative "fp"
@@ -7,12 +7,13 @@ and the Strang splitting (TS) over the Fourier derivative.
     SI2        sifd2                      sifp2
     LF         lffd                       lffp
     TS                                    tsfp
+    EX         exfd                       exfp
 
 The space operator D (:mod:`dirac1d.grid`) is the centered difference,
 symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
 mu_l; each time discretization is one `Stepper(space, problem, tau)` class,
 written with K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1)
-(`model.apply_k`), the paper's four below and TSFP in :mod:`dirac1d.reference`.
+(`model.apply_k`), the paper's four below, TSFP and EX in :mod:`dirac1d.reference`.
 Three-level schemes launch by forward Euler with the same K,
 
     Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
@@ -34,7 +35,7 @@ from .errors import ConfigurationError, SolverError
 from .grid import SPACE_OPERATORS, FourierDerivative, apply_sym2, sym2
 from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
-from .reference import TSFPStepper
+from .reference import EXStepper, TSFPStepper
 from .stepping import SolverDiagnostics, Stepper
 
 __all__ = ["SCHEMES", "lookup", "make_stepper"]
@@ -226,6 +227,7 @@ SCHEMES = {cls.pattern.format(space.name): (cls, space)
            for space in SPACE_OPERATORS.values()
            for cls in (CNStepper, SI1Stepper, SI2Stepper, LFStepper)}
 SCHEMES["tsfp"] = (TSFPStepper, FourierDerivative)
+SCHEMES.update(("ex" + space.name, (EXStepper, space)) for space in SPACE_OPERATORS.values())
 
 
 def lookup(scheme: str):
@@ -240,7 +242,7 @@ def lookup(scheme: str):
 
 
 def make_stepper(scheme: str, problem: DiracProblem, tau: float) -> Stepper:
-    """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp),
+    """Instantiate a stepper by scheme name (cnfd, sifd1, ..., lffp, tsfp, exfd, exfp),
     starting from problem.phi0 at t = 0."""
     time, space = lookup(scheme)
     return time(space, problem, tau)

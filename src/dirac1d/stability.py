@@ -11,6 +11,7 @@ sees, eps*|V| and eps*|A1| (`DiracProblem.operator_bounds`).
     SI2   tau <= 1/(V_max + A_max)
     LF    tau <= h / (V_max*h + sqrt(h^2 + (r + h*A_max)^2))
     TS    unconditional: both Strang sub-flows are unitary for every tau
+    EX    unconditional: the exact flow exp(-i tau K) is unitary for every tau
 
 An unbounded step is UNBOUNDED = math.inf, so every margin |tau|/tau_max
 is a float division (0.0 when unbounded); h and tau must be finite.
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .reference import TSFPStepper
+from .reference import EXStepper, TSFPStepper
 from .schemes import SCHEMES, CNStepper, LFStepper, SI1Stepper, SI2Stepper, lookup
 
 
@@ -36,6 +37,7 @@ _BOUNDS = {
     SI2Stepper: lambda h, r, v, a: UNBOUNDED if v + a == 0 else 1.0 / (v + a),
     LFStepper: lambda h, r, v, a: h / (v * h + math.sqrt(h * h + (r + h * a) ** 2)),
     TSFPStepper: lambda h, r, v, a: UNBOUNDED,
+    EXStepper: lambda h, r, v, a: UNBOUNDED,
 }
 ALL_SCHEMES = tuple(SCHEMES)
 
@@ -44,7 +46,7 @@ def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> float:
     """Largest stable time step for the scheme, or UNBOUNDED."""
     if not 0 < h < math.inf:
         raise ConfigurationError(f"h must be positive and finite, got {h}")
-    if v_max < 0 or a_max < 0:
+    if not (v_max >= 0 and a_max >= 0):  # NaN too
         raise ConfigurationError("potential bounds must be nonnegative")
     time, space = lookup(scheme)
     return _BOUNDS[time](h, space.reach, v_max, a_max)

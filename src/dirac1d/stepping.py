@@ -179,8 +179,8 @@ class SolverDiagnostics:
 class Stepper:
     """Base class: a time discretization over the space operator class
     `space` (`scheme` is `pattern` with its name).  It owns (phi_prev,
-    phi_curr, t, n), the advance loop and `propagate`.  `propagation` names
-    the paths the stepper has taken ("dense-power", "dense-step", "stepwise")."""
+    phi_curr, t, n), the advance loop and `propagate`.  `propagation` names the
+    paths taken ("dense-power", "dense-step", "stepwise"; "eigh" for EX)."""
 
     pattern = "{}"  # scheme name with "{}" for the space name, e.g. "si{}1"
     needs_history = True  # three-level schemes start with `_launch`
@@ -188,6 +188,7 @@ class Stepper:
     def __init__(self, space: type, problem: DiracProblem, tau: float):
         if tau == 0:
             raise ConfigurationError("tau must be nonzero")
+        self.refuse(problem)
         self.space = space(problem.grid)
         self.scheme = self.pattern.format(space.name)
         self.problem = problem
@@ -206,6 +207,14 @@ class Stepper:
         self._prepare()
 
     # -- hooks -------------------------------------------------------------
+    @classmethod
+    def refuse(cls, problem: DiracProblem) -> None:
+        """Raise ConfigurationError for a problem it does not serve; cheap."""
+
+    @staticmethod
+    def task_cost(n_nodes: int, t: float, tau: float) -> float:
+        return t / tau * n_nodes  # steps x nodes: the estimate that orders a table's tasks
+
     def _prepare(self):
         """Subclass precomputation (per-mode multipliers, factorizations)."""
 

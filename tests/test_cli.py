@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dirac1d.reference as reference
+from dirac1d import ReferenceConfig, emit_csv, epsilon_sweep_temporal, preset
 from dirac1d.cli import _build_parser, _InitialData, main
 from dirac1d.grid import MAX_NODES
 
@@ -326,7 +327,7 @@ class TestTables:
         cfg = write_config(tmp_path, {
             "problem": INLINE_FREE, "epsilon": 0.0,
             "scheme": "cnfp", "eps_list": [0.0], "tau0": 0.02, "levels": 2,
-            "h": np.pi / 8, "reference": "exact",
+            "h": np.pi / 8, "reference": "exfp",
         })
         out = tmp_path / "sweep.csv"
         assert main(["sweep-temporal", cfg, "--out", str(out)]) == 0
@@ -391,11 +392,11 @@ class TestTables:
         assert "'h_E'" in err and "'min_time_ratio'" in err and "'allow_interpolation'" in err
 
     @pytest.mark.parametrize("epsilon, potentials, h0, spec, message", [
-        (0.0, {}, np.pi / 8, {"kind": "exact", "tau_e": 0.001},
-         "the exact reference takes no tau_e"),
-        (0.5, {"V": "cos(t)", "V_max": 1.0, "time_independent": False}, np.pi / 8, "exact",
+        (0.0, {}, np.pi / 8, {"kind": "exfp", "tau_e": 0.001},
+         "the exfp reference takes no tau_e"),
+        (0.5, {"V": "cos(t)", "V_max": 1.0, "time_independent": False}, np.pi / 8, "exfd",
          "needs time-independent potentials"),
-        (0.0, {}, np.pi / 256, "exact", "N_e <= 1024, got N_e=2048"),
+        (0.0, {}, np.pi / 256, "exfp", "N <= 1024, got N=2048"),
     ], ids=["tau_e", "time-dependent", "too-many-nodes"])
     def test_exact_reference_refusals_exit_2(self, tmp_path, capsys, epsilon, potentials, h0,
                                              spec, message):
@@ -412,7 +413,7 @@ class TestTables:
         cfg = write_config(tmp_path, {
             "problem": INLINE_FREE, "epsilon": 0.0,
             "scheme": "cnfp", "eps_list": [0.0], "tau0": 0.02, "levels": 2,
-            "h": np.pi / 8, "reference": "exact",
+            "h": np.pi / 8, "reference": "exfp",
         })
         out, cache_dir = tmp_path / "sweep.csv", tmp_path / "cache"
         argv = ["sweep-temporal", cfg, "--out", str(out), "--cache-dir", str(cache_dir)]
@@ -426,7 +427,7 @@ class TestTables:
         monkeypatch.setattr(reference, "reference_solution", no_build)
         assert main(argv) == 0
         assert out.read_text() == first
-        assert reference.load_reference(str(cached)).manifest["kind"] == "exact"
+        assert reference.load_reference(str(cached)).manifest["kind"] == "exfp"
 
 
 class TestStabilityCommand:
@@ -444,9 +445,9 @@ class TestStabilityCommand:
         cfg = write_config(tmp_path, dict(RUN, scheme="tsfp"))
         assert main(["stability", cfg]) == 0
         rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 9
-        assert rows[-1].startswith("tsfp ") and "tau_max=unbounded" in rows[-1]
-        assert rows[-1].endswith(" ok <-- requested")
+        assert len(rows) == 11
+        [tsfp] = [row for row in rows if row.startswith("tsfp ")]
+        assert "tau_max=unbounded" in tsfp and tsfp.endswith(" ok <-- requested")
 
     def test_requested_scheme_violation_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -460,7 +461,7 @@ class TestCompare:
         cfg = write_config(tmp_path, {
             "problem": INLINE_FREE, "epsilon": 0.0,
             "schemes": ["cnfd", "lffp"], "h": np.pi / 8, "tau": 0.01,
-            "snapshots": 4, "reference": "exact",
+            "snapshots": 4, "reference": "exfp",
         })
         out = tmp_path / "compare.csv"
         assert main(["compare", cfg, "--out", str(out)]) == 0
@@ -491,3 +492,17 @@ class TestDemoConfigs:
         config = self.DEMO_CONFIGS / f"{name}.json"
         assert main([command, str(config), "--out", str(tmp_path / "out.csv")]) == 0
         assert (tmp_path / "out.csv").read_text().strip()
+
+    def test_time_error_table_is_the_library_table(self, tmp_path):
+        # cnfd at N = 32 against exfd on the same grid: the time error alone
+        out = tmp_path / "out.csv"
+        config = self.DEMO_CONFIGS / "time_error_cnfd.json"
+        assert main(["sweep-temporal", str(config), "--out", str(out)]) == 0
+        h = 2 * np.pi / 32
+        table = epsilon_sweep_temporal(
+            preset("periodic-s51", 1.0), "cnfd", [4.0 ** -k for k in range(6)], 0.01, 3, h,
+            reference=ReferenceConfig("exfd", h_e=h, min_space_ratio=1))
+        got, want = out.read_text().splitlines(), emit_csv(table).splitlines()
+        assert len(got) == len(want) == 1 + 6 * 3
+        for got_row, want_row in zip(got, want):
+            assert got_row.split(",") == want_row.split(",")

@@ -327,19 +327,22 @@ class TestConfigurationErrors:
         (lambda: SchemeConfig("cnfd", 0.1, record="all"), "unknown record mode 'all'"),
         (lambda: SchemeConfig("cnfd", 0.1, record_every=0), "record_every must be >= 1"),
         (lambda: ReferenceConfig(kind="spline"), "unknown reference kind 'spline'"),
+        (lambda: ReferenceConfig(kind="exact"), "unknown reference kind 'exact'"),
         (lambda: PotentialPair(model._zero_evaluator, model._zero_evaluator, True, -1.0, 0.0),
+         "potential bounds must be nonnegative"),
+        (lambda: PotentialPair(model._zero_evaluator, model._zero_evaluator, True, 1.0, math.nan),
          "potential bounds must be nonnegative"),
         (lambda: PotentialPair(_nan_potential, model._zero_evaluator, True, 1.0, 0.0)
          .evaluate(0.5, np.linspace(0.0, 6.0, 7)), "non-finite values at t=0.5"),
         (lambda: preset("periodic-s51", 1.0).discretize(), "exactly one of h or N"),
         (lambda: harness.reference_solution(preset("periodic-s51", 1.0), np.pi / 8, 0.0, [0.0]),
          "tau_e must be positive"),
-        (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, None, [0.5])
+        (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, "exfp", [0.5])
          .snapshot(0.25), "no reference snapshot at t=0.25"),
-        (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, None, [0.5])
+        (lambda: harness.reference_solution(bandlimited_free_setup(), np.pi / 8, "exfd", [0.5])
          .restricted(0.5, TorusGrid(0.0, np.pi, 4)), "same interval"),
         (_energy_run_with_time_dependent_potentials, "needs time-independent potentials"),
-        (lambda: ReferenceConfig(kind="exact", tau_e=1e-3), "the exact reference takes no tau_e"),
+        (lambda: ReferenceConfig(kind="exfd", tau_e=1e-3), "the exfd reference takes no tau_e"),
         # a non-finite step or horizon, refused before the stability verdict
         (lambda: run_simulation(preset("periodic-s51", 1.0).discretize(N=16),
                                 SchemeConfig("cnfd", math.inf, t_final=0.2)),
@@ -351,8 +354,8 @@ class TestConfigurationErrors:
                                 SchemeConfig("cnfd", 0.1, t_final=math.nan)),
          "horizon nan and tau=0.1 must be finite"),
         (lambda: whole_steps(math.inf, 0.1), "horizon inf and tau=0.1 must be finite"),
-    ], ids=["record-mode", "record-every", "reference-kind", "negative-bound",
-            "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
+    ], ids=["record-mode", "record-every", "reference-kind", "no-exact-alias", "negative-bound",
+            "nan-bound", "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
             "other-interval", "time-dependent-energy", "exact-tau_e", "infinite-tau",
             "nan-tau", "nan-horizon", "infinite-whole-steps"])
     def test_raises_with_its_message(self, make, message):
@@ -406,7 +409,7 @@ class TestConvergenceTables:
     def test_free_problem_second_order_with_exact_reference(self):
         setup = bandlimited_free_setup()
         table = convergence_table(setup, "cnfd", [0.0], np.pi / 8, 0.05, 3,
-                                  reference=ReferenceConfig(kind="exact"))
+                                  reference=ReferenceConfig(kind="exfp"))
         orders = table.orders("e_phi")[0, 1:]
         assert np.all(np.abs(orders - 2.0) < 0.25)
 
@@ -414,10 +417,10 @@ class TestConvergenceTables:
         # same horizon, different eps: with zero potentials the cells agree
         t1 = convergence_table(bandlimited_free_setup(epsilon=1.0, T0=2.0), "lffd",
                                [1.0], np.pi / 8, 0.05, 2,
-                               reference=ReferenceConfig(kind="exact"))
+                               reference=ReferenceConfig(kind="exfp"))
         t2 = convergence_table(bandlimited_free_setup(epsilon=0.5, T0=1.0), "lffd",
                                [0.5], np.pi / 8, 0.05, 2,
-                               reference=ReferenceConfig(kind="exact"))
+                               reference=ReferenceConfig(kind="exfp"))
         for k in range(2):
             assert t1.cell(0, k).e_phi == pytest.approx(t2.cell(0, k).e_phi, rel=1e-10)
 
@@ -428,7 +431,7 @@ class TestConvergenceTables:
         h0 = np.pi / 8
         bad_tau = 4.0 * tau_max("lffd", h0 / 2, 0.0, 0.0)
         table = convergence_table(setup, "lffd", [0.0], h0, bad_tau, 2,
-                                  reference=ReferenceConfig(kind="exact"), workers=workers)
+                                  reference=ReferenceConfig(kind="exfp"), workers=workers)
         for k in range(2):
             cell = table.cell(0, k)
             assert np.isnan([cell.e_phi, cell.e_rho, cell.e_j]).all()
@@ -440,7 +443,7 @@ class TestConvergenceTables:
         # left: at tau = 0.1 it falls like eps, and the order in tau is 2
         table = epsilon_sweep_temporal(preset("periodic-s51", 1.0), "tsfp",
                                        [1.0, 1 / 4, 1 / 16, 1 / 64], 0.2, 3, 2 * np.pi / 32,
-                                       reference=ReferenceConfig(kind="exact", h_e=2 * np.pi / 32,
+                                       reference=ReferenceConfig(kind="exfp", h_e=2 * np.pi / 32,
                                                                  min_space_ratio=1.0))
         np.testing.assert_allclose(table.errors("e_phi")[:, 1],
                                    [7.17e-3, 1.74e-3, 6.43e-4, 1.19e-4], rtol=5e-3)
@@ -453,7 +456,7 @@ class TestConvergenceTables:
     def test_temporal_sweep_shares_h(self):
         setup = bandlimited_free_setup()
         table = epsilon_sweep_temporal(setup, "cnfp", [0.0], 0.02, 2, np.pi / 8,
-                                       reference=ReferenceConfig(kind="exact"))
+                                       reference=ReferenceConfig(kind="exfp"))
         assert table.cell(0, 0).h == table.cell(0, 1).h
         assert table.cell(0, 0).tau == 2 * table.cell(0, 1).tau
         orders = table.orders("e_phi")[0, 1:]
@@ -462,7 +465,7 @@ class TestConvergenceTables:
     def test_spatial_sweep_shares_tau(self):
         setup = bandlimited_free_setup()
         table = epsilon_sweep_spatial(setup, "lffd", [0.0], np.pi / 8, 2, 1e-3,
-                                      reference=ReferenceConfig(kind="exact"))
+                                      reference=ReferenceConfig(kind="exfp"))
         assert table.cell(0, 0).tau == table.cell(0, 1).tau
         assert table.cell(0, 0).h == 2 * table.cell(0, 1).h
 
@@ -472,7 +475,7 @@ class TestConvergenceTables:
             convergence_table(setup, "cnfd", [1.0], np.pi / 8, 0.1, 1,
                               reference=ReferenceConfig(tau_e=0.05))
 
-    @pytest.mark.parametrize("kind", ["exact", "tsfp"])
+    @pytest.mark.parametrize("kind", ["exfp", "tsfp"], ids=["exact", "tsfp"])
     def test_reference_space_ratio_enforced_for_both_kinds(self, kind, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the guard")
@@ -490,7 +493,7 @@ class TestConvergenceTables:
                              potentials=PotentialPair(lambda t, x: np.cos(t) + 0 * x,
                                                       model._zero_evaluator, False, 1.0, 0.0)),
          np.pi / 8, "time-independent potentials"),
-        (bandlimited_free_setup(), np.pi / 256, "N_e <= 1024, got N_e=2048"),
+        (bandlimited_free_setup(), np.pi / 256, "N <= 1024, got N=2048"),
     ], ids=["time-dependent", "too-many-nodes"])
     def test_exact_reference_refused_before_any_task(self, setup, h0, message, monkeypatch,
                                                      sync_pools):
@@ -501,7 +504,7 @@ class TestConvergenceTables:
             monkeypatch.setattr(harness, name, no_work)
         with pytest.raises(ConfigurationError, match=message):
             convergence_table(setup, "cnfd", [setup.epsilon], h0, 0.05, 1,
-                              reference=ReferenceConfig(kind="exact"), workers=2)
+                              reference=ReferenceConfig(kind="exfp"), workers=2)
         assert sync_pools == []  # no pool was started
 
     def test_reference_error_same_for_any_worker_count(self):
@@ -534,7 +537,7 @@ class TestConvergenceTables:
     def test_pool_has_at_most_one_worker_per_task(self, sync_pools):
         # one reference and two cells: a pool of 5000 would fork 5000 workers
         table = convergence_table(bandlimited_free_setup(), "cnfp", [0.0], np.pi / 8, 0.05, 2,
-                                  reference=ReferenceConfig(kind="exact"), workers=5000)
+                                  reference=ReferenceConfig(kind="exfp"), workers=5000)
         assert np.all(np.isfinite(table.errors("e_phi")))
         [pool] = sync_pools
         assert len(pool.tasks) == pool.max_workers == 3
@@ -570,7 +573,7 @@ class TestConvergenceTables:
         # (about 0.2 s) counts as 256^3 / 8, not as one step, so it goes first
         h0, h_e = np.pi / 8, np.pi / 128
         table = epsilon_sweep_spatial(bandlimited_free_setup(), "cnfd", [0.0], h0, 2, 0.05,
-                                      reference=ReferenceConfig(kind="exact", h_e=h_e),
+                                      reference=ReferenceConfig(kind="exfp", h_e=h_e),
                                       workers=2)
         assert np.all(np.isfinite(table.errors("e_phi")))
         [pool] = sync_pools
@@ -678,8 +681,8 @@ class TestSharedReferences:
         assert table(setup) == table(bandlimited_free_setup(epsilon=1.0)) == 0
 
     @pytest.mark.parametrize("make, field, value", [
-        (lambda: ReferenceConfig(tau_e=0.0025), "kind", "exact"),
-        (lambda: ReferenceConfig(kind="exact"), "kind", "spline"),
+        (lambda: ReferenceConfig(tau_e=0.0025), "kind", "exfp"),
+        (lambda: ReferenceConfig(kind="exfp"), "kind", "spline"),
         (lambda: SchemeConfig("cnfd", 0.1, record="mass"), "record", "energy"),
     ], ids=["reference-drops-tau_e", "reference-unknown-kind", "scheme-unknown-record"])
     def test_configs_refuse_assignment(self, make, field, value):
@@ -690,7 +693,7 @@ class TestSharedReferences:
 
     def test_target_times_miss(self, monkeypatch):
         built = _counted_builds(monkeypatch)
-        cfg, setup = ReferenceConfig(kind="exact"), bandlimited_free_setup()
+        cfg, setup = ReferenceConfig(kind="exfp"), bandlimited_free_setup()
         for n_snapshots in (2, 4, 2):
             compare_over_time(setup, ["cnfd"], np.pi / 8, 0.05, n_snapshots, reference=cfg)
         assert len(built) == 2
@@ -784,7 +787,7 @@ class TestEmission:
     def test_compare_over_time_shapes(self):
         setup = bandlimited_free_setup()
         series = compare_over_time(setup, ["cnfd", "lffp"], np.pi / 8, 0.02, 4,
-                                   reference=ReferenceConfig(kind="exact"))
+                                   reference=ReferenceConfig(kind="exfp"))
         assert [s.label for s in series] == ["cnfd", "lffp"]
         assert all(len(s.times) == 4 for s in series)
         # the free solution is band-limited: the spectral scheme is far more
@@ -824,7 +827,7 @@ class TestErrorOrdersAgainstOracle:
         setup = bandlimited_free_setup()
         for scheme in ("cnfd", "sifd1", "sifd2", "lffd"):
             table = convergence_table(setup, scheme, [0.0], np.pi / 16, 0.02, 3,
-                                      reference=ReferenceConfig(kind="exact"))
+                                      reference=ReferenceConfig(kind="exfp"))
             e = table.errors("e_phi")[0]
             slope = np.polyfit(np.arange(3) * np.log(2.0), -np.log(e), 1)[0]
             assert abs(slope - 2.0) < 0.1, (scheme, e)

@@ -1,5 +1,10 @@
 """Cyclic block-tridiagonal solver against a dense assembly oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from dirac1d.linalg import CyclicBlockTridiagSolver
 from dirac1d.schemes import RESIDUAL_TOL
 
 RNG = np.random.default_rng(5)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def dense_oracle(diag, bp, bm):
@@ -124,3 +130,11 @@ def test_factor_holds_no_subnormal_part():
     for _ in range(3):
         stepper.advance()
         assert stepper.diagnostics.linear_residual <= RESIDUAL_TOL
+
+
+def test_importing_the_package_leaves_scipy_linalg_unimported():
+    # scipy.linalg takes about 0.3 s to import; only a CNFD factor needs it
+    code = "import sys, dirac1d; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.stdout.strip() == "False"

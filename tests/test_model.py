@@ -137,6 +137,16 @@ class TestEnergies:
         assert got == pytest.approx(energy_fd_oracle(prob.phi0, setup.potentials, 1.0),
                                     rel=1e-12)
 
+    def test_refuses_a_space_operator_of_another_grid(self):
+        # on periodic-s51's N = 16 field, a centered difference of the N = 32
+        # grid read 3.189 (its h is half the field's) instead of 6.378
+        prob = preset("periodic-s51", 1.0).discretize(N=16)
+        pots, other = prob.potentials, TorusGrid(0.0, 2 * np.pi, 32)
+        assert energy(prob.phi0, CenteredDifference(prob.grid), pots, 1.0) == pytest.approx(
+            6.378, abs=1e-3)
+        with pytest.raises(ConfigurationError, match="space operator is on"):
+            energy(prob.phi0, CenteredDifference(other), pots, 1.0)
+
     def test_requires_time_independent(self):
         g = TorusGrid(0.0, 2 * np.pi, 8)
         pots = PotentialPair(lambda t, x: np.cos(t) * np.ones_like(x),

@@ -1,4 +1,4 @@
-"""Exact free flow, TSFP splitting, the semi-discrete flow, reference
+"""Exact free flow, TSFP splitting, the exact flow (exfd, exfp), reference
 snapshots and the disk cache."""
 
 import dataclasses
@@ -35,7 +35,6 @@ from dirac1d import (
     zero_potentials,
 )
 from dirac1d.grid import CenteredDifference, FourierDerivative
-from dirac1d.reference import semi_discrete_flow
 from dirac1d.stepping import dense_power_pays
 
 from test_fdtd import free_problem
@@ -382,16 +381,16 @@ class TestReferenceSolution:
                              False, 1.0, 0.0)
         setup = dataclasses.replace(preset("periodic-s51", 1.0), potentials=pots, key=None)
         with pytest.raises(ConfigurationError, match="time-independent"):
-            reference_solution(setup, np.pi / 32, None, [1.0])
+            reference_solution(setup, np.pi / 32, "exfp", [1.0])
         # eps = 0 switches the potentials off, and the flow serves it
-        assert reference_solution(setup.with_epsilon(0.0), np.pi / 32, None, [1.0])
+        assert reference_solution(setup.with_epsilon(0.0), np.pi / 32, "exfp", [1.0])
 
     def test_exact_reference_is_the_free_flow_at_eps_zero(self):
         setup = preset("periodic-s51", 0.0)
-        ref = reference_solution(setup, np.pi / 32, None, [0.5, 2.0])
+        ref = reference_solution(setup, np.pi / 32, "exfp", [0.5, 2.0])
         phi0 = setup.discretize(h=np.pi / 32).phi0
         assert ref.manifest == {
-            "kind": "exact", "propagation": "eigh", "h_e": np.pi / 32, "tau_e": None,
+            "kind": "exfp", "propagation": "eigh", "h_e": np.pi / 32, "tau_e": None,
             "N": 64, "epsilon": 0.0, "problem": setup.key, "times": [0.5, 2.0]}
         assert ref.times == [0.5, 2.0]
         for t in ref.times:
@@ -418,11 +417,14 @@ def _l2(u, v, h):
 
 
 def _flow(problem, space, t):
-    return semi_discrete_flow(problem, space(problem.grid), [t])[t].values
+    stepper = make_stepper("ex" + space.name, problem, t)
+    stepper.propagate(1)
+    return stepper.phi.values
 
 
 class TestSemiDiscreteFlow:
-    """Q exp(-i w t) Q^H Phi0 for the steppers' own K, the exact kind's flow."""
+    """Q exp(-i w t) Q^H Phi0 for the steppers' own K: the exfd and exfp
+    steppers, which build the exact references."""
 
     @pytest.mark.parametrize("n_e", [64, 128, 256])
     def test_is_the_free_flow_at_eps_zero(self, n_e):
@@ -441,7 +443,7 @@ class TestSemiDiscreteFlow:
 
     def test_tsfp_converges_to_it_at_order_two(self):
         setup, h_e = preset("periodic-s51", 0.25), 2 * np.pi / 128
-        exact = reference_solution(setup, h_e, None, [8.0]).snapshot(8.0).values
+        exact = reference_solution(setup, h_e, "exfp", [8.0]).snapshot(8.0).values
         errors = [_l2(reference_solution(setup, h_e, tau_e, [8.0]).snapshot(8.0).values,
                       exact, h_e) for tau_e in (0.05, 0.1, 0.2)]
         orders = np.log2(np.array(errors[1:]) / errors[:-1])
@@ -453,8 +455,47 @@ class TestSemiDiscreteFlow:
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         problem = preset("periodic-s51", 0.25).discretize(N=1026)
-        with pytest.raises(ConfigurationError, match="N_e <= 1024, got N_e=1026"):
+        with pytest.raises(ConfigurationError, match="N <= 1024, got N=1026"):
             _flow(problem, FourierDerivative, 8.0)
+
+
+class TestExactFlowProperties:
+    """exfd and exfp over random even N in 8..64, eps and t."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(half_n=st.integers(4, 32), eps=st.floats(0.0, 1.0), t=st.floats(0.01, 50.0),
+           space=st.sampled_from(["fd", "fp"]))
+    def test_unitary_and_reversible(self, half_n, eps, t, space):
+        prob = preset("periodic-s51", eps).discretize(N=2 * half_n)
+        forward = make_stepper("ex" + space, prob, t)
+        forward.propagate(1)
+        assert mass(forward.phi) == pytest.approx(mass(prob.phi0), rel=1e-13)
+        back = make_stepper("ex" + space, dataclasses.replace(prob, phi0=forward.phi.copy()), -t)
+        back.propagate(1)
+        np.testing.assert_allclose(back.phi.values, prob.phi0.values, rtol=0, atol=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(half_n=st.integers(4, 32), t=st.floats(0.01, 10.0))
+    def test_exfp_is_the_free_flow_at_eps_zero(self, half_n, t):
+        # the phase rounding grows like t: up to 6e-14 at t <= 10, 2.7e-13 at t = 50
+        prob = preset("periodic-s51", 0.0).discretize(N=2 * half_n)
+        stepper = make_stepper("exfp", prob, t)
+        stepper.propagate(1)
+        np.testing.assert_allclose(stepper.phi.values, free_dirac_exact(prob.phi0, t).values,
+                                   rtol=0, atol=1e-13)
+
+    @settings(max_examples=15, deadline=None)
+    @given(half_n=st.integers(4, 32), eps=st.floats(0.0, 1.0), tau=st.floats(0.01, 1.0),
+           n=st.integers(1, 200))
+    def test_recorded_run_ends_where_propagate_does(self, half_n, eps, tau, n):
+        prob = preset("periodic-s51", eps).discretize(N=2 * half_n)
+        res = run_simulation(prob, SchemeConfig("exfp", tau, t_final=n * tau, record="mass"))
+        stepper = make_stepper("exfp", prob, tau)
+        stepper.propagate(n)
+        assert res.n_steps == n and res.propagation in ("stepwise", "dense-step")
+        np.testing.assert_allclose(res.final.values, stepper.phi.values, rtol=0,
+                                   atol=1e-14 * n + 1e-13)
+        np.testing.assert_allclose(res.mass_series, mass(prob.phi0), rtol=1e-12)
 
 
 class TestCache:
@@ -534,21 +575,20 @@ class TestCache:
         setup = preset("periodic-s51", 1.0)
         pinned = "b09b9ef9df17fd6ff2d1c617f050e80a310ea3ef2468fc9680bb5540cb51ddfb"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == pinned
-        # the exact kind (tau_e None) keeps its digest from when the kind was an argument
+        # exfp keeps the digest of the former "exact" kind, so warm caches still hit
         exact = "a9cca81028e9980a3af3aa11b938beb37ad1e11232a8a768f8604effb6d767a8"
-        assert reference_cache_key(setup.with_epsilon(0.0), 0.1, None, [2.0]) == exact
+        assert reference_cache_key(setup.with_epsilon(0.0), 0.1, "exfp", [2.0]) == exact
         monkeypatch.setattr(reference, "FORMAT", "DREF2")
         dref2 = "020a5cd0371458b4c33f37957a9141fcdfc3aa7830d503ac265281012e4fc2a9"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == dref2
 
     def test_key_names_the_kind(self):
-        # the kind follows from tau_e: None is the exact flow, a step is TSFP
+        # the scheme follows from tau_e: a step is TSFP, a name is that exact flow
         setup = preset("periodic-s51", 0.0)
-        exact = reference_cache_key(setup, 0.1, None, [2.0])
-        assert len(exact) == 64
-        assert exact != reference_cache_key(setup, 0.1, 1e-3, [2.0])
-        assert reference_solution(setup, 0.1 * np.pi, None, [2.0]).manifest["kind"] == "exact"
-        assert reference_solution(setup, 0.1 * np.pi, 1e-3, [2.0]).manifest["kind"] == "tsfp"
+        keys = {reference_cache_key(setup, 0.1, tau_e, [2.0]) for tau_e in ("exfp", "exfd", 1e-3)}
+        assert len(keys) == 3 and all(len(key) == 64 for key in keys)
+        for tau_e, kind in (("exfp", "exfp"), ("exfd", "exfd"), (1e-3, "tsfp")):
+            assert reference_solution(setup, 0.1 * np.pi, tau_e, [2.0]).manifest["kind"] == kind
 
     def test_key_names_the_file_format(self, monkeypatch):
         setup = preset("periodic-s51", 1.0)
@@ -588,16 +628,16 @@ class TestCache:
 
     def test_exact_reference_cached_bit_identical(self, tmp_path, monkeypatch):
         setup, cache = preset("periodic-s51", 0.25), ReferenceCache(str(tmp_path))
-        key = reference_cache_key(setup, np.pi / 32, None, [4.0, 8.0])
-        built = reference_solution(setup, np.pi / 32, None, [4.0, 8.0])
-        first = cache.fetch(setup, np.pi / 32, None, [4.0, 8.0])
+        key = reference_cache_key(setup, np.pi / 32, "exfp", [4.0, 8.0])
+        built = reference_solution(setup, np.pi / 32, "exfp", [4.0, 8.0])
+        first = cache.fetch(setup, np.pi / 32, "exfp", [4.0, 8.0])
         assert os.listdir(tmp_path) == [key + ".dref"]
 
         def no_build(*args):
             raise AssertionError("a cached reference was built again")
 
         monkeypatch.setattr(reference, "reference_solution", no_build)
-        again = cache.fetch(setup, np.pi / 32, None, [4.0, 8.0])
+        again = cache.fetch(setup, np.pi / 32, "exfp", [4.0, 8.0])
         assert again.manifest == first.manifest == dict(built.manifest, config_hash=key)
         for t in (4.0, 8.0):
             assert_bitwise_equal(first.snapshot(t).values, built.snapshot(t).values)

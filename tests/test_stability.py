@@ -67,7 +67,9 @@ class TestTauMax:
         (lambda: validate("tsfp", 0.1, math.nan, 0.0, 0.0), "tau must be finite, got nan"),
         (lambda: validate("lffd", math.inf, 0.01, 0.0, 0.0), "h must be positive and finite"),
         (lambda: tau_max("sifd1", math.nan, 0.0, 0.0), "h must be positive and finite, got nan"),
-    ], ids=["cn-tau-inf", "tsfp-tau-nan", "lf-h-inf", "si1-h-nan"])
+        (lambda: tau_max("lffd", 0.1, math.nan, 0.0), "potential bounds must be nonnegative"),
+        (lambda: tau_max("sifp2", 0.1, 1.0, math.nan), "potential bounds must be nonnegative"),
+    ], ids=["cn-tau-inf", "tsfp-tau-nan", "lf-h-inf", "si1-h-nan", "lf-v-nan", "si2-a-nan"])
     def test_non_finite_h_or_tau_refused(self, call, message):
         with pytest.raises(ConfigurationError, match=message):
             call()
@@ -195,6 +197,8 @@ class TestPinned:
             "sifp2": si2,
             "lffp": h / (v * h + math.sqrt(h * h + (math.pi + h * a) ** 2)),
             "tsfp": UNBOUNDED,
+            "exfd": UNBOUNDED,
+            "exfp": UNBOUNDED,
         }
         assert ALL_SCHEMES == tuple(want)
         assert {s: tau_max(s, h, v, a) for s in ALL_SCHEMES} == want
@@ -205,7 +209,7 @@ class TestPinned:
 
     def test_every_stepper_holds_its_registry_space_operator(self):
         prob = preset("periodic-s51", 1.0).discretize(N=16)
-        assert len(SCHEMES) == 9
+        assert len(SCHEMES) == 11
         for name, (_, space) in SCHEMES.items():
             stepper = make_stepper(name, prob, 0.01)
             assert isinstance(stepper.space, space) and stepper.space.grid == prob.grid
@@ -228,6 +232,8 @@ sifp1  h=0.392699   tau=0.35       tau_max=0.125      margin=2.8      VIOLATED
 sifp2  h=0.392699   tau=0.35       tau_max=0.362296   margin=0.966    ok
 lffp   h=0.392699   tau=0.35       tau_max=0.0924961  margin=3.78     VIOLATED
 tsfp   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
+exfd   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
+exfp   h=0.392699   tau=0.35       tau_max=unbounded  margin=0        ok
 """,
         "inline_problem": """\
 cnfd   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
@@ -239,6 +245,8 @@ sifp1  h=0.19635    tau=0.005      tau_max=0.0625     margin=0.08     ok
 sifp2  h=0.19635    tau=0.005      tau_max=0.724585   margin=0.0069   ok
 lffp   h=0.19635    tau=0.005      tau_max=0.0574393  margin=0.087    ok <-- requested
 tsfp   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
+exfd   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
+exfp   h=0.19635    tau=0.005      tau_max=unbounded  margin=0        ok
 """,
         "torus_run": """\
 cnfd   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
@@ -250,8 +258,11 @@ sifp1  h=0.0981748  tau=0.01       tau_max=0.03125    margin=0.32     ok
 sifp2  h=0.0981748  tau=0.01       tau_max=1.44918    margin=0.0069   ok
 lffp   h=0.0981748  tau=0.01       tau_max=0.0305759  margin=0.327    ok
 tsfp   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
+exfd   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
+exfp   h=0.0981748  tau=0.01       tau_max=unbounded  margin=0        ok
 """,
         "refinement_table": None,  # no tau: exit 2, no table
+        "time_error_cnfd": None,
     }
 
     @pytest.mark.parametrize("name", sorted(TABLES))
