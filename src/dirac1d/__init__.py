@@ -41,7 +41,7 @@ from .model import (
     zero_potentials,
 )
 from .stepping import SolverDiagnostics, Stepper
-from .schemes import make_stepper
+from .schemes import EXStepper, TSFPStepper, free_dirac_exact, make_stepper
 from .stability import (
     ALL_SCHEMES,
     UNBOUNDED,
@@ -51,10 +51,7 @@ from .stability import (
 )
 from .reference import (
     ReferenceCache,
-    EXStepper,
     ReferenceSolution,
-    TSFPStepper,
-    free_dirac_exact,
     load_reference,
     reference_cache_key,
     reference_solution,

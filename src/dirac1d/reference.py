@@ -1,30 +1,12 @@
-"""Ground-truth generators: exact free flow, TSFP, the exact flow (EX).
+"""References: runs of "tsfp", "exfp" or "exfd" (:mod:`dirac1d.schemes`)
+to each snapshot time, restricted to coarser grids and cached on disk.
 
-The free flow is applied exactly per mode through the symbol
-Gamma_l = mu_l*sigma1 + sigma3, whose exponential is
-
-    exp(-i t Gamma_l) = cos(t*delta_l) I2 - i sin(t*delta_l)/delta_l * Gamma_l,
-    delta_l = sqrt(1 + mu_l^2),
-
-so each mode evolves unitarily.  The TSFP reference integrator Strang-splits
-between this free flow and the pointwise potential flow
-
-    exp(-i s eps (V I2 - A1 sigma1))
-        = exp(-i s eps V) [cos(s eps A1) I2 + i sin(s eps A1) sigma1],
-
-applied potential-first (half, free, half).  Both sub-flows are symmetric
-2x2 multiplies (`grid.apply_sym2`), per mode and per node, and preserve
-the mass exactly.
-
-For time-independent potentials `TSFPStepper.propagate` powers the one-step
-matrix (:mod:`dirac1d.stepping`) when that pays.  Otherwise its step loop
-merges the interior potential half steps and works in two preallocated
-(2, N) buffers, bit-identical to the same loop of fresh arrays.  The
-reference manifest records the path taken under "propagation".
-
-A reference is one run of "tsfp", "exfp" or "exfd" to each snapshot time,
-cached to disk as one .npz file (complex128 snapshots and a JSON string
-with the grid, the times and the manifest); the round trip is bit-exact.
+A TSFP reference steps by tau_e and records under "propagation" whether it
+powered the one-step matrix (:mod:`dirac1d.stepping`) or stepped; an exact
+flow is evaluated at each snapshot time itself, so its times need share no
+step.  The cache holds one .npz file per reference (complex128 snapshots
+and a JSON string with the grid, the times and the manifest); the round
+trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -38,123 +20,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SpinorField, TorusGrid, apply_sym2, subsample, sym2
+from .grid import SpinorField, TorusGrid, subsample
 from .model import ProblemSetup
-from .stepping import Stepper, k_matrix, whole_steps
+from .schemes import TSFPStepper, make_stepper
 
 __all__ = [
-    "free_dirac_exact", "TSFPStepper", "EXStepper",
     "ReferenceSolution", "reference_solution",
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
 
 FORMAT = "npz1"  # in the cache key, so files of another format are never found
-SUBSTEP_ORDER = "potential-first"
 # exact flow -> its kind in the cache key; exfp keeps the former "exact" digest
 EXACT_FLOWS = {"exfp": "exact", "exfd": "exfd"}
-
-def _free_multipliers(grid: TorusGrid, t: float):
-    mu = grid.mu_fft
-    delta = np.sqrt(1.0 + mu * mu)
-    c = np.cos(t * delta)
-    s = np.sin(t * delta) / delta
-    return sym2(c - 1j * s, -1j * s * mu, c + 1j * s)
-
-
-def _apply_free(values: np.ndarray, multipliers) -> np.ndarray:
-    return np.fft.ifft(apply_sym2(multipliers, np.fft.fft(values, axis=-1)), axis=-1)
-
-
-def free_dirac_exact(phi0: SpinorField, t: float) -> SpinorField:
-    """Evolve the trigonometric interpolant of phi0 under the free equation."""
-    return SpinorField(phi0.grid, _apply_free(phi0.values, _free_multipliers(phi0.grid, t)))
-
-
-class TSFPStepper(Stepper):
-    """Strang splitting over the Fourier derivative: the scheme "tsfp" and
-    the integrator of every TSFP reference.
-
-    potential half step (t + tau/4), full free step, potential half step
-    (t + 3*tau/4); potentials at the half-interval midpoints matter only in
-    the time-dependent case.
-    """
-
-    pattern = "ts{}"
-    needs_history = False
-
-    def _prepare(self):
-        self._free_mult = _free_multipliers(self.grid, self.tau)
-
-    def _potential_multipliers(self, s: float, t: float):
-        """(m11, m12, m22) of exp(-i s eps (V I2 - A1 sigma1)) at time t."""
-        ev, ea = self._kept(self._eps_potentials, t)
-        phase = np.exp(-1j * s * ev)
-        u = phase * np.cos(s * ea)
-        return sym2(u, 1j * phase * np.sin(s * ea), u)
-
-    def _half_flow(self, t: float):
-        return self._potential_multipliers(0.5 * self.tau, t)
-
-    def _step(self, prev, curr, t) -> np.ndarray:
-        first = self._kept(self._half_flow, t + 0.25 * self.tau)
-        last = self._kept(self._half_flow, t + 0.75 * self.tau)
-        return apply_sym2(last, _apply_free(apply_sym2(first, curr), self._free_mult))
-
-    def _loop(self, n_steps: int) -> None:
-        """The step loop with interior potential half steps merged into full
-        ones.  It works in two (2, N) buffers, one scratch array and the full
-        step's multipliers made once per call, and leaves a fresh array."""
-        if not self._time_independent:
-            return super()._loop(n_steps)
-        half, full = self._kept(self._half_flow, 0.0), self._potential_multipliers(self.tau, 0.0)
-        x, y, tmp = (np.empty_like(self._curr) for _ in range(3))
-        apply_sym2(half, self._curr, out=x, tmp=tmp)
-        for k in range(n_steps):
-            np.fft.fft(x, axis=-1, out=y)
-            apply_sym2(self._free_mult, y, out=x, tmp=tmp)
-            np.fft.ifft(x, axis=-1, out=y)
-            if k < n_steps - 1:
-                apply_sym2(full, y, out=x, tmp=tmp)
-        self._curr = apply_sym2(half, y, tmp=tmp)
-        self.n += n_steps
-        self.t += n_steps * self.tau
-
-
-class EXStepper(Stepper):
-    """The semi-discrete flow i dPhi/dt = K Phi, exact in time ("exfd", "exfp"),
-    by one eigh of the steppers' own K = Q diag(w) Q^H (eps*V, eps*A1 at t = 0):
-    a step is Q exp(-i w tau) Q^H, and `propagate(n)` is Q exp(-i w t) Q^H Phi0
-    at t = n tau from the initial coefficients, never building or powering M."""
-
-    pattern = "ex{}"
-    needs_history = False
-
-    @classmethod
-    def refuse(cls, problem) -> None:
-        if not problem.time_independent or problem.grid.N > 1024:  # eigh: 11.6 s, 67 MB
-            raise ConfigurationError(f"the exact flow needs time-independent potentials "
-                                     f"and N <= 1024, got N={problem.grid.N}")
-
-    @staticmethod
-    def task_cost(n_nodes: int, t: float, tau: float) -> float:
-        return n_nodes ** 3 / 8  # the eigh takes about as long as N^2/8 TSFP steps
-
-    def _prepare(self):
-        k = k_matrix(self.space, *self._kept(self._eps_potentials, 0.0))
-        self._w, self._q = np.linalg.eigh(k)
-        self._coef = self._q.conj().T @ self._curr.reshape(-1)
-
-    def _step(self, prev, curr, t) -> np.ndarray:
-        cols = np.moveaxis(curr, -1, 1).reshape(2 * self.grid.N, -1)  # a column per field
-        new = self._q @ (np.exp(-1j * self._w * self.tau)[:, None] * (self._q.conj().T @ cols))
-        return np.moveaxis(new.reshape(2, self.grid.N, *curr.shape[1:-1]), 1, -1)
-
-    def propagate(self, n_steps: int) -> None:
-        if n_steps > 0:
-            self.propagation.add("eigh")
-            self.n, self.t = self.n + n_steps, self.t + n_steps * self.tau
-            phase = np.exp(-1j * self._w * (self.n * self.tau))
-            self._curr = (self._q @ (phase * self._coef)).reshape(2, -1)
 
 
 class ReferenceSolution:
@@ -202,24 +79,19 @@ def check_restriction(n_e: int, n: int, min_space_ratio: float) -> None:
 def reference_solution(setup: ProblemSetup, h_e: float, tau_e,
                        t_targets: Sequence[float]) -> ReferenceSolution:
     """Snapshots at the target times of one reference run at h_e: of TSFP at
-    the step tau_e, or of the exact flow that tau_e names ("exfp", "exfd"),
-    stepped by the first positive target time (one step for one target)."""
-    from .schemes import make_stepper  # schemes registers the steppers above
-
+    the step tau_e, or of the exact flow that tau_e names ("exfp", "exfd")."""
     exact = tau_e in EXACT_FLOWS
     if not (exact or isinstance(tau_e, (int, float)) and tau_e > 0):
         raise ConfigurationError(f"tau_e must be positive, or exfp or exfd; got {tau_e!r}")
-    scheme, tau = ((tau_e, min((t for t in t_targets if t > 0), default=1.0)) if exact
-                   else ("tsfp", tau_e))
+    scheme, tau = (tau_e, 1.0) if exact else ("tsfp", tau_e)  # a flow takes any time
     problem = setup.discretize(h=h_e)
-    steps = {whole_steps(t, tau, "snapshot time", "tau_e"): float(t) for t in t_targets}
     stepper, fields = make_stepper(scheme, problem, tau), {}
-    for k in sorted(steps):
-        stepper.propagate(k - stepper.n)
-        fields[steps[k]] = stepper.phi.copy()
+    for t in sorted(map(float, t_targets)):
+        stepper.propagate_to(t, "snapshot time", "tau_e")
+        fields[t] = stepper.phi.copy()
     manifest = {
         "kind": scheme,
-        **({"substep_order": SUBSTEP_ORDER} if scheme == "tsfp" else {}),
+        **({"substep_order": TSFPStepper.substep_order} if scheme == "tsfp" else {}),
         "propagation": stepper.propagation_label,
         "h_e": problem.grid.h,
         "tau_e": None if exact else tau,
@@ -252,7 +124,7 @@ def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e,
         "h_e": h_e,
         "tau_e": None if tau_e in EXACT_FLOWS else tau_e,
         "times": [float(t) for t in t_targets],
-        "substep_order": SUBSTEP_ORDER,
+        "substep_order": TSFPStepper.substep_order,
         "kind": EXACT_FLOWS.get(tau_e, "tsfp"),
         "format": FORMAT,
     }

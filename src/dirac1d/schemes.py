@@ -13,8 +13,9 @@ The space operator D (:mod:`dirac1d.grid`) is the centered difference,
 symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
 mu_l; each time discretization is one `Stepper(space, problem, tau)` class,
 written with K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1)
-(`model.apply_k`), the paper's four below, TSFP and EX in :mod:`dirac1d.reference`.
-Three-level schemes launch by forward Euler with the same K,
+(`model.apply_k`), with its space operators (`spaces`) and its step bound
+(`bound`, read by :mod:`dirac1d.stability`).  Three-level schemes launch
+by forward Euler with the same K,
 
     Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
 
@@ -25,20 +26,36 @@ to Phi^{n+1} with no state of its own and over any batch of fields, which
 is how `Stepper.propagate` probes it.
 eps*V, eps*A1, CNFD's factor and SI1's pointwise inverse come through
 `Stepper._kept`: once for a time-independent problem, else every step.
+
+TS Strang-splits, potential-first (half, free, half), between two flows
+that are symmetric 2x2 multiplies (`grid.apply_sym2`) and keep the mass:
+the free flow per mode, through Gamma_l = mu_l*sigma1 + sigma3,
+
+    exp(-i t Gamma_l) = cos(t*delta_l) I2 - i sin(t*delta_l)/delta_l * Gamma_l,
+    delta_l = sqrt(1 + mu_l^2),
+
+and the potential flow per node,
+
+    exp(-i s eps (V I2 - A1 sigma1))
+        = exp(-i s eps V) [cos(s eps A1) I2 + i sin(s eps A1) sigma1].
+
+EX is the semi-discrete flow itself, by one eigh of K.  tsfp, exfp and
+exfd build the references (:mod:`dirac1d.reference`).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import SPACE_OPERATORS, FourierDerivative, apply_sym2, sym2
+from .grid import SPACE_OPERATORS, FourierDerivative, SpinorField, TorusGrid, apply_sym2, sym2
 from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
-from .reference import EXStepper, TSFPStepper
-from .stepping import SolverDiagnostics, Stepper
+from .stepping import SolverDiagnostics, Stepper, k_matrix
 
-__all__ = ["SCHEMES", "lookup", "make_stepper"]
+__all__ = ["SCHEMES", "lookup", "make_stepper", "free_dirac_exact", "TSFPStepper", "EXStepper"]
 
 RESIDUAL_TOL = 1e-12  # CNFD: relative residual each banded solve must meet
 FIXED_POINT_TOL = 1e-14  # CNFP: sweep-to-sweep change relative to ||Phi^n||
@@ -168,6 +185,7 @@ class SI1Stepper(Stepper):
     """
 
     pattern = "si{}1"
+    bound = staticmethod(lambda h, r, v, a: h / r)
 
     def _invert(self, t: float):
         """The pointwise bracket's inverse at t.  With a = (tau ev)^2 and b =
@@ -202,6 +220,7 @@ class SI2Stepper(Stepper):
     """
 
     pattern = "si{}2"
+    bound = staticmethod(lambda h, r, v, a: math.inf if v + a == 0 else 1.0 / (v + a))
 
     def _prepare(self):
         self._inverse = _per_mode(self.space, self.tau)[0]
@@ -217,17 +236,132 @@ class LFStepper(Stepper):
     """Fully explicit leap-frog: Phi^{n+1} = Phi^{n-1} - 2i*tau*K(t_n)Phi^n."""
 
     pattern = "lf{}"
+    bound = staticmethod(lambda h, r, v, a: h / (v * h + math.sqrt(h * h + (r + h * a) ** 2)))
 
     def _step(self, prev, curr, t) -> np.ndarray:
         ev, ea = self._kept(self._eps_potentials, t)
         return prev - 2j * self.tau * apply_k(self.space, curr, ev, ea)
 
 
-SCHEMES = {cls.pattern.format(space.name): (cls, space)
-           for space in SPACE_OPERATORS.values()
-           for cls in (CNStepper, SI1Stepper, SI2Stepper, LFStepper)}
-SCHEMES["tsfp"] = (TSFPStepper, FourierDerivative)
-SCHEMES.update(("ex" + space.name, (EXStepper, space)) for space in SPACE_OPERATORS.values())
+def _free_multipliers(grid: TorusGrid, t: float):
+    mu = grid.mu_fft
+    delta = np.sqrt(1.0 + mu * mu)
+    c = np.cos(t * delta)
+    s = np.sin(t * delta) / delta
+    return sym2(c - 1j * s, -1j * s * mu, c + 1j * s)
+
+
+def _apply_free(values: np.ndarray, multipliers) -> np.ndarray:
+    return np.fft.ifft(apply_sym2(multipliers, np.fft.fft(values, axis=-1)), axis=-1)
+
+
+def free_dirac_exact(phi0: SpinorField, t: float) -> SpinorField:
+    """Evolve the trigonometric interpolant of phi0 under the free equation."""
+    return SpinorField(phi0.grid, _apply_free(phi0.values, _free_multipliers(phi0.grid, t)))
+
+
+class TSFPStepper(Stepper):
+    """Strang splitting over the Fourier derivative: the scheme "tsfp" and
+    the integrator of every TSFP reference.
+
+    potential half step (t + tau/4), full free step, potential half step
+    (t + 3*tau/4); potentials at the half-interval midpoints matter only in
+    the time-dependent case.
+    """
+
+    pattern = "ts{}"
+    spaces = (FourierDerivative,)
+    needs_history = False
+    substep_order = "potential-first"  # in the reference manifest and cache key
+
+    def _prepare(self):
+        self._free_mult = _free_multipliers(self.grid, self.tau)
+
+    def _potential_multipliers(self, s: float, t: float):
+        """(m11, m12, m22) of exp(-i s eps (V I2 - A1 sigma1)) at time t."""
+        ev, ea = self._kept(self._eps_potentials, t)
+        phase = np.exp(-1j * s * ev)
+        u = phase * np.cos(s * ea)
+        return sym2(u, 1j * phase * np.sin(s * ea), u)
+
+    def _half_flow(self, t: float):
+        return self._potential_multipliers(0.5 * self.tau, t)
+
+    def _step(self, prev, curr, t) -> np.ndarray:
+        first = self._kept(self._half_flow, t + 0.25 * self.tau)
+        last = self._kept(self._half_flow, t + 0.75 * self.tau)
+        return apply_sym2(last, _apply_free(apply_sym2(first, curr), self._free_mult))
+
+    def _loop(self, n_steps: int) -> None:
+        """The step loop with interior potential half steps merged into full
+        ones.  It works in two (2, N) buffers, one scratch array and the full
+        step's multipliers made once per call, and leaves a fresh array."""
+        if not self._time_independent:
+            return super()._loop(n_steps)
+        half, full = self._kept(self._half_flow, 0.0), self._potential_multipliers(self.tau, 0.0)
+        x, y, tmp = (np.empty_like(self._curr) for _ in range(3))
+        apply_sym2(half, self._curr, out=x, tmp=tmp)
+        for k in range(n_steps):
+            np.fft.fft(x, axis=-1, out=y)
+            apply_sym2(self._free_mult, y, out=x, tmp=tmp)
+            np.fft.ifft(x, axis=-1, out=y)
+            if k < n_steps - 1:
+                apply_sym2(full, y, out=x, tmp=tmp)
+        self._curr = apply_sym2(half, y, tmp=tmp)
+        self.n += n_steps
+        self.t += n_steps * self.tau
+
+
+class EXStepper(Stepper):
+    """The semi-discrete flow i dPhi/dt = K Phi, exact in time ("exfd", "exfp"),
+    by one eigh of the steppers' own K = Q diag(w) Q^H (eps*V, eps*A1 at t = 0):
+    a step is Q exp(-i w tau) Q^H, and `propagate(n)` is Q exp(-i w t) Q^H Phi0
+    at t = n tau from the initial coefficients, never building or powering M;
+    `propagate_to(t)` takes any time t >= 0, a whole number of steps or not."""
+
+    pattern = "ex{}"
+    needs_history = False
+
+    @classmethod
+    def refuse(cls, problem) -> None:
+        if not problem.time_independent or problem.grid.N > 1024:  # eigh: 11.6 s, 67 MB
+            raise ConfigurationError(f"the exact flow needs time-independent potentials "
+                                     f"and N <= 1024, got N={problem.grid.N}")
+
+    @staticmethod
+    def task_cost(n_nodes: int, t: float, tau: float) -> float:
+        return n_nodes ** 3 / 8  # the eigh takes about as long as N^2/8 TSFP steps
+
+    def _prepare(self):
+        k = k_matrix(self.space, *self._kept(self._eps_potentials, 0.0))
+        self._w, self._q = np.linalg.eigh(k)
+        self._coef = self._q.conj().T @ self._curr.reshape(-1)
+
+    def _step(self, prev, curr, t) -> np.ndarray:
+        cols = np.moveaxis(curr, -1, 1).reshape(2 * self.grid.N, -1)  # a column per field
+        new = self._q @ (np.exp(-1j * self._w * self.tau)[:, None] * (self._q.conj().T @ cols))
+        return np.moveaxis(new.reshape(2, self.grid.N, *curr.shape[1:-1]), 1, -1)
+
+    def takes_dense_power(self, n_steps: int) -> bool:
+        return n_steps > 0  # `propagate` is one flow for any n and never builds M
+
+    def propagate(self, n_steps: int) -> None:
+        if n_steps > 0:
+            self.propagate_to((self.n + n_steps) * self.tau)
+
+    def propagate_to(self, t: float, *words: str) -> None:
+        if not 0 <= t / self.tau < math.inf:  # NaN too
+            raise ConfigurationError(f"time {t} must be finite and in the direction of tau")
+        if t != self.t:
+            self.propagation.add("eigh")
+            self.n, self.t = round(t / self.tau), t
+            self._curr = (self._q @ (np.exp(-1j * self._w * t) * self._coef)).reshape(2, -1)
+
+
+SCHEMES = {cls.pattern.format(space.name): (cls, space)  # the paper's eight first
+           for group in ([CNStepper, SI1Stepper, SI2Stepper, LFStepper], [TSFPStepper],
+                         [EXStepper])
+           for space in SPACE_OPERATORS.values() for cls in group if space in cls.spaces}
 
 
 def lookup(scheme: str):

@@ -1,9 +1,11 @@
 """Maximal stable time steps per scheme and pre-run validation.
 
 A scheme is a time discretization over a space operator (`schemes.lookup`).
-Its von Neumann bound depends on the space operator only through its reach
-r, the bound on h*|symbol| (`grid`): 1 for the centered difference, pi for
-the Fourier derivative.  V_max, A_max bound the potentials the operator
+Its von Neumann bound is a class attribute of the time discretization,
+`bound(h, r, V_max, A_max)`: unbounded on `Stepper`, overridden by SI1, SI2
+and LF.  It depends on the space operator only through its reach r, the
+bound on h*|symbol| (`grid`): 1 for the centered difference, pi for the
+Fourier derivative.  V_max, A_max bound the potentials the operator
 sees, eps*|V| and eps*|A1| (`DiracProblem.operator_bounds`).
 
     CN    unconditional: a unitary step for every tau
@@ -23,22 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .reference import EXStepper, TSFPStepper
-from .schemes import SCHEMES, CNStepper, LFStepper, SI1Stepper, SI2Stepper, lookup
-
+from .schemes import SCHEMES, lookup
 
 UNBOUNDED = math.inf
-
-
-# bound(h, r, V_max, A_max) per time discretization
-_BOUNDS = {
-    CNStepper: lambda h, r, v, a: UNBOUNDED,
-    SI1Stepper: lambda h, r, v, a: h / r,
-    SI2Stepper: lambda h, r, v, a: UNBOUNDED if v + a == 0 else 1.0 / (v + a),
-    LFStepper: lambda h, r, v, a: h / (v * h + math.sqrt(h * h + (r + h * a) ** 2)),
-    TSFPStepper: lambda h, r, v, a: UNBOUNDED,
-    EXStepper: lambda h, r, v, a: UNBOUNDED,
-}
 ALL_SCHEMES = tuple(SCHEMES)
 
 
@@ -49,7 +38,7 @@ def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> float:
     if not (v_max >= 0 and a_max >= 0):  # NaN too
         raise ConfigurationError("potential bounds must be nonnegative")
     time, space = lookup(scheme)
-    return _BOUNDS[time](h, space.reach, v_max, a_max)
+    return time.bound(h, space.reach, v_max, a_max)
 
 
 @dataclass

@@ -76,7 +76,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SpinorField
+from .grid import SPACE_OPERATORS, SpinorField
 from .model import DiracProblem, apply_k
 
 # Dense-power rule (see the module docstring).  The rates are measured with
@@ -183,6 +183,7 @@ class Stepper:
     paths taken ("dense-power", "dense-step", "stepwise"; "eigh" for EX)."""
 
     pattern = "{}"  # scheme name with "{}" for the space name, e.g. "si{}1"
+    spaces = tuple(SPACE_OPERATORS.values())  # the space operators it is registered over
     needs_history = True  # three-level schemes start with `_launch`
 
     def __init__(self, space: type, problem: DiracProblem, tau: float):
@@ -214,6 +215,8 @@ class Stepper:
     @staticmethod
     def task_cost(n_nodes: int, t: float, tau: float) -> float:
         return t / tau * n_nodes  # steps x nodes: the estimate that orders a table's tasks
+
+    bound = staticmethod(lambda h, r, v, a: math.inf)  # tau_max(h, reach, V_max, A_max)
 
     def _prepare(self):
         """Subclass precomputation (per-mode multipliers, factorizations)."""
@@ -352,6 +355,10 @@ class Stepper:
             self.advance()
             n_steps -= 1
         self._dense_power(n_steps)
+
+    def propagate_to(self, t: float, *words: str) -> None:
+        """Advance to time t, a whole number of steps (`whole_steps(t, tau, *words)`)."""
+        self.propagate(whole_steps(t, self.tau, *words) - self.n)
 
     @property
     def propagation_label(self) -> str:

@@ -42,6 +42,9 @@ from dirac1d.harness import ConvergenceTable
 from dirac1d.stepping import whole_steps
 
 RNG = np.random.default_rng(17)
+# fitted slope of log e_phi against log eps for TSFP at a fixed step; 1.04
+# measured (tau = 0.01, eps = 2^-4 .. 2^-10), single-row slopes 0.72 .. 1.22
+TSFP_EPS_SLOPE_BAND = (0.9, 1.15)
 
 
 def bandlimited_free_setup(epsilon=0.0, T0=2.0):
@@ -176,6 +179,16 @@ class TestRunSimulation:
             short = run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=0.01,
                                                       record=record))
             assert short.propagation == "stepwise"
+
+    def test_unrecorded_exact_flow_is_one_propagate_at_any_size(self):
+        # m = 2N = 1024 prices the one-step matrix out, yet the flow never
+        # builds it: one eigh flow instead of 200 steps of two mat-vecs
+        prob = preset("periodic-s51", 1.0).discretize(N=512)
+        res = run_simulation(prob, SchemeConfig("exfp", 0.01, t_final=2.0, record="none"))
+        stepper = make_stepper("exfp", prob, 0.01)
+        stepper.propagate(200)
+        assert res.propagation == "eigh" and res.n_steps == 200
+        np.testing.assert_array_equal(res.final.values, stepper.phi.values)
 
     def test_local_nan_reported_at_its_step(self, monkeypatch):
         # node 3 lies between the nodes a stride-N/8 sample would look at;
@@ -448,6 +461,30 @@ class TestConvergenceTables:
         np.testing.assert_allclose(table.errors("e_phi")[:, 1],
                                    [7.17e-3, 1.74e-3, 6.43e-4, 1.19e-4], rtol=5e-3)
         np.testing.assert_allclose(table.orders("e_phi")[:, 1:], 2.0, atol=0.01)
+
+    def test_tsfp_time_error_slope_in_eps_is_one(self):
+        # Bao, Feng & Yin (MMS 2022): TSFP's error is O(eps tau^2) to t = T0/eps
+        # at a fixed step.  At tau = 0.01 and N = 32, against the FP flow, tsfp
+        # reads e_phi 6.42e-6 .. 7.83e-8 for eps = 2^-4 .. 2^-10 (slope 1.04);
+        # cnfp on the same cells grows like 1/eps (slope -0.97) and is rejected
+        eps_list = [2.0 ** -k for k in (4, 6, 8, 10)]
+
+        def table(scheme):
+            return epsilon_sweep_temporal(
+                preset("periodic-s51", 1.0), scheme, eps_list, 0.01, 1, 2 * np.pi / 32,
+                reference=ReferenceConfig("exfp", h_e=2 * np.pi / 32, min_space_ratio=1))
+
+        def slope_in_band(table):
+            slope = np.polyfit(np.log(eps_list), np.log(table.errors("e_phi")[:, 0]), 1)[0]
+            return TSFP_EPS_SLOPE_BAND[0] <= slope <= TSFP_EPS_SLOPE_BAND[1]
+
+        tsfp = table("tsfp")
+        assert slope_in_band(tsfp)
+        assert not slope_in_band(table("cnfp"))
+        # the smallest error, at eps = 2^-10 (t = 2048, 204,800 steps), is far
+        # above the rounding budget 2.5 n 1.1e-16 of those steps
+        last = tsfp.cell(len(eps_list) - 1, 0)
+        assert last.e_phi > 1000 * 2.5 * whole_steps(last.t, last.tau) * 1.1e-16
 
     def test_diagonal_index_follows_quarter_powers(self):
         table = ConvergenceTable("cnfd", [1.0, 0.25, 0.0625], 4)

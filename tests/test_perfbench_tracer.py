@@ -2,15 +2,19 @@
 --trace 1`).  Installing it here makes a renamed target fail the suite.
 perfbench/ is only read: it goes on sys.path for this test alone."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from dirac1d import SchemeConfig, harness, linalg, make_stepper, preset, reference, stepping
+import dirac1d
+from dirac1d import (SchemeConfig, harness, linalg, make_stepper, preset, reference, schemes,
+                     stepping)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCE = Path(dirac1d.__file__).resolve().parent
 
 TARGETS = [
     (harness, "_run_row"),
@@ -55,3 +59,25 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original
     assert np.fft.fft.__module__ == "numpy.fft"
+
+
+def _imported_names(path):
+    """Every dotted name a source file imports (relative ones without their dots)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_scheme_is_defined_outside_the_reference_module():
+    # schemes and stability import nothing from reference; the tracer's
+    # reference.TSFPStepper is the scheme class itself, imported by reference
+    for module in ("schemes", "stability"):
+        names = _imported_names(SOURCE / f"{module}.py")
+        assert not any("reference" in name.split(".") for name in names), module
+    assert reference.TSFPStepper is schemes.TSFPStepper
+    assert {cls.__module__ for cls, _ in schemes.SCHEMES.values()} == {"dirac1d.schemes"}

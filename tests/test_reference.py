@@ -400,6 +400,20 @@ class TestReferenceSolution:
         np.testing.assert_array_equal(ref.restricted(2.0, coarse).values,
                                       ref.snapshot(2.0).values[:, ::4])
 
+    def test_exact_reference_takes_snapshot_times_that_share_no_step(self):
+        # 0.5 is no whole multiple of 0.3: each snapshot is the flow at its
+        # own time, bit-equal to the reference of that time alone
+        setup, h_e = preset("periodic-s51", 0.5), 2 * np.pi / 32
+        ref = reference_solution(setup, h_e, "exfp", [0.5, 0.3])
+        assert ref.times == [0.3, 0.5] and ref.manifest["propagation"] == "eigh"
+        for t in ref.times:
+            assert_bitwise_equal(ref.snapshot(t).values,
+                                 reference_solution(setup, h_e, "exfp", [t]).snapshot(t).values)
+            assert_bitwise_equal(ref.snapshot(t).values,
+                                 _flow(setup.discretize(h=h_e), FourierDerivative, t))
+        with pytest.raises(ConfigurationError, match="finite"):
+            reference_solution(setup, h_e, "exfd", [0.3, -0.5])
+
 
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 

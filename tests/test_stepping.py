@@ -30,8 +30,7 @@ from dirac1d import (
 )
 from dirac1d.linalg import CyclicBlockTridiagSolver
 from dirac1d.model import apply_k
-from dirac1d.reference import TSFPStepper
-from dirac1d.schemes import SI1Stepper
+from dirac1d.schemes import SI1Stepper, TSFPStepper
 from dirac1d.stepping import dense_power_pays, dense_step_pays, squarings
 
 from closed_form import closed_form, k_eigenpairs
