@@ -41,14 +41,8 @@ from .model import (
     zero_potentials,
 )
 from .stepping import SolverDiagnostics, Stepper
-from .schemes import EXStepper, TSFPStepper, free_dirac_exact, make_stepper
-from .stability import (
-    ALL_SCHEMES,
-    UNBOUNDED,
-    StabilityVerdict,
-    tau_max,
-    validate,
-)
+from .schemes import (ALL_SCHEMES, UNBOUNDED, EXStepper, StabilityVerdict, TSFPStepper,
+                      free_dirac_exact, make_stepper, tau_max, validate)
 from .reference import (
     ReferenceCache,
     ReferenceSolution,

@@ -14,7 +14,7 @@ Config keys (subcommand-dependent; another JSON type, NaN or Infinity exits 2):
                 "expand_with_horizon": bool}
     epsilon    potential strength (top level; inline problems may carry it
                inside the problem object instead)
-    scheme     one of cnfd sifd1 sifd2 lffd cnfp sifp1 sifp2 lffp tsfp
+    scheme     one of cnfd sifd1 sifd2 lffd cnfp sifp1 sifp2 lffp tsfp exfd exfp
     h | N      mesh size or node count        tau      time step
     t_final, record_every, stop_norm_ratio   (run) horizon (T0/epsilon),
                record stride (1), norm growth that ends the run (1e6)
@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import harness, model, stability
+from . import harness, model, schemes
 from .errors import ConfigurationError, SolverError, StabilityError
 from .expressions import Expression
 from .reference import ReferenceCache
@@ -226,10 +226,10 @@ def _cmd_stability(cfg: dict, args) -> int:
     tau = _read(cfg, "tau", float)
     problem = _discretize(_build_setup(cfg), cfg)
     h, bounds = problem.grid.h, problem.operator_bounds
-    verdicts = {s: stability.validate(s, h, tau, *bounds) for s in stability.ALL_SCHEMES}
+    verdicts = {s: schemes.validate(s, h, tau, *bounds) for s in schemes.ALL_SCHEMES}
     requested = _read(cfg, "scheme", str, "").lower()
     # the requested name is refused, if at all, by the scheme registry
-    verdict = stability.validate(requested, h, tau, *bounds) if requested else None
+    verdict = schemes.validate(requested, h, tau, *bounds) if requested else None
     lines = [str(v) + (" <-- requested" if s == requested else "") for s, v in verdicts.items()]
     _write("\n".join(lines) + "\n", args)
     if verdict and not verdict.ok:

@@ -51,13 +51,11 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
-from .model import (DiracProblem, ProblemSetup, check_bounds, current, density,
-                    discrete_energy, mass)
+from .model import DiracProblem, ProblemSetup, check_bounds, current, density, mass
 from .reference import (EXACT_FLOWS, ReferenceCache, ReferenceSolution, check_restriction,
                         reference_cache_key, reference_solution)
-from .schemes import lookup, make_stepper
-from .stability import validate
-from .stepping import k_matrix, whole_steps
+from .schemes import lookup, make_stepper, validate
+from .stepping import whole_steps
 
 __all__ = [
     "SchemeConfig", "SimulationResult", "run_simulation",
@@ -133,9 +131,9 @@ def _checked_stepper(problem: DiracProblem, scheme: str, tau: float, t_final: fl
     return stepper, whole_steps(t_final, tau)
 
 
-def _finite(values: np.ndarray) -> bool:
+def _finite(f: SpinorField) -> bool:
     # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
-    return bool(np.isfinite(values.sum()))
+    return bool(np.isfinite(f.values.sum()))
 
 
 def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationResult:
@@ -151,9 +149,9 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     (`Stepper.takes_dense_power`) powers the one-step matrix instead; only
     its final state is then checked.  Any other run takes every step through
     `Stepper.advance`: as one mat-vec with the one-step matrix when that
-    pays (`Stepper.takes_dense_steps`, propagation "dense-step"), with the
-    energy then h Re<Phi, K Phi> for K built once as a matrix; else by the
-    scheme's own step ("stepwise").
+    pays (`Stepper.takes_dense_steps`, propagation "dense-step"), with
+    `Stepper.energy` then through K as a matrix; else by the scheme's own
+    step ("stepwise").
     """
     t_final = problem.t_final if config.t_final is None else config.t_final
     stepper, n_steps = _checked_stepper(problem, config.scheme, config.tau, t_final,
@@ -173,10 +171,6 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
     t0 = time.perf_counter()
     if by_matrix:
         stepper.step_by_matrix()
-    # the energy by the stepper's own K and its eps*V, eps*A1, sampled once;
-    # as a matrix built like M when the steps are mat-vecs
-    eps_pots = stepper._kept(stepper._eps_potentials, 0.0) if record_energy else None
-    k_mat = k_matrix(stepper.space, *eps_pots) if record_energy and by_matrix else None
 
     times, masses, energies = [], [], []
 
@@ -185,7 +179,7 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
             times.append(t)
             masses.append(mass(stepper.phi))
             if record_energy:
-                energies.append(discrete_energy(stepper.space, stepper._curr, *eps_pots, k=k_mat))
+                energies.append(stepper.energy())
 
     observe(0.0)
     stop_mass = (config.stop_norm_ratio ** 2) * mass(stepper.phi) if watch else None
@@ -201,11 +195,11 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
             escaped = watch and not mass(stepper.phi) <= stop_mass  # NaN escapes too
             if escaped or k % config.record_every == 0 or k == n_steps:
                 observe(stepper.t)
-                if escaped or not _finite(stepper._curr):
+                if escaped or not _finite(stepper.phi):
                     blowup_step = k
                     break
     wall = time.perf_counter() - t0
-    if blowup_step is None and not _finite(stepper._curr):
+    if blowup_step is None and not _finite(stepper.phi):
         blowup_step = n_steps
 
     return SimulationResult(
@@ -373,9 +367,13 @@ class ConvergenceTable:
         return out
 
     def diagonal_index(self, eps: float) -> int:
-        """Level where the mesh reaches sqrt(eps) scaling vs the first row."""
+        """Level where the mesh reaches sqrt(eps) scaling vs the first row;
+        no level (negative) for an eps above the first row's: -1 above a
+        first row of 0."""
         eps0 = self.eps_list[0]
-        return int(round(math.log(eps0 / eps, 4.0))) if eps > 0 else 0
+        if eps <= 0:
+            return 0
+        return int(round(math.log(eps0 / eps, 4.0))) if eps0 > 0 else -1
 
 
 def _run_cell(setup: ProblemSetup, scheme: str, h: float, tau: float,
@@ -387,7 +385,7 @@ def _run_cell(setup: ProblemSetup, scheme: str, h: float, tau: float,
         stepper.propagate(n_steps)
     except (StabilityError, SolverError):
         return None
-    return stepper.phi.copy() if _finite(stepper._curr) else None
+    return stepper.phi.copy() if _finite(stepper.phi) else None
 
 
 def _run_row(task: str, *args) -> list:
@@ -582,21 +580,19 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
     if setup.epsilon > 0:
         check_bounds(setup.potentials, problem.grid, t_final)
     snap_times = [t_final * (j + 1) / n_snapshots for j in range(n_snapshots)]
-    steps = [whole_steps(t, tau) for t in snap_times]
+    # each snapshot's k tau, so that an exact flow too stands at its step;
+    # a time that is no whole step is refused before the reference is built
+    step_times = [whole_steps(t, tau) * tau for t in snap_times]
     ref_key, ref = ref_cfg._lookup(setup, *_reference_mesh(ref_cfg, h, tau), snap_times)
     if ref is None:
         ref = build_reference(setup, ref_cfg, h, tau, snap_times)
     ref_cfg._keep(ref_key, ref)
 
+    ref_fields = [ref.restricted(t, problem.grid, min_space_ratio=ref_cfg.min_space_ratio)
+                  for t in snap_times]
     out = []
     for scheme, stepper in zip(schemes, steppers):
-        values = []
-        done = 0
-        for t_snap, k in zip(snap_times, steps):
-            stepper.propagate(k - done)
-            done = k
-            ref_field = ref.restricted(t_snap, stepper.grid,
-                                       min_space_ratio=ref_cfg.min_space_ratio)
-            values.append(measure_errors(stepper.phi, ref_field).e_phi)
+        states = stepper.snapshots(step_times).values()  # in time order
+        values = [measure_errors(f, r).e_phi for f, r in zip(states, ref_fields)]
         out.append(ErrorSeries(scheme.lower(), np.array(snap_times), np.array(values)))
     return out

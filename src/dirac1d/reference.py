@@ -85,10 +85,8 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e,
         raise ConfigurationError(f"tau_e must be positive, or exfp or exfd; got {tau_e!r}")
     scheme, tau = (tau_e, 1.0) if exact else ("tsfp", tau_e)  # a flow takes any time
     problem = setup.discretize(h=h_e)
-    stepper, fields = make_stepper(scheme, problem, tau), {}
-    for t in sorted(map(float, t_targets)):
-        stepper.propagate_to(t, "snapshot time", "tau_e")
-        fields[t] = stepper.phi.copy()
+    stepper = make_stepper(scheme, problem, tau)
+    fields = stepper.snapshots(t_targets, "snapshot time", "tau_e")
     manifest = {
         "kind": scheme,
         **({"substep_order": TSFPStepper.substep_order} if scheme == "tsfp" else {}),

@@ -1,20 +1,26 @@
-"""The eleven steppers: five time discretizations over two space operators,
-and the Strang splitting (TS) over the Fourier derivative.
+"""The eleven steppers, five time discretizations over two space operators
+and the Strang splitting (TS) over the Fourier derivative, with their step
+bounds and the pre-run validator:
 
-               centered difference "fd"   Fourier derivative "fp"
-    CN         cnfd                       cnfp
-    SI1        sifd1                      sifp1
-    SI2        sifd2                      sifp2
-    LF         lffd                       lffp
-    TS                                    tsfp
-    EX         exfd                       exfp
+          fd      fp      stable for
+    CN    cnfd    cnfp    any tau: a unitary step
+    SI1   sifd1   sifp1   tau <= h/r
+    SI2   sifd2   sifp2   tau <= 1/(V_max + A_max)
+    LF    lffd    lffp    tau <= h / (V_max*h + sqrt(h^2 + (r + h*A_max)^2))
+    TS            tsfp    any tau: both Strang sub-flows are unitary
+    EX    exfd    exfp    any tau: the exact flow exp(-i tau K) is unitary
 
-The space operator D (:mod:`dirac1d.grid`) is the centered difference,
-symbol sin(mu_l h)/h, or the trigonometric interpolation derivative, symbol
-mu_l; each time discretization is one `Stepper(space, problem, tau)` class,
-written with K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1)
+The space operator D (:mod:`dirac1d.grid`) is the centered difference "fd",
+symbol sin(mu_l h)/h, or the trigonometric interpolation derivative "fp",
+symbol mu_l; each time discretization is one `Stepper(space, problem, tau)`
+class, written with K = -i*sigma1*D + sigma3 + eps*(V*I - A1*sigma1)
 (`model.apply_k`), with its space operators (`spaces`) and its step bound
-(`bound`, read by :mod:`dirac1d.stability`).  Three-level schemes launch
+`bound(h, r, V_max, A_max)`, read by `tau_max`.  The bound depends on the
+space operator only through its reach r, the bound on h*|symbol| (`grid`):
+1 for fd, pi for fp.  V_max, A_max bound the potentials the operator sees,
+eps*|V| and eps*|A1| (`DiracProblem.operator_bounds`).  An unbounded step
+is UNBOUNDED = math.inf, so every margin |tau|/tau_max is a float division
+(0.0 when unbounded); h and tau must be finite.  Three-level schemes launch
 by forward Euler with the same K,
 
     Phi^{n+1} = Phi^n - i*tau*K(t_n) Phi^n,
@@ -46,6 +52,7 @@ exfd build the references (:mod:`dirac1d.reference`).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +62,8 @@ from .linalg import CyclicBlockTridiagSolver
 from .model import DiracProblem, apply_k
 from .stepping import SolverDiagnostics, Stepper, k_matrix
 
-__all__ = ["SCHEMES", "lookup", "make_stepper", "free_dirac_exact", "TSFPStepper", "EXStepper"]
+__all__ = ["SCHEMES", "ALL_SCHEMES", "UNBOUNDED", "lookup", "make_stepper", "tau_max",
+           "StabilityVerdict", "validate", "free_dirac_exact", "TSFPStepper", "EXStepper"]
 
 RESIDUAL_TOL = 1e-12  # CNFD: relative residual each banded solve must meet
 FIXED_POINT_TOL = 1e-14  # CNFP: sweep-to-sweep change relative to ||Phi^n||
@@ -362,6 +370,8 @@ SCHEMES = {cls.pattern.format(space.name): (cls, space)  # the paper's eight fir
            for group in ([CNStepper, SI1Stepper, SI2Stepper, LFStepper], [TSFPStepper],
                          [EXStepper])
            for space in SPACE_OPERATORS.values() for cls in group if space in cls.spaces}
+ALL_SCHEMES = tuple(SCHEMES)
+UNBOUNDED = math.inf
 
 
 def lookup(scheme: str):
@@ -380,3 +390,41 @@ def make_stepper(scheme: str, problem: DiracProblem, tau: float) -> Stepper:
     starting from problem.phi0 at t = 0."""
     time, space = lookup(scheme)
     return time(space, problem, tau)
+
+
+def tau_max(scheme: str, h: float, v_max: float, a_max: float) -> float:
+    """Largest stable time step for the scheme, or UNBOUNDED."""
+    if not 0 < h < math.inf:
+        raise ConfigurationError(f"h must be positive and finite, got {h}")
+    if not (v_max >= 0 and a_max >= 0):  # NaN too
+        raise ConfigurationError("potential bounds must be nonnegative")
+    time, space = lookup(scheme)
+    return time.bound(h, space.reach, v_max, a_max)
+
+
+@dataclass
+class StabilityVerdict:
+    scheme: str
+    h: float
+    tau: float
+    tau_max: float
+    ok: bool
+    margin: float  # tau / tau_max, 0 for unbounded schemes
+
+    def __str__(self) -> str:
+        bound = "unbounded" if self.tau_max == UNBOUNDED else f"{self.tau_max:.6g}"
+        flag = "ok" if self.ok else "VIOLATED"
+        return (f"{self.scheme:6s} h={self.h:<10.6g} tau={self.tau:<10.6g} "
+                f"tau_max={bound:<10s} margin={self.margin:<8.3g} {flag}")
+
+
+def validate(scheme: str, h: float, tau: float, v_max: float, a_max: float) -> StabilityVerdict:
+    """Verdict for a (scheme, h, tau) choice against the declared bounds.
+
+    Uses |tau| so reversed-time runs are judged by step magnitude.
+    """
+    if not math.isfinite(tau):
+        raise ConfigurationError(f"tau must be finite, got {tau}")
+    bound = tau_max(scheme, h, v_max, a_max)
+    margin = abs(tau) / bound
+    return StabilityVerdict(scheme.lower(), h, tau, bound, abs(tau) <= bound, margin)

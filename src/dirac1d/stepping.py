@@ -71,13 +71,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grid import SPACE_OPERATORS, SpinorField
-from .model import DiracProblem, apply_k
+from .model import DiracProblem, apply_k, discrete_energy
 
 # Dense-power rule (see the module docstring).  The rates are measured with
 # one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
@@ -179,8 +179,9 @@ class SolverDiagnostics:
 class Stepper:
     """Base class: a time discretization over the space operator class
     `space` (`scheme` is `pattern` with its name).  It owns (phi_prev,
-    phi_curr, t, n), the advance loop and `propagate`.  `propagation` names the
-    paths taken ("dense-power", "dense-step", "stepwise"; "eigh" for EX)."""
+    phi_curr, t, n), the advance loop and `propagate`; other modules read the
+    state only through `phi`, `snapshots` and `energy`.  `propagation` names
+    the paths taken ("dense-power", "dense-step", "stepwise"; "eigh" for EX)."""
 
     pattern = "{}"  # scheme name with "{}" for the space name, e.g. "si{}1"
     spaces = tuple(SPACE_OPERATORS.values())  # the space operators it is registered over
@@ -359,6 +360,27 @@ class Stepper:
     def propagate_to(self, t: float, *words: str) -> None:
         """Advance to time t, a whole number of steps (`whole_steps(t, tau, *words)`)."""
         self.propagate(whole_steps(t, self.tau, *words) - self.n)
+
+    def snapshots(self, times: Sequence[float], *words: str) -> dict:
+        """{t: a copy of the state at t} for each time, in sorted order, each
+        reached by `propagate_to(t, *words)`."""
+        out = {}
+        for t in sorted(map(float, times)):
+            self.propagate_to(t, *words)
+            out[t] = self.phi.copy()
+        return out
+
+    def energy(self) -> float:
+        """The discrete energy h Re<Phi, K Phi> of the state, by the stepper's
+        own K and eps*V, eps*A1 (sampled once); while it steps by M, with K
+        as a matrix, built once and kept.  Time-independent potentials only."""
+        if not self._time_independent:
+            raise ConfigurationError("the discrete energy needs time-independent potentials")
+        k = self._kept(self._k_matrix, 0.0) if self._step_rows is not None else None
+        return discrete_energy(self.space, self._curr, *self._kept(self._eps_potentials, 0.0), k=k)
+
+    def _k_matrix(self, t: float) -> np.ndarray:
+        return k_matrix(self.space, *self._kept(self._eps_potentials, t))
 
     @property
     def propagation_label(self) -> str:

@@ -323,6 +323,18 @@ class TestTables:
         assert lines[0].startswith("epsilon,level,h,tau,e_phi")
         assert len(lines) == 3
 
+    def test_converge_with_a_first_row_of_zero(self, tmp_path):
+        # the diagonal column of a row above a first eps of 0 is 0 (no level)
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51", "scheme": "cnfd", "eps_list": [0.0, 0.25],
+            "h0": np.pi / 8, "tau0": 0.05, "levels": 2,
+            "reference": {"h_e": np.pi / 64, "tau_e": 0.005},
+        })
+        out = tmp_path / "table.csv"
+        assert main(["converge", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows if row[0] == "0.25"] == ["0", "0"]
+
     def test_sweep_temporal(self, tmp_path):
         cfg = write_config(tmp_path, {
             "problem": INLINE_FREE, "epsilon": 0.0,

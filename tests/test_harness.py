@@ -45,6 +45,11 @@ RNG = np.random.default_rng(17)
 # fitted slope of log e_phi against log eps for TSFP at a fixed step; 1.04
 # measured (tau = 0.01, eps = 2^-4 .. 2^-10), single-row slopes 0.72 .. 1.22
 TSFP_EPS_SLOPE_BAND = (0.9, 1.15)
+# e / (eps tau^2) of TSFP at eps = 2^-10 stays within TSFP_FLAT_BAND times its
+# smallest value for every tau up to TSFP_FLAT_TAU: measured 0.80 at tau = 0.05,
+# 0.84 at 0.5 and 0.87 at 2/3 (max / min 1.09); 1.68 at tau = 1 (2.09)
+TSFP_FLAT_TAU = 2 / 3
+TSFP_FLAT_BAND = 1.15
 
 
 def bandlimited_free_setup(epsilon=0.0, T0=2.0):
@@ -486,9 +491,48 @@ class TestConvergenceTables:
         last = tsfp.cell(len(eps_list) - 1, 0)
         assert last.e_phi > 1000 * 2.5 * whole_steps(last.t, last.tau) * 1.1e-16
 
+    def test_tsfp_time_error_over_eps_tau_squared_is_flat_up_to_a_threshold(self):
+        # Bao, Feng & Yin (MMS 2022): TSFP's error is O(eps tau^2) for steps below
+        # a non-resonance threshold.  At N = 32, eps = 2^-10 (t = 2048), against
+        # the FP flow, e / (eps tau^2) is flat up to TSFP_FLAT_TAU and not at
+        # tau = 1; cnfp at the same steps reads 8.2e3 .. 4.4e5 and is rejected
+        eps, h = 2.0 ** -10, 2 * np.pi / 32
+        reference = ReferenceConfig("exfp", h_e=h, min_space_ratio=1)  # one eigh for all
+        taus = [0.05, 0.1, 0.25, 0.5, 2 / 3, 1.0]
+
+        def cells(scheme):
+            return [epsilon_sweep_temporal(preset("periodic-s51", 1.0), scheme, [eps], tau, 1, h,
+                                           reference=reference).cell(0, 0) for tau in taus]
+
+        def flat(cells):
+            ratios = [cell.e_phi / (eps * cell.tau ** 2) for cell in cells]
+            return max(ratios) <= TSFP_FLAT_BAND * min(ratios)
+
+        tsfp = cells("tsfp")
+        below = [cell for cell in tsfp if cell.tau <= TSFP_FLAT_TAU]
+        assert len(below) == len(taus) - 1
+        assert flat(below)
+        assert not flat(tsfp)  # where it stops being flat: tau = 1
+        assert not flat(cells("cnfp")[:len(below)])
+        # every error is far above the rounding budget 2.5 n 1.1e-16 of its steps
+        for cell in tsfp:
+            assert cell.e_phi > 10 * 2.5 * whole_steps(cell.t, cell.tau) * 1.1e-16
+
     def test_diagonal_index_follows_quarter_powers(self):
         table = ConvergenceTable("cnfd", [1.0, 0.25, 0.0625], 4)
         assert [table.diagonal_index(e) for e in table.eps_list] == [0, 1, 2]
+
+    def test_first_row_of_zero_marks_no_level_above_it(self):
+        # log4(0 / eps) has no value: a row above a first eps of 0 gets -1, as
+        # rows above any first eps get a negative level, and no "1" in the CSV
+        table = convergence_table(preset("periodic-s51", 1.0), "cnfd", [0.0, 0.25],
+                                  np.pi / 8, 0.05, 2,
+                                  reference=ReferenceConfig(h_e=np.pi / 64, tau_e=0.005))
+        assert [table.diagonal_index(e) for e in table.eps_list] == [0, -1]
+        assert ConvergenceTable("cnfd", [0.25, 1.0], 2).diagonal_index(1.0) == -1
+        rows = [line.split(",") for line in emit_csv(table).splitlines()[1:]]
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            ("0", "0", "1"), ("0", "1", "0"), ("0.25", "0", "0"), ("0.25", "1", "0")]
 
     def test_temporal_sweep_shares_h(self):
         setup = bandlimited_free_setup()

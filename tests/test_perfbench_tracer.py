@@ -74,9 +74,9 @@ def _imported_names(path):
 
 
 def test_every_scheme_is_defined_outside_the_reference_module():
-    # schemes and stability import nothing from reference; the tracer's
+    # schemes imports nothing from reference; the tracer's
     # reference.TSFPStepper is the scheme class itself, imported by reference
-    for module in ("schemes", "stability"):
+    for module in ("schemes",):
         names = _imported_names(SOURCE / f"{module}.py")
         assert not any("reference" in name.split(".") for name in names), module
     assert reference.TSFPStepper is schemes.TSFPStepper

@@ -6,9 +6,11 @@ With a time-independent potential every scheme is a fixed linear map, and
 the 4N x 4N companion on [Phi^n; Phi^n-1] for SI1, SI2 and LF.
 """
 
+import ast
 import gc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import dirac1d
 from dirac1d import (
+    ConfigurationError,
     DiracProblem,
     PotentialPair,
     SolverError,
@@ -619,3 +623,69 @@ class TestSI1PointwiseInverse:
                             [q * m11 + r * m12, q * m12 + r * m22]])
         assert all(np.isfinite(part).all() for part in (p, q, r))
         assert np.abs(product - I2[:, :, None]).max() <= 1e-13
+
+
+class TestSnapshotsAndEnergy:
+    """The public calls through which the harness and the references drive a
+    stepper: `snapshots` and `energy`."""
+
+    @pytest.mark.parametrize("scheme", ["cnfd", "lffp", "tsfp", "exfp"])
+    def test_snapshots_are_sorted_copies_of_each_state(self, scheme):
+        prob = smooth_problem(16, 0.5, 1.0, 0.5, 0.3)
+        times = [0.3, 0.0, 0.1]
+        got = make_stepper(scheme, prob, 0.05).snapshots(times)
+        assert list(got) == sorted(times)
+        stepper = make_stepper(scheme, prob, 0.05)
+        for t, field in got.items():
+            stepper.propagate_to(t)
+            np.testing.assert_array_equal(field.values, stepper.phi.values)
+        first = got[0.0].values
+        assert not np.shares_memory(first, got[0.3].values)
+        np.testing.assert_array_equal(first, prob.phi0.values)
+
+    def test_snapshot_off_a_whole_step_is_refused_with_its_words(self):
+        stepper = make_stepper("cnfd", smooth_problem(16, 0.5, 1.0, 0.5, 0.3), 0.05)
+        with pytest.raises(ConfigurationError,
+                           match="snapshot time 0.12 is not a nonnegative integer multiple of tau_e"):
+            stepper.snapshots([0.1, 0.12], "snapshot time", "tau_e")
+
+    @pytest.mark.parametrize("scheme", ["cnfd", "sifd1", "lffp", "tsfp"])
+    def test_energy_is_the_model_energy_stepwise_and_by_matrix(self, scheme):
+        prob = smooth_problem(16, 0.5, 1.0, 0.5, 0.3)
+        loop, dense = (make_stepper(scheme, prob, 0.02) for _ in range(2))
+        dense.step_by_matrix()
+        for _ in range(5):
+            loop.advance()
+            dense.advance()
+        want = energy(loop.phi, loop.space, prob.potentials, prob.epsilon)
+        assert loop.energy() == want
+        assert dense.energy() == pytest.approx(
+            energy(dense.phi, dense.space, prob.potentials, prob.epsilon), rel=1e-13)
+
+    def test_energy_refuses_time_dependent_potentials(self):
+        grid = TorusGrid(0.0, 2 * np.pi, 16)
+        pots = PotentialPair(lambda t, x: np.cos(t) + 0 * x, lambda t, x: 0 * x, False, 1.0, 0.0)
+        stepper = make_stepper("cnfd", DiracProblem(grid, 1.0, pots, random_field(grid, 3)), 0.05)
+        with pytest.raises(ConfigurationError, match="time-independent"):
+            stepper.energy()
+
+
+# a stepper's own state, kept by `stepping.Stepper` and the scheme classes
+STEPPER_PRIVATE = {"_curr", "_prev", "_kept", "_eps_potentials", "_squares", "_step_rows",
+                   "_memo"}
+
+
+def test_no_module_reads_a_steppers_private_state():
+    # outside the two modules that define steppers, a stepper is driven through
+    # its public calls only; a class's own `self._kept` (ReferenceConfig's) is
+    # its own state, not a stepper's
+    source = Path(dirac1d.__file__).resolve().parent
+    reads = []
+    for path in sorted(source.glob("*.py")):
+        if path.name in ("stepping.py", "schemes.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in STEPPER_PRIVATE
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert reads == []
