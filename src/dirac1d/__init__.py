@@ -45,6 +45,7 @@ from .schemes import (ALL_SCHEMES, UNBOUNDED, EXStepper, StabilityVerdict, TSFPS
                       free_dirac_exact, make_stepper, tau_max, validate)
 from .reference import (
     ReferenceCache,
+    ReferenceConfig,
     ReferenceSolution,
     load_reference,
     reference_cache_key,
@@ -55,7 +56,6 @@ from .harness import (
     ConvergenceTable,
     ErrorReport,
     ErrorSeries,
-    ReferenceConfig,
     SchemeConfig,
     SimulationResult,
     compare_over_time,

@@ -40,7 +40,7 @@ import numpy as np
 from . import harness, model, schemes
 from .errors import ConfigurationError, SolverError, StabilityError
 from .expressions import Expression
-from .reference import ReferenceCache
+from .reference import ReferenceCache, ReferenceConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,7 +148,7 @@ def _build_setup(cfg: dict) -> model.ProblemSetup:
 _REFERENCE_KEYS = ("kind", "h_e", "tau_e", "min_space_ratio")
 
 
-def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
+def _reference_config(cfg: dict, args) -> ReferenceConfig:
     spec = cfg.get("reference")
     spec = {} if spec is None else {"kind": spec} if isinstance(spec, str) else spec
     if not isinstance(spec, dict):
@@ -157,7 +157,7 @@ def _reference_config(cfg: dict, args) -> harness.ReferenceConfig:
         raise ConfigurationError(
             f"unknown 'reference' keys {unknown}; known keys: {list(_REFERENCE_KEYS)}")
     where = "'reference'"
-    return harness.ReferenceConfig(
+    return ReferenceConfig(
         kind=_read(spec, "kind", str, "tsfp", where),
         h_e=_read(spec, "h_e", float, None, where),
         tau_e=_read(spec, "tau_e", float, None, where),

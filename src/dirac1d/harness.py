@@ -24,18 +24,17 @@ blow-up at each step alike.
 
 A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
-so the parent process checks every cell against its row's reference grid
-(node ratio and nesting), and its reference's problem (`Stepper.refuse`),
-before any task starts, runs the tasks, and then restricts each reference
-and measures each cell itself.  A row whose reference the `ReferenceConfig`
-already keeps from an earlier table or `compare_over_time` gets no
-reference task: the FD and FP sweeps of one setup and one config share
-their references.  Tasks run longest first by their scheme's estimate
-(`Stepper.task_cost`), steps x nodes: (t/tau) N, or N^3/8 for an exact
-flow (its eigh takes about as long as N^2/8 TSFP steps).  Since
-t = T0/eps, the smallest-eps reference usually leads.  With workers > 1 the
-same tasks go to a process pool in that order; the first task that raises
-cancels the ones still queued, and its error is raised as in a serial run.
+so the parent process makes each row's `ReferenceConfig.request`, which
+refuses what the reference cannot serve, before any task starts, runs the
+tasks, and then restricts each reference and measures each cell itself.  A
+row whose reference the config already keeps gets no reference task: the
+FD and FP sweeps of one setup and one config share their references.
+Tasks run longest first by their scheme's estimate (`Stepper.task_cost`),
+steps x nodes: (t/tau) N, or N^3/8 for an exact flow (its eigh takes about
+as long as N^2/8 TSFP steps).  Since t = T0/eps, the smallest-eps reference
+usually leads.  With workers > 1 the same tasks go to a process pool in
+that order; the first task that raises cancels the ones still queued, and
+its error is raised as in a serial run.
 """
 
 from __future__ import annotations
@@ -45,15 +44,14 @@ import math
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverError, StabilityError
 from .grid import SpinorField, norm
 from .model import DiracProblem, ProblemSetup, check_bounds, current, density, mass
-from .reference import (EXACT_FLOWS, ReferenceCache, ReferenceSolution, check_restriction,
-                        reference_cache_key, reference_solution)
+from .reference import ReferenceConfig, ReferenceSolution, reference_solution
 from .schemes import lookup, make_stepper, validate
 from .stepping import whole_steps
 
@@ -252,87 +250,11 @@ def measure_errors(sol: SpinorField, ref: SpinorField, t: float = float("nan"),
 # references for tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceConfig:
-    """How table cells obtain their reference solution.
-
-    kind is the reference scheme.  "tsfp" runs at (h_e, tau_e); unset values
-    default to (finest test h)/space_factor and (finest test tau)/time_factor,
-    and tau_e must be min_time_ratio x finer than the finest test tau.
-    "exfp", "exfd": that flow at h_e, exact in time (no tau_e; time-
-    independent potentials and N_e <= 1024 only).  Every kind must be
-    min_space_ratio x finer in space than each test grid, and nest with it:
-    cells are compared with the reference subsampled onto their nodes,
-    never interpolated.
-
-    The config keeps every reference that its tables and `compare_over_time`
-    obtained (built, or read from the disk cache), keyed by
-    `reference_cache_key`, for as long as the config object lives: a later
-    call that passes the same object reuses them instead of obtaining them
-    again.  A setup without a key (key=None) is rebuilt on every call.  The
-    kept references are never pickled, so pool tasks that carry the config
-    stay small; copies start empty.  Frozen, like `SchemeConfig`.
-    """
-
-    space_factor: ClassVar[float] = 4.0
-    time_factor: ClassVar[float] = 8.0
-    min_time_ratio: ClassVar[float] = 4.0
-
-    kind: str = "tsfp"
-    h_e: Optional[float] = None
-    tau_e: Optional[float] = None
-    min_space_ratio: float = 4.0
-    cache: Optional[ReferenceCache] = None
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("tsfp", *EXACT_FLOWS):
-            raise ConfigurationError(f"unknown reference kind {self.kind!r}")
-        if self.kind != "tsfp" and self.tau_e is not None:
-            raise ConfigurationError(f"the {self.kind} reference takes no tau_e")
-
-    def __getstate__(self):
-        return {**self.__dict__, "_kept": {}}
-
-    def _lookup(self, setup: ProblemSetup, h_e: float, tau_e,
-                t_targets: Sequence[float]) -> tuple:
-        """(key, reference): the key this config keeps the reference under
-        (None for a setup without a key) and the reference if this config
-        already keeps it, else None."""
-        if setup.key is None:
-            return None, None
-        key = reference_cache_key(setup, h_e, tau_e, t_targets)
-        return key, self._kept.get(key)
-
-    def _keep(self, key: Optional[str], ref: ReferenceSolution) -> None:
-        if key is not None:
-            self._kept[key] = ref
-
-
-def _reference_mesh(ref_cfg: ReferenceConfig, h_finest: float,
-                    tau_finest: float) -> tuple:
-    """(h_e, tau_e) of a row's reference; an exact flow's tau_e is its name."""
-    h_e = ref_cfg.h_e if ref_cfg.h_e is not None else h_finest / ref_cfg.space_factor
-    if not h_e > 0:
-        raise ConfigurationError(f"reference h_e must be positive, got {h_e}")
-    if ref_cfg.kind in EXACT_FLOWS:
-        return h_e, ref_cfg.kind
-    tau_e = ref_cfg.tau_e if ref_cfg.tau_e is not None else tau_finest / ref_cfg.time_factor
-    if not tau_e > 0:
-        raise ConfigurationError(f"reference tau_e must be positive, got {tau_e}")
-    if tau_e > tau_finest / ref_cfg.min_time_ratio * (1 + 1e-12):
-        raise ConfigurationError(
-            f"reference tau_e={tau_e} is not {ref_cfg.min_time_ratio:g}x finer than "
-            f"the finest test tau={tau_finest}"
-        )
-    return h_e, tau_e
-
-
 def build_reference(setup: ProblemSetup, ref_cfg: ReferenceConfig,
                     h_finest: float, tau_finest: float,
-                    t_targets: Sequence[float]):
+                    t_targets: Sequence[float]) -> ReferenceSolution:
     """Materialize the reference for one epsilon row of a table."""
-    h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
+    h_e, tau_e = ref_cfg.mesh(h_finest, tau_finest)
     if ref_cfg.cache is not None:
         return ref_cfg.cache.fetch(setup, h_e, tau_e, t_targets)
     return reference_solution(setup, h_e, tau_e, t_targets)
@@ -428,30 +350,23 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
     table = ConvergenceTable(scheme=scheme.lower(), eps_list=list(eps_list), levels=levels)
     h_finest = min(p[0] for p in pairs)
     tau_finest = min(p[1] for p in pairs)
-    if not (h_finest > 0 and tau_finest > 0):
-        raise ConfigurationError(
-            f"mesh size and time step must be positive, got h={h_finest}, tau={tau_finest}")
-    h_e, tau_e = _reference_mesh(ref_cfg, h_finest, tau_finest)
-    scheme_cls, ref_cls = lookup(scheme)[0], lookup(ref_cfg.kind)[0]
+    scheme_cls = lookup(scheme)[0]
     rows, tasks = [], []  # tasks: (estimated steps x nodes, key, task)
     for i, eps in enumerate(eps_list):
         s_eps = setup.with_epsilon(eps)
         t_target = s_eps.t_final
+        ref_key, reference, ref_cost = ref_cfg.request(s_eps, h_finest, tau_finest, [t_target],
+                                                       [h for h, _ in pairs])
         if eps > 0:
             # once per row, here in the parent process, so that its warning
             # reaches the caller with workers > 1
             check_bounds(s_eps.potentials, s_eps.grid_for_mesh(h_finest), t_target)
-        ref_key, reference = ref_cfg._lookup(s_eps, h_e, tau_e, [t_target])
         rows.append((s_eps, t_target, ref_key, reference))
-        n_e = s_eps.grid_for_mesh(h_e).N
         if reference is None:
-            ref_cls.refuse(s_eps.discretize(h=h_e))
-            tasks.append((ref_cls.task_cost(n_e, t_target, tau_e), i,
+            tasks.append((ref_cost, i,
                           ("reference", s_eps, ref_cfg, h_finest, tau_finest, [t_target])))
         for k, (h, tau) in enumerate(pairs):
-            n = s_eps.grid_for_mesh(h).N
-            check_restriction(n_e, n, ref_cfg.min_space_ratio)
-            tasks.append((scheme_cls.task_cost(n, t_target, tau), (i, k),
+            tasks.append((scheme_cls.task_cost(s_eps.grid_for_mesh(h).N, t_target, tau), (i, k),
                           ("cell", s_eps, scheme, h, tau, t_target)))
 
     tasks.sort(key=lambda task: -task[0])  # longest first; stable on ties
@@ -461,7 +376,7 @@ def _ladder_table(setup: ProblemSetup, scheme: str, eps_list: Sequence[float],
     for i, (s_eps, t_target, ref_key, reference) in enumerate(rows):
         if reference is None:
             [reference] = done[i]
-        ref_cfg._keep(ref_key, reference)
+        ref_cfg.keep(ref_key, reference)
         for k, (h, tau) in enumerate(pairs):
             [final] = done[(i, k)]
             if final is None:
@@ -576,17 +491,17 @@ def compare_over_time(setup: ProblemSetup, schemes: Sequence[str], h: float,
     ref_cfg = reference or ReferenceConfig()
     t_final = setup.t_final
     problem = setup.discretize(h=h)
+    snap_times = [t_final * (j + 1) / n_snapshots for j in range(n_snapshots)]
+    ref_key, ref, _ = ref_cfg.request(setup, h, tau, snap_times, [h])
     steppers = [_checked_stepper(problem, scheme, tau, t_final)[0] for scheme in schemes]
     if setup.epsilon > 0:
         check_bounds(setup.potentials, problem.grid, t_final)
-    snap_times = [t_final * (j + 1) / n_snapshots for j in range(n_snapshots)]
     # each snapshot's k tau, so that an exact flow too stands at its step;
     # a time that is no whole step is refused before the reference is built
     step_times = [whole_steps(t, tau) * tau for t in snap_times]
-    ref_key, ref = ref_cfg._lookup(setup, *_reference_mesh(ref_cfg, h, tau), snap_times)
     if ref is None:
         ref = build_reference(setup, ref_cfg, h, tau, snap_times)
-    ref_cfg._keep(ref_key, ref)
+    ref_cfg.keep(ref_key, ref)
 
     ref_fields = [ref.restricted(t, problem.grid, min_space_ratio=ref_cfg.min_space_ratio)
                   for t in snap_times]

@@ -1,5 +1,6 @@
 """References: runs of "tsfp", "exfp" or "exfd" (:mod:`dirac1d.schemes`)
-to each snapshot time, restricted to coarser grids and cached on disk.
+to each snapshot time, restricted to coarser grids and cached on disk;
+`ReferenceConfig` decides the reference of a table or `compare_over_time`.
 
 A TSFP reference steps by tau_e and records under "propagation" whether it
 powered the one-step matrix (:mod:`dirac1d.stepping`) or stepped; an exact
@@ -15,17 +16,18 @@ import hashlib
 import json
 import os
 import zipfile
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grid import SpinorField, TorusGrid, subsample
 from .model import ProblemSetup
-from .schemes import TSFPStepper, make_stepper
+from .schemes import TSFPStepper, lookup, make_stepper
 
 __all__ = [
-    "ReferenceSolution", "reference_solution",
+    "ReferenceConfig", "ReferenceSolution", "reference_solution",
     "reference_cache_key", "save_reference", "load_reference", "ReferenceCache",
 ]
 
@@ -99,6 +101,89 @@ def reference_solution(setup: ProblemSetup, h_e: float, tau_e,
         "times": sorted(fields),
     }
     return ReferenceSolution(problem.grid, fields, manifest)
+
+
+@dataclass(frozen=True)
+class ReferenceConfig:
+    """How table cells and `compare_over_time` obtain their reference solution.
+
+    kind is the reference scheme.  "tsfp" runs at (h_e, tau_e); unset values
+    default to (finest test h)/space_factor and (finest test tau)/time_factor,
+    and tau_e must be min_time_ratio x finer than the finest test tau.
+    "exfp", "exfd": that flow at h_e, exact in time (no tau_e; time-
+    independent potentials and N_e <= 1024 only).  Every kind must be
+    min_space_ratio x finer in space than each test grid, and nest with it:
+    cells are compared with the reference subsampled onto their nodes,
+    never interpolated.  `request` applies these rules before any build.
+
+    It keeps each reference its tables and `compare_over_time` obtained
+    (built, or read from the disk cache) by `reference_cache_key` for later
+    calls with the same object; a setup without a key (key=None) is rebuilt
+    every call.  Kept references are never pickled, so pool tasks carrying
+    the config stay small; copies start empty.  Frozen, like `SchemeConfig`.
+    """
+
+    space_factor: ClassVar[float] = 4.0
+    time_factor: ClassVar[float] = 8.0
+    min_time_ratio: ClassVar[float] = 4.0
+
+    kind: str = "tsfp"
+    h_e: Optional[float] = None
+    tau_e: Optional[float] = None
+    min_space_ratio: float = 4.0
+    cache: Optional[ReferenceCache] = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in ("tsfp", *EXACT_FLOWS):
+            raise ConfigurationError(f"unknown reference kind {self.kind!r}")
+        if self.kind != "tsfp" and self.tau_e is not None:
+            raise ConfigurationError(f"the {self.kind} reference takes no tau_e")
+
+    def __getstate__(self):
+        return {**self.__dict__, "_kept": {}}
+
+    def mesh(self, h_finest: float, tau_finest: float) -> tuple:
+        """(h_e, tau_e) of the reference for test meshes down to (h_finest,
+        tau_finest); an exact flow's tau_e is its name."""
+        if not (h_finest > 0 and tau_finest > 0):
+            raise ConfigurationError(
+                f"mesh size and time step must be positive, got h={h_finest}, tau={tau_finest}")
+        h_e = self.h_e if self.h_e is not None else h_finest / self.space_factor
+        if not h_e > 0:
+            raise ConfigurationError(f"reference h_e must be positive, got {h_e}")
+        if self.kind in EXACT_FLOWS:
+            return h_e, self.kind
+        tau_e = self.tau_e if self.tau_e is not None else tau_finest / self.time_factor
+        if not tau_e > 0:
+            raise ConfigurationError(f"reference tau_e must be positive, got {tau_e}")
+        if tau_e > tau_finest / self.min_time_ratio * (1 + 1e-12):
+            raise ConfigurationError(
+                f"reference tau_e={tau_e} is not {self.min_time_ratio:g}x finer than "
+                f"the finest test tau={tau_finest}"
+            )
+        return h_e, tau_e
+
+    def request(self, setup: ProblemSetup, h_finest: float, tau_finest: float,
+                t_targets: Sequence[float], test_hs: Sequence[float]) -> tuple:
+        """(key, reference, cost) of the reference to t_targets for tests of
+        mesh sizes test_hs.  Before any build, it refuses a problem the
+        reference scheme refuses (`Stepper.refuse`) and each test grid it
+        cannot serve (`check_restriction`).  reference is the one kept under
+        key (None for a setup without one), else None; cost its `task_cost`."""
+        h_e, tau_e = self.mesh(h_finest, tau_finest)
+        key = None if setup.key is None else reference_cache_key(setup, h_e, tau_e, t_targets)
+        reference, scheme = self._kept.get(key), lookup(self.kind)[0]
+        if reference is None:
+            scheme.refuse(setup.discretize(h=h_e))
+        n_e = setup.grid_for_mesh(h_e).N
+        for h in test_hs:
+            check_restriction(n_e, setup.grid_for_mesh(h).N, self.min_space_ratio)
+        return key, reference, scheme.task_cost(n_e, max(t_targets), tau_e)
+
+    def keep(self, key: Optional[str], ref: ReferenceSolution) -> None:
+        if key is not None:
+            self._kept[key] = ref
 
 
 # ---------------------------------------------------------------------------

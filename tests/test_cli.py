@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dirac1d.harness as harness
 import dirac1d.reference as reference
 from dirac1d import ReferenceConfig, emit_csv, epsilon_sweep_temporal, preset
 from dirac1d.cli import _build_parser, _InitialData, main
@@ -489,6 +490,24 @@ class TestCompare:
         out = tmp_path / "compare.csv"
         assert main(["compare", cfg, "--out", str(out)]) == 3
         assert "stability violation" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "tsfp", "h_e": np.pi / 32}, "not 4x finer than the test grid N=32"),
+        ({"kind": "exfp", "h_e": np.pi / 40, "min_space_ratio": 2}, "grids do not nest"),
+    ], ids=["tsfp-2x-finer", "exfp-not-nesting"])
+    def test_reference_grid_refused_before_any_build_exits_2(self, tmp_path, capsys,
+                                                             monkeypatch, spec, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a reference was built before the guard")
+
+        for name in ("reference_solution", "build_reference"):
+            monkeypatch.setattr(harness, name, no_build)
+        cfg = write_config(tmp_path, dict(COMPARE, h=np.pi / 16, tau=0.01, reference=spec))
+        out = tmp_path / "compare.csv"
+        assert main(["compare", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

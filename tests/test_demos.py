@@ -17,7 +17,8 @@ SRC = str(Path(dirac1d.__file__).resolve().parent.parent)
 
 
 @pytest.mark.parametrize("script", ["conservation.py", "error_growth_over_time.py",
-                                    "spectral_vs_stencil.py", "stability_boundaries.py"])
+                                    "spectral_vs_stencil.py", "stability_boundaries.py",
+                                    "tsfp_resonance.py"])
 def test_demo_exits_0(script, tmp_path):
     # in a scratch directory, so that a demo's output file lands there
     done = subprocess.run([sys.executable, str(DEMOS / script)], cwd=tmp_path,

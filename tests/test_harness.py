@@ -46,10 +46,27 @@ RNG = np.random.default_rng(17)
 # measured (tau = 0.01, eps = 2^-4 .. 2^-10), single-row slopes 0.72 .. 1.22
 TSFP_EPS_SLOPE_BAND = (0.9, 1.15)
 # e / (eps tau^2) of TSFP at eps = 2^-10 stays within TSFP_FLAT_BAND times its
-# smallest value for every tau up to TSFP_FLAT_TAU: measured 0.80 at tau = 0.05,
-# 0.84 at 0.5 and 0.87 at 2/3 (max / min 1.09); 1.68 at tau = 1 (2.09)
+# smallest value at the five sampled steps up to TSFP_FLAT_TAU: measured 0.80 at
+# tau = 0.05, 0.84 at 0.5 and 0.87 at 2/3 (max / min 1.09); 1.68 at tau = 1
+# (2.09).  Not at every step below TSFP_FLAT_TAU: resonant steps spike
 TSFP_FLAT_TAU = 2 / 3
 TSFP_FLAT_BAND = 1.15
+# e / (eps tau^2) of TSFP at the resonant step nearest 2 pi / (delta_2 + delta_3)
+# over its value 20 steps either side: measured 42.8 and 40.9 (92.7 against 2.16
+# and 2.26); cnfp on the same steps 0.72 and 1.04
+TSFP_SPIKE = 10.0
+# spatial resolution capacity (exfd, exfp at N = 8 .. 256 against exfp at
+# N_e = 512, eps = 1 .. 1/64): the smallest N with e_phi <= RESOLVED_FD_TOL is
+# 64, 64, 128, 256 for FD (the same for any tol in [0.0893, 0.218)); its
+# slope in eps over eps <= 1/4 is -0.5, and 0.25 for FP's 16, 8, 8
+RESOLUTION_EPS = [1.0, 1 / 4, 1 / 16, 1 / 64]
+RESOLVED_FD_TOL = 0.1
+FD_NMIN_SLOPE_BAND = (-0.6, -0.4)
+# the smallest N with e_phi <= RESOLVED_FP_TOL is 32 in every row for FP
+# (e_phi 1.45e-6 .. 6.35e-6 at N = 32, 1.4e-3 .. 1.4e-2 at N = 16), down to
+# eps = 2^-10: at most FP_NMIN_FACTOR times its eps = 1 value (measured 1)
+RESOLVED_FP_TOL = 1e-4
+FP_NMIN_FACTOR = 2
 
 
 def bandlimited_free_setup(epsilon=0.0, T0=2.0):
@@ -494,8 +511,10 @@ class TestConvergenceTables:
     def test_tsfp_time_error_over_eps_tau_squared_is_flat_up_to_a_threshold(self):
         # Bao, Feng & Yin (MMS 2022): TSFP's error is O(eps tau^2) for steps below
         # a non-resonance threshold.  At N = 32, eps = 2^-10 (t = 2048), against
-        # the FP flow, e / (eps tau^2) is flat up to TSFP_FLAT_TAU and not at
-        # tau = 1; cnfp at the same steps reads 8.2e3 .. 4.4e5 and is rejected
+        # the FP flow, e / (eps tau^2) is flat at the five sampled steps up to
+        # TSFP_FLAT_TAU, though not at every step between them (resonant steps
+        # spike, as at tau = 0.4776), and not at tau = 1; cnfp at the same
+        # steps reads 8.2e3 .. 4.4e5 and is rejected
         eps, h = 2.0 ** -10, 2 * np.pi / 32
         reference = ReferenceConfig("exfp", h_e=h, min_space_ratio=1)  # one eigh for all
         taus = [0.05, 0.1, 0.25, 0.5, 2 / 3, 1.0]
@@ -517,6 +536,31 @@ class TestConvergenceTables:
         # every error is far above the rounding budget 2.5 n 1.1e-16 of its steps
         for cell in tsfp:
             assert cell.e_phi > 10 * 2.5 * whole_steps(cell.t, cell.tau) * 1.1e-16
+
+    def test_tsfp_error_spikes_at_a_resonant_step(self):
+        # the non-resonance condition of Bao, Feng & Yin (MMS 2022) is needed:
+        # at N = 32, eps = 2^-10 (t = 2048), against the FP flow, e / (eps tau^2)
+        # spikes at the step nearest 2 pi / (delta_2 + delta_3), delta_l =
+        # sqrt(1 + l^2) the free frequency of mode l, over the steps 20 either
+        # side (demos/tsfp_resonance.py scans n = 600 .. 5996); cnfp on the
+        # same steps has no spike and is rejected
+        eps, h = 2.0 ** -10, 2 * np.pi / 32
+        t = 2 / eps
+        n = round(t * np.sqrt([5.0, 10.0]).sum() / (2 * np.pi))
+        reference = ReferenceConfig("exfp", h_e=h, min_space_ratio=1)  # one eigh for all
+
+        def ratios(scheme):
+            cells = [epsilon_sweep_temporal(preset("periodic-s51", 1.0), scheme, [eps], t / m,
+                                            1, h, reference=reference).cell(0, 0)
+                     for m in (n - 20, n, n + 20)]
+            return [cell.e_phi / (eps * cell.tau ** 2) for cell in cells]
+
+        def spike(ratios):
+            return ratios[1] >= TSFP_SPIKE * max(ratios[0], ratios[2])
+
+        assert n == 1760
+        assert spike(ratios("tsfp"))
+        assert not spike(ratios("cnfp"))
 
     def test_diagonal_index_follows_quarter_powers(self):
         table = ConvergenceTable("cnfd", [1.0, 0.25, 0.0625], 4)
@@ -568,6 +612,25 @@ class TestConvergenceTables:
         with pytest.raises(ConfigurationError, match="4x finer"):
             convergence_table(bandlimited_free_setup(), "cnfd", [0.0], np.pi / 8, 0.05, 1,
                               reference=ReferenceConfig(kind=kind, h_e=np.pi / 16))
+
+    @pytest.mark.parametrize("kind", ["exfp", "tsfp"], ids=["exact", "tsfp"])
+    @pytest.mark.parametrize("h_e, min_space_ratio, message", [
+        (np.pi / 32, 4.0, "reference grid N=64 is not 4x finer than the test grid N=32"),
+        (np.pi / 48, 4.0, "reference grid N=96 is not 4x finer than the test grid N=32"),
+        (np.pi / 40, 2.0, "grids do not nest"),
+    ], ids=["2x-finer", "3x-finer", "not-nesting"])
+    def test_compare_refuses_reference_grid_before_any_work(self, kind, h_e, min_space_ratio,
+                                                            message, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the guard")
+
+        # as a table does: no stepper made and no reference built before the guard
+        for name in ("make_stepper", "reference_solution", "build_reference"):
+            monkeypatch.setattr(harness, name, no_work)
+        with pytest.raises(ConfigurationError, match=message):
+            compare_over_time(preset("periodic-s51", 0.25), ["cnfd"], np.pi / 16, 0.01, 2,
+                              reference=ReferenceConfig(kind=kind, h_e=h_e,
+                                                        min_space_ratio=min_space_ratio))
 
     @pytest.mark.parametrize("setup, h0, message", [
         (dataclasses.replace(bandlimited_free_setup(epsilon=1.0), key=None,
@@ -689,6 +752,62 @@ class TestConvergenceTables:
             for which in ("e_phi", "e_rho", "e_j"):
                 np.testing.assert_allclose(table.errors(which), plain.errors(which),
                                            rtol=1e-14, atol=0)
+
+
+def _smallest_resolved_n(table, tol):
+    """Per eps row of a spatial sweep, the smallest N with e_phi <= tol, else None."""
+    return [next((round(2 * np.pi / table.cell(i, k).h) for k in range(table.levels)
+                  if table.cell(i, k).e_phi <= tol), None)
+            for i in range(len(table.eps_list))]
+
+
+@pytest.fixture(scope="module")
+def resolution_tables():
+    """(FD, FP) sweeps of exfd and exfp at N = 8 .. 256 against exfp at
+    N_e = 512 for RESOLUTION_EPS; tau = 2 is a whole step of every horizon
+    2/eps.  One config for both, so the FP sweep reuses the four references."""
+    reference = ReferenceConfig("exfp", h_e=2 * np.pi / 512, min_space_ratio=2)
+    return tuple(epsilon_sweep_spatial(preset("periodic-s51", 1.0), scheme, RESOLUTION_EPS,
+                                       2 * np.pi / 8, 6, 2.0, reference=reference, workers=2)
+                 for scheme in ("exfd", "exfp"))
+
+
+class TestSpatialResolution:
+    """The paper's title claim: to stay accurate to t = T0/eps, FD needs
+    h = O(eps^(1/2)), while FP's spatial error is uniform in eps.  Both
+    operators step exactly in time here, so a cell's error is spatial."""
+
+    def test_fd_needs_n_growing_like_eps_to_the_minus_half(self, resolution_tables):
+        def grows_like_sqrt(table):
+            n_min = _smallest_resolved_n(table, RESOLVED_FD_TOL)[1:]  # eps <= 1/4
+            if None in n_min:
+                return False
+            slope = np.polyfit(np.log(RESOLUTION_EPS[1:]), np.log(n_min), 1)[0]
+            return FD_NMIN_SLOPE_BAND[0] <= slope <= FD_NMIN_SLOPE_BAND[1]
+
+        fd, fp = resolution_tables
+        np.testing.assert_allclose(fd.errors("e_phi")[:, -1],  # N = 256
+                                   [4.75e-3, 6.03e-3, 2.04e-2, 7.43e-2], rtol=5e-3)
+        assert _smallest_resolved_n(fd, RESOLVED_FD_TOL) == [64, 64, 128, 256]
+        assert grows_like_sqrt(fd)
+        assert not grows_like_sqrt(fp)  # 16, 16, 8, 8
+
+    def test_fp_needs_the_same_n_for_every_eps(self, resolution_tables):
+        def uniform(n_min):
+            return None not in n_min and max(n_min) <= FP_NMIN_FACTOR * n_min[0]
+
+        fd, fp = resolution_tables
+        # down to eps = 2^-10, where N_e = 128 suffices (the reading at 1/64
+        # matches N_e = 512 to 1e-12)
+        smaller = epsilon_sweep_spatial(
+            preset("periodic-s51", 1.0), "exfp", [2.0 ** -8, 2.0 ** -10], 2 * np.pi / 8, 4, 2.0,
+            reference=ReferenceConfig("exfp", h_e=2 * np.pi / 128, min_space_ratio=2))
+        n_min = [*_smallest_resolved_n(fp, RESOLVED_FP_TOL),
+                 *_smallest_resolved_n(smaller, RESOLVED_FP_TOL)]
+        assert n_min == [32] * 6
+        assert uniform(n_min)
+        assert not uniform(_smallest_resolved_n(fd, RESOLVED_FP_TOL))  # none up to 256
+        assert not uniform(_smallest_resolved_n(fd, RESOLVED_FD_TOL))  # 64 .. 256
 
 
 def _counted_builds(monkeypatch):

@@ -1,6 +1,7 @@
 """Exact free flow, TSFP splitting, the exact flow (exfd, exfp), reference
 snapshots and the disk cache."""
 
+import ast
 import dataclasses
 import importlib.util
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dirac1d.harness as harness
 import dirac1d.reference as reference
 import dirac1d.stepping as stepping
 from dirac1d import (
@@ -656,3 +658,27 @@ class TestCache:
         for t in (4.0, 8.0):
             assert_bitwise_equal(first.snapshot(t).values, built.snapshot(t).values)
             assert_bitwise_equal(again.snapshot(t).values, first.snapshot(t).values)
+
+
+def test_one_module_decides_a_reference():
+    # the harness asks for a reference through ReferenceConfig alone: the
+    # kinds of exact flow and the restriction rule are named in reference.py
+    source = Path(reference.__file__).resolve().parent
+    imported = {alias.name
+                for node in ast.walk(ast.parse((source / "harness.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "reference"
+                for alias in node.names}
+    assert imported == {"ReferenceConfig", "ReferenceSolution", "reference_solution"}
+    for path in sorted(source.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert not names & {"EXACT_FLOWS", "check_restriction"}, path.name
+    assert harness.ReferenceConfig is reference.ReferenceConfig
