@@ -32,13 +32,15 @@ FD and FP sweeps of one setup and one config share their references.
 Tasks run longest first by their scheme's estimate (`Stepper.task_cost`),
 steps x nodes: (t/tau) N, or N^3/8 for an exact flow (its eigh takes about
 as long as N^2/8 TSFP steps).  Since t = T0/eps, the smallest-eps reference
-usually leads.  With workers > 1 the same tasks go to a process pool in
-that order; the first task that raises cancels the ones still queued, and
-its error is raised as in a serial run.
+usually leads.  With workers > 1 the same tasks go to a process pool of
+one BLAS thread per worker, in that order; the first task that raises
+cancels the ones still queued, and its error is raised as in a serial run.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import io
 import math
 import time
@@ -321,13 +323,22 @@ def _run_row_star(args):
     return _run_row(*args)
 
 
+def _one_blas_thread():
+    """Pool initializer: numpy's bundled OpenBLAS runs one thread in this worker."""
+    for path in glob.glob(np.__path__[0] + "/../numpy.libs/libscipy_openblas*.so"):
+        try:
+            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(ctypes.c_int(1))
+        except (OSError, AttributeError):  # another build: nothing to set
+            pass
+
+
 def _run_tasks(tasks: list, workers: int) -> list:
     """`_run_row` of each task, in order.  With workers > 1 they run in a
     pool of at most one process per task; the first task (in this order)
     that raises has its error raised, and the tasks still queued are cancelled."""
     if workers <= 1:
         return [_run_row(*task) for task in tasks]
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_one_blas_thread)
     try:
         futures = [pool.submit(_run_row_star, task) for task in tasks]
         wait(futures, return_when=FIRST_EXCEPTION)

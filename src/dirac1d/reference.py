@@ -208,7 +208,7 @@ def reference_cache_key(setup: ProblemSetup, h_e: float, tau_e,
         "tau_e": None if tau_e in EXACT_FLOWS else tau_e,
         "times": [float(t) for t in t_targets],
         "substep_order": TSFPStepper.substep_order,
-        "kind": EXACT_FLOWS.get(tau_e, "tsfp"),
+        "kind": EXACT_FLOWS.get(tau_e, "tsfp-sigma1"),  # new with the sigma1-basis loop
         "format": FORMAT,
     }
     blob = json.dumps(payload, sort_keys=True).encode()

@@ -45,6 +45,10 @@ and the potential flow per node,
     exp(-i s eps (V I2 - A1 sigma1))
         = exp(-i s eps V) [cos(s eps A1) I2 + i sin(s eps A1) sigma1].
 
+In the sigma1 eigenbasis psi = (sigma1 + sigma3) Phi/sqrt2 of a time-independent
+run's loop, the potential flow is diagonal, exp(-i s eps (V -+ A1)), and the free
+flow is cos(t delta_l) I2 - i sin(t delta_l)/delta_l (mu_l sigma3 + sigma1).
+
 EX is the semi-discrete flow itself, by one eigh of K.  tsfp, exfp and
 exfd build the references (:mod:`dirac1d.reference`).
 """
@@ -114,8 +118,17 @@ class CNStepper(Stepper):
 
     def _step(self, prev, curr, t) -> np.ndarray:
         if self.space.name == "fd":
-            return self._banded_step(curr, t)
+            return self._banded_step(curr, t)[0]
         return self._fixed_point_step(curr, t)
+
+    def _loop(self, n_steps: int) -> None:
+        """Time-independent fd: the K Phi^{n+1} of a step's guard is the next K Phi^n."""
+        if self.space.name != "fd" or not self._time_independent:
+            return super()._loop(n_steps)
+        k_curr = None
+        for _ in range(n_steps):
+            self._curr, k_curr = self._banded_step(self._curr, self.t, k_curr)
+            self.n, self.t = self.n + 1, self.t + self.tau
 
     # -- fd: banded cyclic LU ------------------------------------------------
     def _factor(self, t: float):
@@ -133,14 +146,17 @@ class CNStepper(Stepper):
         b_minus = -b_plus
         return ev, ea, CyclicBlockTridiagSolver(diag, b_plus, b_minus)
 
-    def _banded_step(self, curr: np.ndarray, t: float) -> np.ndarray:
+    def _banded_step(self, curr: np.ndarray, t: float, k_curr=None):
+        """(Phi^{n+1}, K Phi^{n+1}); k_curr, when given, is K Phi^n."""
         half = 0.5 * self.tau
         ev, ea, solver = self._kept(self._factor, t + half)
-        rhs = 1j * curr + half * apply_k(self.space, curr, ev, ea)
+        k_curr = apply_k(self.space, curr, ev, ea) if k_curr is None else k_curr
+        rhs = 1j * curr + half * k_curr
         new = solver.solve(rhs)
 
         # relative residual of every solve, each field of a batch on its own
-        lhs = 1j * new - half * apply_k(self.space, new, ev, ea)
+        k_new = apply_k(self.space, new, ev, ea)
+        lhs = 1j * new - half * k_new
         resid = float((_field_norms(lhs - rhs) / (_field_norms(rhs) + 1e-300)).max())
         self.diagnostics = SolverDiagnostics(resid, 1)
         if resid > RESIDUAL_TOL:
@@ -148,7 +164,7 @@ class CNStepper(Stepper):
                 f"CNFD linear residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}",
                 step=self.n, diagnostics=self.diagnostics,
             )
-        return new
+        return new, k_new
 
     # -- fp: per-mode free inverse plus fixed point ----------------------------
     def _fixed_point_step(self, curr: np.ndarray, t: float) -> np.ndarray:
@@ -251,11 +267,13 @@ class LFStepper(Stepper):
         return prev - 2j * self.tau * apply_k(self.space, curr, ev, ea)
 
 
-def _free_multipliers(grid: TorusGrid, t: float):
+def _free_multipliers(grid: TorusGrid, t: float, sigma1_basis: bool = False):
     mu = grid.mu_fft
     delta = np.sqrt(1.0 + mu * mu)
     c = np.cos(t * delta)
     s = np.sin(t * delta) / delta
+    if sigma1_basis:  # c I2 - i s (mu sigma3 + sigma1)
+        return sym2(c - 1j * s * mu, -1j * s, c + 1j * s * mu)
     return sym2(c - 1j * s, -1j * s * mu, c + 1j * s)
 
 
@@ -285,15 +303,12 @@ class TSFPStepper(Stepper):
     def _prepare(self):
         self._free_mult = _free_multipliers(self.grid, self.tau)
 
-    def _potential_multipliers(self, s: float, t: float):
-        """(m11, m12, m22) of exp(-i s eps (V I2 - A1 sigma1)) at time t."""
-        ev, ea = self._kept(self._eps_potentials, t)
+    def _half_flow(self, t: float):
+        """(m11, m12, m22) of exp(-i s eps (V I2 - A1 sigma1)) at time t, s = tau/2."""
+        ev, ea, s = *self._kept(self._eps_potentials, t), 0.5 * self.tau
         phase = np.exp(-1j * s * ev)
         u = phase * np.cos(s * ea)
         return sym2(u, 1j * phase * np.sin(s * ea), u)
-
-    def _half_flow(self, t: float):
-        return self._potential_multipliers(0.5 * self.tau, t)
 
     def _step(self, prev, curr, t) -> np.ndarray:
         first = self._kept(self._half_flow, t + 0.25 * self.tau)
@@ -301,23 +316,24 @@ class TSFPStepper(Stepper):
         return apply_sym2(last, _apply_free(apply_sym2(first, curr), self._free_mult))
 
     def _loop(self, n_steps: int) -> None:
-        """The step loop with interior potential half steps merged into full
-        ones.  It works in two (2, N) buffers, one scratch array and the full
-        step's multipliers made once per call, and leaves a fresh array."""
+        """A time-independent run on sqrt2 psi = (phi1 + phi2, phi1 - phi2) by scipy.fft,
+        interior half steps merged into full ones; back once, by an exact 0.5."""
         if not self._time_independent:
             return super()._loop(n_steps)
-        half, full = self._kept(self._half_flow, 0.0), self._potential_multipliers(self.tau, 0.0)
-        x, y, tmp = (np.empty_like(self._curr) for _ in range(3))
-        apply_sym2(half, self._curr, out=x, tmp=tmp)
+        from scipy.fft import fft, ifft  # here only: importing scipy.fft costs 64 ms
+        ev, ea = self._kept(self._eps_potentials, 0.0)
+        w = np.stack((ev - ea, ev + ea))  # eps (V -+ A1)
+        half, full = np.exp(-0.5j * self.tau * w), np.exp(-1j * self.tau * w)
+        free, tmp = _free_multipliers(self.grid, self.tau, True), np.empty_like(self._curr)
+        x = np.stack((self._curr[0] + self._curr[1], self._curr[0] - self._curr[1])) * half
         for k in range(n_steps):
-            np.fft.fft(x, axis=-1, out=y)
-            apply_sym2(self._free_mult, y, out=x, tmp=tmp)
-            np.fft.ifft(x, axis=-1, out=y)
+            y = fft(x, axis=-1)
+            x = ifft(apply_sym2(free, y, out=y, tmp=tmp), axis=-1)
             if k < n_steps - 1:
-                apply_sym2(full, y, out=x, tmp=tmp)
-        self._curr = apply_sym2(half, y, tmp=tmp)
-        self.n += n_steps
-        self.t += n_steps * self.tau
+                x *= full
+        x *= half
+        self._curr = 0.5 * np.stack((x[0] + x[1], x[0] - x[1]))
+        self.n, self.t = self.n + n_steps, self.t + n_steps * self.tau
 
 
 class EXStepper(Stepper):

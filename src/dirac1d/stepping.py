@@ -82,14 +82,12 @@ from .model import DiracProblem, apply_k, discrete_energy
 # Dense-power rule (see the module docstring).  The rates are measured with
 # one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
 # matmul at m = 128 .. 512 runs 6.3e9 .. 6.6e9 multiply-adds per second,
-# the merged TSFP loop 35 us + 0.05 us * N per step (N = 8 .. 512).  Since
-# that loop works in preallocated buffers it runs 17 .. 20 us + 0.02 ..
-# 0.06 us * N (same machine, N = 8 .. 512; 66 .. 84 us at N = 1024).  STEP_S
-# and STEP_S_PER_NODE keep the earlier rate: a lower per-step cost would
-# move runs near the crossover from dense to stepwise, and so change their
-# rounding, while at the earlier rate every run takes the path it took
-# before.  For TSFP the rule now over-prices the loop as well as the dense
-# path (`dense_power_pays`).
+# the merged TSFP loop 35 us + 0.05 us * N per step (N = 8 .. 512).  In the
+# sigma1 eigenbasis through scipy.fft it now runs 12 .. 14 us at N = 8 .. 64
+# and 38 .. 42 us at N = 1024 (47 us before; same machine).  STEP_S and
+# STEP_S_PER_NODE keep the earlier rate: a lower one would move runs near
+# the crossover from dense to stepwise, and so change their rounding.  For
+# TSFP the rule over-prices the loop as well as the dense path.
 DENSE_MAX_SIZE = 512
 MATMUL_MAC_PER_S = 6e9
 STEP_S = 35e-6
@@ -159,8 +157,8 @@ def k_matrix(space, ev: np.ndarray, ea: np.ndarray) -> np.ndarray:
 
 def whole_steps(t: float, tau: float, what: str = "horizon", step: str = "tau") -> int:
     """n >= 0 with n tau = t to 1e-9 max(1, |t|), for runs and references alike."""
-    if not (math.isfinite(t) and math.isfinite(tau)):
-        raise ConfigurationError(f"{what} {t} and {step}={tau} must be finite")
+    if not (math.isfinite(t) and math.isfinite(tau)) or tau == 0:  # -0.0 too
+        raise ConfigurationError(f"{what} {t} and {step}={tau} must be finite, {step} nonzero")
     n = int(round(t / tau))
     if n < 0 or abs(n * tau - t) > 1e-9 * max(1.0, abs(t)):
         raise ConfigurationError(

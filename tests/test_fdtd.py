@@ -3,7 +3,10 @@ conservation, and the forward-Euler launch of the three-level schemes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dirac1d.schemes as schemes
 from dirac1d import (
     ConfigurationError,
     DiracProblem,
@@ -295,6 +298,38 @@ class TestConservation:
         st.advance()
         assert st.diagnostics.linear_residual <= 1e-12
         assert st.diagnostics.iterations == 1
+
+
+class TestCNFDLoop:
+    """The time-independent CNFD loop hands each step's K Phi^{n+1}, which
+    the residual guard computes, to the next step as K Phi^n."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(n_nodes=st.sampled_from([64, 128, 300]), eps=st.sampled_from([0.0, 1.0, 0.25]),
+           tau=st.sampled_from([0.05, -0.01, 0.3]), n=st.integers(1, 30))
+    def test_stepwise_propagate_equals_advance_bit_for_bit(self, n_nodes, eps, tau, n):
+        prob = benchmark_problem(N=n_nodes, eps=eps)
+        looped, stepped = make_stepper("cnfd", prob, tau), make_stepper("cnfd", prob, tau)
+        assert not looped.takes_dense_power(n)  # short runs step
+        looped.propagate(n)
+        for _ in range(n):
+            stepped.advance()
+        assert looped.propagation == {"stepwise"} and (looped.n, looped.t) == (n, stepped.t)
+        assert np.array_equal(looped.phi.values, stepped.phi.values)
+        assert looped.diagnostics == stepped.diagnostics
+
+    def test_guard_failure_raises_at_its_step_inside_the_loop(self, monkeypatch):
+        stepper = make_stepper("cnfd", benchmark_problem(N=300), 0.01)
+        stepper.propagate(3)
+        kept = stepper.phi.copy().values
+        monkeypatch.setattr(schemes, "RESIDUAL_TOL", -1.0)  # every solve fails its guard
+        with pytest.raises(schemes.SolverError, match="CNFD linear residual") as caught:
+            stepper.propagate(5)
+        assert caught.value.step == 3 and stepper.n == 3
+        assert caught.value.diagnostics is stepper.diagnostics
+        assert 0.0 <= caught.value.diagnostics.linear_residual <= 1e-12
+        assert caught.value.diagnostics.iterations == 1
+        assert np.array_equal(stepper.phi.values, kept)  # the failed step left no trace
 
 
 class TestGuards:

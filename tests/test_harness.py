@@ -1,6 +1,8 @@
 """Simulation driver, error measurement, tables and CSV emission."""
 
+import ctypes
 import dataclasses
+import glob
 import math
 import pickle
 import warnings
@@ -113,7 +115,7 @@ def sync_pools(monkeypatch):
     pools made, one per table run with workers > 1."""
     pools = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
-                        lambda max_workers: SyncPool(pools, max_workers))
+                        lambda max_workers, initializer=None: SyncPool(pools, max_workers))
     return pools
 
 
@@ -389,10 +391,14 @@ class TestConfigurationErrors:
                                 SchemeConfig("cnfd", 0.1, t_final=math.nan)),
          "horizon nan and tau=0.1 must be finite"),
         (lambda: whole_steps(math.inf, 0.1), "horizon inf and tau=0.1 must be finite"),
+        (lambda: whole_steps(0.2, 0.0), "horizon 0.2 and tau=0.0 must be finite, tau nonzero"),
+        (lambda: whole_steps(0.2, -0.0, "snapshot time", "tau_e"),
+         "snapshot time 0.2 and tau_e=-0.0 must be finite, tau_e nonzero"),
     ], ids=["record-mode", "record-every", "reference-kind", "no-exact-alias", "negative-bound",
             "nan-bound", "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
             "other-interval", "time-dependent-energy", "exact-tau_e", "infinite-tau",
-            "nan-tau", "nan-horizon", "infinite-whole-steps"])
+            "nan-tau", "nan-horizon", "infinite-whole-steps", "zero-whole-steps",
+            "negative-zero-whole-steps"])
     def test_raises_with_its_message(self, make, message):
         with pytest.raises(ConfigurationError, match=message):
             make()
@@ -685,6 +691,17 @@ class TestConvergenceTables:
         assert np.all(np.isfinite(table.errors("e_phi")))
         [pool] = sync_pools
         assert len(pool.tasks) == pool.max_workers == 3
+
+    def test_pooled_task_runs_one_blas_thread(self, monkeypatch):
+        libs = glob.glob(np.__path__[0] + "/../numpy.libs/libscipy_openblas*.so")
+        if not libs:
+            pytest.skip("numpy has no bundled scipy-openblas library to read the count from")
+        threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        before = threads()
+        # the workers are forked, so they run this task in place of a table's
+        monkeypatch.setattr(harness, "_run_row", lambda *task: [threads()])
+        assert harness._run_tasks([("a",), ("b",)], workers=2) == [[1], [1]]
+        assert threads() == before  # the parent keeps its own count
 
     def test_pool_tasks_submitted_once_longest_first(self, sync_pools):
         setup, eps_list, h0, tau = preset("periodic-s51", 1.0), [1.0, 0.5, 0.25], np.pi / 4, 0.02

@@ -6,6 +6,8 @@ import dataclasses
 import importlib.util
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,26 +258,34 @@ class TestBitIdentity:
         return np.fft.ifft(stacked_products(*f, np.fft.fft(v, axis=-1)), axis=-1)
 
     def test_stepwise_propagate_equals_the_merged_recurrence(self):
+        # in the sigma1 eigenbasis, sqrt2 psi = (phi1 + phi2, phi1 - phi2): the
+        # potential flow is diagonal, exp(-i s eps (V -+ A1)), the free flow is
+        # c I - i s (mu sigma3 + sigma1), and the transforms are scipy.fft's
+        from scipy.fft import fft, ifft
+
         prob = preset("periodic-s51", 0.25).discretize(N=1024)
         tau = 1e-3
         stepper = make_stepper("tsfp", prob, tau)
         ev, ea = stepper._eps_potentials(0.0)
+        half, full = (np.stack((np.exp(-1j * s * (ev - ea)), np.exp(-1j * s * (ev + ea))))
+                      for s in (0.5 * tau, tau))
+        delta = np.sqrt(1.0 + prob.grid.mu_fft ** 2)
+        c, s = np.cos(tau * delta), np.sin(tau * delta) / delta
+        free = (c - 1j * s * prob.grid.mu_fft, -1j * s, c + 1j * s * prob.grid.mu_fft)
 
-        def potential(s):
-            phase = np.exp(-1j * s * ev)
-            u = phase * np.cos(s * ea)
-            return u, 1j * phase * np.sin(s * ea), u
+        def rotate(v):
+            return np.stack((v[0] + v[1], v[0] - v[1]))
 
-        half, full = potential(0.5 * tau), potential(tau)
-        free = self.free_multipliers(prob.grid, tau)
-        x = prob.phi0.values
+        phi = prob.phi0.values
         for n in (150, 1, 49):  # each call merges its interior half steps
             stepper.propagate(n)
-            x = stacked_products(*half, x)
+            # x * m, not m * x: numpy's complex product need not commute bitwise
+            x = rotate(phi) * half
             for _ in range(n - 1):
-                x = stacked_products(*full, self.free_flow(free, x))
-            x = stacked_products(*half, self.free_flow(free, x))
-            assert_bitwise_equal(stepper.phi.values, x)
+                x = ifft(stacked_products(*free, fft(x, axis=-1)), axis=-1) * full
+            x = ifft(stacked_products(*free, fft(x, axis=-1)), axis=-1) * half
+            phi = 0.5 * rotate(x)
+            assert_bitwise_equal(stepper.phi.values, phi)
         assert stepper.propagation == {"stepwise"} and stepper.n == 200
 
     def test_free_dirac_exact_equals_the_stacked_products(self):
@@ -284,6 +294,27 @@ class TestBitIdentity:
         for t in (3.7, -0.25):
             assert_bitwise_equal(free_dirac_exact(phi0, t).values,
                                  self.free_flow(self.free_multipliers(grid, t), phi0.values))
+
+
+def test_scipy_fft_is_imported_by_the_stepwise_tsfp_loop_alone():
+    # importing scipy.fft costs about 64 ms, which every pool worker of a
+    # table whose references are dense-powered would pay
+    code = """if True:
+        import sys
+        import dirac1d
+        from dirac1d import make_stepper, preset
+        assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+        dense = make_stepper("tsfp", preset("periodic-s51", 1.0).discretize(N=16), 0.01)
+        dense.propagate(1000)
+        assert dense.propagation == {"dense-power"} and "scipy.fft" not in sys.modules
+        loop = make_stepper("tsfp", preset("periodic-s51", 1.0).discretize(N=512), 0.01)
+        loop.propagate(3)
+        assert loop.propagation == {"stepwise"} and "scipy.fft" in sys.modules
+    """
+    src = str(Path(reference.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
 
 
 class TestNoAliasing:
@@ -586,16 +617,19 @@ class TestCache:
         assert k1 != reference_cache_key(setup.with_epsilon(0.5), 0.1, 1e-3, [2.0])
 
     def test_tsfp_key_is_pinned(self, monkeypatch):
-        # the digest of the npz format; a DREF2 file carries the old digest,
-        # so it is never found under the new key
+        # the digest of the npz format and the sigma1-basis TSFP loop; a file
+        # of the earlier loop (b09b9ef9...) or of DREF2 is never found under it
         setup = preset("periodic-s51", 1.0)
-        pinned = "b09b9ef9df17fd6ff2d1c617f050e80a310ea3ef2468fc9680bb5540cb51ddfb"
+        pinned = "65984e72069b2ba65f25aa15f5bf78d76fc481757ac1fed69622712e369f195e"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == pinned
-        # exfp keeps the digest of the former "exact" kind, so warm caches still hit
+        # exfp keeps the digest of the former "exact" kind, and exfd its own,
+        # so warm caches of the exact flows still hit
         exact = "a9cca81028e9980a3af3aa11b938beb37ad1e11232a8a768f8604effb6d767a8"
         assert reference_cache_key(setup.with_epsilon(0.0), 0.1, "exfp", [2.0]) == exact
+        exfd = "ba597e0c1c52fe5892aeb061a5f61f20202d50e1afa50fec7b782a85be3ccdbf"
+        assert reference_cache_key(setup.with_epsilon(0.0), 0.1, "exfd", [2.0]) == exfd
         monkeypatch.setattr(reference, "FORMAT", "DREF2")
-        dref2 = "020a5cd0371458b4c33f37957a9141fcdfc3aa7830d503ac265281012e4fc2a9"
+        dref2 = "4cacc3bdcd436afbfb9f4a1b77a99f258a68d8695a7200ed61cf46c5b492bb4c"
         assert reference_cache_key(setup, 0.1, 1e-3, [2.0]) == dref2
 
     def test_key_names_the_kind(self):

@@ -577,7 +577,7 @@ class TestKeptCoefficients:
         prob = DiracProblem(grid, 1.0, pots, random_field(grid, 3), T0=2.0)
         factors = count_calls(monkeypatch, CyclicBlockTridiagSolver, "__init__")
         inverses = count_calls(monkeypatch, SI1Stepper, "_invert")
-        flows = count_calls(monkeypatch, TSFPStepper, "_potential_multipliers")
+        flows = count_calls(monkeypatch, TSFPStepper, "_half_flow")
         for scheme in ("cnfd", "sifd1", "sifp1", "tsfp"):
             stepper = make_stepper(scheme, prob, 1e-2)
             for _ in range(100):
@@ -586,7 +586,7 @@ class TestKeptCoefficients:
         assert len(factors) == 100
         assert len(inverses) == 2 * 99  # sifd1 and sifp1, after their launch
         assert len(flows) == 2 * 100  # two half steps of the potential per step
-        assert [args[1] for args in flows[:2]] == [0.5e-2, 0.5e-2]
+        assert [args[1] for args in flows[:2]] == [0.25e-2, 0.75e-2]  # t + tau/4, t + 3tau/4
 
     @pytest.mark.parametrize("scheme", ["cnfd", "tsfp"])
     def test_the_memo_holds_no_reference_to_its_stepper(self, scheme):
