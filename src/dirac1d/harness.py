@@ -15,12 +15,10 @@ Every run, table cell and compared scheme gets its stepper through one
 gate, `_checked_stepper` (finite tau and horizon, stability verdict, whole
 number of steps).
 `check_bounds` samples the potentials where the horizon is fixed: once
-per run, per `compare_over_time` and per table row.  A run that records
-and watches nothing powers the one-step matrix ("dense-power"); any other
-run takes each step through `Stepper.advance`, as one mat-vec with that
-matrix once it repays its build ("dense-step", the energy then through K
-as a matrix) or by the scheme's own step ("stepwise"), and is judged for
-blow-up at each step alike.
+per run, per `compare_over_time` and per table row.  Runs and cells move
+by `Stepper.run`, which picks the path and judges blow-up
+(:mod:`dirac1d.stepping`); a run maps its `SchemeConfig` to what `run`
+observes and watches.
 
 A table is split into independent tasks: one per eps-row reference and one
 per cell.  A cell's run does not need the reference, only its error does,
@@ -43,6 +41,7 @@ import ctypes
 import glob
 import io
 import math
+import numbers
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -87,8 +86,11 @@ class SchemeConfig:
     def __post_init__(self):
         if self.record not in ("none", "mass", "mass+energy"):
             raise ConfigurationError(f"unknown record mode {self.record!r}")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
+        every, ratio = self.record_every, self.stop_norm_ratio
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ConfigurationError(f"record_every must be >= 1 and an integer, got {every!r}")
+        if ratio is not None and not ratio > 1:  # NaN too
+            raise ConfigurationError(f"stop_norm_ratio must be above 1, got {ratio!r}")
 
 
 @dataclass
@@ -131,27 +133,15 @@ def _checked_stepper(problem: DiracProblem, scheme: str, tau: float, t_final: fl
     return stepper, whole_steps(t_final, tau)
 
 
-def _finite(f: SpinorField) -> bool:
-    # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
-    return bool(np.isfinite(f.values.sum()))
-
-
 def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationResult:
     """Drive a scheme from Phi0 to the horizon, recording observables.
 
     Refuses configurations outside the scheme's stability region unless
     config.override_stability is set (needed for blow-up witness runs).
-    Blow-up ends the run and is reported, not raised: a recorded step whose
-    sum is not finite, or any step whose mass exceeds stop_norm_ratio^2
-    times the first, is recorded like every other observation and is the
-    last step.  A run that records nothing, watches no norm, keeps the
-    stability check and for which the matrix pays
-    (`Stepper.takes_dense_power`) powers the one-step matrix instead; only
-    its final state is then checked.  Any other run takes every step through
-    `Stepper.advance`: as one mat-vec with the one-step matrix when that
-    pays (`Stepper.takes_dense_steps`, propagation "dense-step"), with
-    `Stepper.energy` then through K as a matrix; else by the scheme's own
-    step ("stepwise").
+    `Stepper.run` picks the path and ends the run at a blow-up, reported,
+    not raised: a recorded step whose sum is not finite, or any step whose
+    mass exceeds stop_norm_ratio^2 times the first, is recorded like every
+    other observation and is the last step.
     """
     t_final = problem.t_final if config.t_final is None else config.t_final
     stepper, n_steps = _checked_stepper(problem, config.scheme, config.tau, t_final,
@@ -161,46 +151,19 @@ def run_simulation(problem: DiracProblem, config: SchemeConfig) -> SimulationRes
 
     record_mass = config.record in ("mass", "mass+energy")
     record_energy = config.record == "mass+energy"
-    if record_energy and not problem.time_independent:
-        raise ConfigurationError("energy recording needs time-independent potentials")
-    watch = config.stop_norm_ratio is not None
-    powered = (config.record == "none" and not watch and not config.override_stability
-               and stepper.takes_dense_power(n_steps))
-    by_matrix = not powered and stepper.takes_dense_steps(n_steps)
-
-    t0 = time.perf_counter()
-    if by_matrix:
-        stepper.step_by_matrix()
-
     times, masses, energies = [], [], []
 
     def observe(t):
-        if record_mass:
-            times.append(t)
-            masses.append(mass(stepper.phi))
-            if record_energy:
-                energies.append(stepper.energy())
+        times.append(t)
+        masses.append(mass(stepper.phi))
+        if record_energy:
+            energies.append(stepper.energy())
 
-    observe(0.0)
-    stop_mass = (config.stop_norm_ratio ** 2) * mass(stepper.phi) if watch else None
-
-    blowup_step = None
-    if powered:
-        stepper.propagate(n_steps)
-    else:
-        if n_steps:
-            stepper.propagation.add("dense-step" if by_matrix else "stepwise")
-        for k in range(1, n_steps + 1):
-            stepper.advance()
-            escaped = watch and not mass(stepper.phi) <= stop_mass  # NaN escapes too
-            if escaped or k % config.record_every == 0 or k == n_steps:
-                observe(stepper.t)
-                if escaped or not _finite(stepper.phi):
-                    blowup_step = k
-                    break
+    ratio = config.stop_norm_ratio
+    t0 = time.perf_counter()
+    blowup_step = stepper.run(n_steps, config.record_every, observe if record_mass else None,
+                              None if ratio is None else ratio ** 2 * mass(stepper.phi))
     wall = time.perf_counter() - t0
-    if blowup_step is None and not _finite(stepper.phi):
-        blowup_step = n_steps
 
     return SimulationResult(
         scheme=config.scheme.lower(),
@@ -306,10 +269,10 @@ def _run_cell(setup: ProblemSetup, scheme: str, h: float, tau: float,
     blew up; a ConfigurationError propagates."""
     try:
         stepper, n_steps = _checked_stepper(setup.discretize(h=h), scheme, tau, t_target)
-        stepper.propagate(n_steps)
+        blew_up = stepper.run(n_steps) is not None
     except (StabilityError, SolverError):
         return None
-    return stepper.phi.copy() if _finite(stepper.phi) else None
+    return None if blew_up else stepper.phi.copy()
 
 
 def _run_row(task: str, *args) -> list:

@@ -367,7 +367,7 @@ class EXStepper(Stepper):
         return np.moveaxis(new.reshape(2, self.grid.N, *curr.shape[1:-1]), 1, -1)
 
     def takes_dense_power(self, n_steps: int) -> bool:
-        return n_steps > 0  # `propagate` is one flow for any n and never builds M
+        return n_steps > 0  # so an unobserved run is one `propagate`: one flow, never M
 
     def propagate(self, n_steps: int) -> None:
         if n_steps > 0:

@@ -65,6 +65,16 @@ not.  The step's arithmetic order differs from `_step`'s, so the states
 agree with the loop's up to rounding, as powering's do.
 `operator_matrix` builds M, and K (`k_matrix`), column block by column
 block from the operator's own code, so neither is written out twice.
+
+`Stepper.run(n, every, observe, stop_mass)` is the one method that picks a
+run's path, for `run_simulation` and table cells alike.  A run that
+observes and watches nothing is one `propagate` when every is None (a cell)
+or `takes_dense_power(n)` holds.  Any other run steps through `advance`,
+after `step_by_matrix` when `takes_dense_steps(n)` holds and before the
+start's observation (so its energy too goes through K as a matrix), and
+calls observe(t) at the start, after every `every`th and the last step, and
+after a step whose mass passes stop_mass (NaN too).  It ends there or at an
+observed step that is not finite, and returns that step, else None.
 """
 
 from __future__ import annotations
@@ -77,7 +87,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import SPACE_OPERATORS, SpinorField
-from .model import DiracProblem, apply_k, discrete_energy
+from .model import DiracProblem, apply_k, discrete_energy, mass
 
 # Dense-power rule (see the module docstring).  The rates are measured with
 # one BLAS thread on a 2-core x86-64 VM (OpenBLAS 0.3, numpy 2.4): complex
@@ -354,6 +364,32 @@ class Stepper:
             self.advance()
             n_steps -= 1
         self._dense_power(n_steps)
+
+    def run(self, n_steps: int, every: Optional[int] = None, observe=None,
+            stop_mass: Optional[float] = None) -> Optional[int]:
+        """Advance n_steps along the path this method picks (module
+        docstring); the step of a blow-up, counted from here, or None."""
+        if observe is None and stop_mass is None and (every is None
+                                                      or self.takes_dense_power(n_steps)):
+            self.propagate(n_steps)
+        else:
+            by_matrix = self.takes_dense_steps(n_steps)
+            if by_matrix:
+                self.step_by_matrix()  # before the start's observation: its energy by K too
+            observe = observe or (lambda t: None)
+            observe(self.t)
+            if n_steps:
+                self.propagation.add("dense-step" if by_matrix else "stepwise")
+            stride = every or n_steps
+            for k in range(1, n_steps + 1):
+                self.advance()
+                escaped = stop_mass is not None and not mass(self.phi) <= stop_mass  # NaN too
+                if escaped or k % stride == 0 or k == n_steps:
+                    observe(self.t)
+                    if escaped or not np.isfinite(self._curr.sum()):
+                        return k
+        # one reduction over every node: a NaN or inf anywhere makes the sum non-finite
+        return None if np.isfinite(self._curr.sum()) else n_steps
 
     def propagate_to(self, t: float, *words: str) -> None:
         """Advance to time t, a whole number of steps (`whole_steps(t, tau, *words)`)."""

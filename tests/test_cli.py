@@ -105,6 +105,16 @@ class TestRun:
         })
         assert main(["run", cfg, "--override-stability"]) == 4
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.0])
+    def test_stop_norm_ratio_not_above_1_exits_2(self, tmp_path, capsys, ratio):
+        # a stable run, which such a ratio would report as a blow-up at step 1
+        cfg = write_config(tmp_path, {
+            "problem": "periodic-s51", "epsilon": 1.0, "scheme": "cnfd", "N": 32,
+            "tau": 0.01, "t_final": 0.5, "stop_norm_ratio": ratio,
+        })
+        assert main(["run", cfg]) == 2
+        assert f"stop_norm_ratio must be above 1, got {ratio}" in capsys.readouterr().err
+
     def test_missing_keys_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": "periodic-s51"})
         assert main(["run", cfg]) == 2

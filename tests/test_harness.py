@@ -204,6 +204,16 @@ class TestRunSimulation:
                                                       record=record))
             assert short.propagation == "stepwise"
 
+    def test_override_picks_no_path(self):
+        # the stability override lifts the verdict only: an override run
+        # that records and watches nothing powers M where that pays
+        prob = preset("periodic-s51", 0.25).discretize(N=16)
+        plain, forced = (run_simulation(prob, SchemeConfig("lffp", 1e-3, t_final=4.0,
+                                                           record="none", override_stability=o))
+                         for o in (False, True))
+        assert plain.propagation == forced.propagation == "dense-power"
+        np.testing.assert_array_equal(forced.final.values, plain.final.values)
+
     def test_unrecorded_exact_flow_is_one_propagate_at_any_size(self):
         # m = 2N = 1024 prices the one-step matrix out, yet the flow never
         # builds it: one eigh flow instead of 200 steps of two mat-vecs
@@ -363,6 +373,16 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize("make, message", [
         (lambda: SchemeConfig("cnfd", 0.1, record="all"), "unknown record mode 'all'"),
         (lambda: SchemeConfig("cnfd", 0.1, record_every=0), "record_every must be >= 1"),
+        (lambda: SchemeConfig("cnfd", 0.1, record_every=1.5),
+         "record_every must be >= 1 and an integer, got 1.5"),
+        (lambda: SchemeConfig("cnfd", 0.1, record_every=True),
+         "record_every must be >= 1 and an integer, got True"),
+        (lambda: SchemeConfig("cnfd", 0.1, stop_norm_ratio=math.nan),
+         "stop_norm_ratio must be above 1, got nan"),
+        (lambda: SchemeConfig("cnfd", 0.1, stop_norm_ratio=0.5),
+         "stop_norm_ratio must be above 1, got 0.5"),
+        (lambda: SchemeConfig("cnfd", 0.1, stop_norm_ratio=1.0),
+         "stop_norm_ratio must be above 1, got 1.0"),
         (lambda: ReferenceConfig(kind="spline"), "unknown reference kind 'spline'"),
         (lambda: ReferenceConfig(kind="exact"), "unknown reference kind 'exact'"),
         (lambda: PotentialPair(model._zero_evaluator, model._zero_evaluator, True, -1.0, 0.0),
@@ -394,11 +414,12 @@ class TestConfigurationErrors:
         (lambda: whole_steps(0.2, 0.0), "horizon 0.2 and tau=0.0 must be finite, tau nonzero"),
         (lambda: whole_steps(0.2, -0.0, "snapshot time", "tau_e"),
          "snapshot time 0.2 and tau_e=-0.0 must be finite, tau_e nonzero"),
-    ], ids=["record-mode", "record-every", "reference-kind", "no-exact-alias", "negative-bound",
-            "nan-bound", "non-finite-potential", "mesh-and-nodes", "zero-tau_e", "snapshot-lookup",
-            "other-interval", "time-dependent-energy", "exact-tau_e", "infinite-tau",
-            "nan-tau", "nan-horizon", "infinite-whole-steps", "zero-whole-steps",
-            "negative-zero-whole-steps"])
+    ], ids=["record-mode", "record-every", "record-every-float", "record-every-bool",
+            "nan-stop-norm", "stop-norm-below-1", "stop-norm-1", "reference-kind",
+            "no-exact-alias", "negative-bound", "nan-bound", "non-finite-potential",
+            "mesh-and-nodes", "zero-tau_e", "snapshot-lookup", "other-interval",
+            "time-dependent-energy", "exact-tau_e", "infinite-tau", "nan-tau", "nan-horizon",
+            "infinite-whole-steps", "zero-whole-steps", "negative-zero-whole-steps"])
     def test_raises_with_its_message(self, make, message):
         with pytest.raises(ConfigurationError, match=message):
             make()

@@ -670,6 +670,65 @@ class TestSnapshotsAndEnergy:
             stepper.energy()
 
 
+class TestRun:
+    """`Stepper.run`, the one method that picks a run's path."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES + ["exfp"])
+    @pytest.mark.parametrize("n_nodes, n_steps", [(16, 0), (16, 40), (16, 1000), (64, 300)])
+    def test_unobserved_run_is_propagate(self, scheme, n_nodes, n_steps):
+        prob = preset("periodic-s51", 0.5).discretize(N=n_nodes)
+        ran, propagated = (make_stepper(scheme, prob, 1e-3) for _ in range(2))
+        assert ran.run(n_steps) is None
+        propagated.propagate(n_steps)
+        np.testing.assert_array_equal(ran.phi.values, propagated.phi.values)
+        assert ran.propagation == propagated.propagation
+        assert (ran.n, ran.t) == (propagated.n, propagated.t)
+
+    @pytest.mark.parametrize("every, n_steps, blown, path", [
+        (None, 1000, 1000, {"dense-power"}), (None, 100, 100, {"stepwise"}), (None, 0, 0, set()),
+        (1, 1000, 1000, {"dense-power"}), (1, 100, 1, {"stepwise"})])
+    def test_unobserved_run_finds_a_blowup(self, every, n_steps, blown, path):
+        # a run by `propagate` is judged at its end; a stepped one at every
+        # `every`th step
+        prob = preset("periodic-s51", 0.5).discretize(N=64)
+        values = prob.phi0.values.copy()
+        values[1, 5] = np.nan
+        stepper = make_stepper("cnfd", replace(prob, phi0=SpinorField(prob.grid, values)), 1e-3)
+        assert stepper.run(n_steps, every) == blown == stepper.n
+        assert stepper.propagation == path
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_steps=st.integers(0, 60), every=st.integers(1, 12), poison=st.integers(1, 80),
+           scheme=st.sampled_from(["cnfd", "lffp", "tsfp"]), watch=st.booleans())
+    @example(n_steps=60, every=7, poison=16, scheme="lffp", watch=False)  # observed at 21
+    @example(n_steps=60, every=7, poison=16, scheme="lffp", watch=True)   # ends at 16
+    def test_schedule(self, n_steps, every, poison, scheme, watch):
+        # a NaN written after step `poison`: a watched mass ends the run at
+        # once, else the next observation finds it
+        stepper = make_stepper(scheme, preset("periodic-s51", 0.5).discretize(N=8), 1e-2)
+        advance = stepper.advance
+
+        def advance_then_poison():
+            advance()
+            if stepper.n == poison:
+                stepper._curr[0, 3] = np.nan
+        stepper.advance = advance_then_poison
+        seen = []
+
+        def observe(t):
+            assert t == stepper.t
+            seen.append(stepper.n)
+
+        blown = stepper.run(n_steps, every, observe, np.inf if watch else None)
+        if poison > n_steps:
+            assert blown is None
+        else:
+            assert blown == (poison if watch else min(-(-poison // every) * every, n_steps))
+        end = n_steps if blown is None else blown
+        assert seen == sorted({*range(0, end + 1, every), end})
+        assert stepper.n == end
+
+
 # a stepper's own state, kept by `stepping.Stepper` and the scheme classes
 STEPPER_PRIVATE = {"_curr", "_prev", "_kept", "_eps_potentials", "_squares", "_step_rows",
                    "_memo"}
@@ -689,3 +748,22 @@ def test_no_module_reads_a_steppers_private_state():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 reads.append(f"{path.name}:{node.lineno} {node.attr}")
     assert reads == []
+
+
+# what picks a run's path, and the set that names the paths taken
+PATH_CALLS = {"takes_dense_power", "takes_dense_steps", "step_by_matrix"}
+
+
+def test_no_module_but_the_steppers_picks_a_path():
+    # `Stepper.run` picks every run's path; another module may read the
+    # paths taken as `propagation_label`, never as `.propagation`
+    source = Path(dirac1d.__file__).resolve().parent
+    names = []
+    for path in sorted(source.glob("*.py")):
+        if path.name in ("stepping.py", "schemes.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in PATH_CALLS | {"propagation"}
+                    or isinstance(node, ast.Name) and node.id in PATH_CALLS):
+                names.append(f"{path.name}:{node.lineno} {getattr(node, 'attr', None) or node.id}")
+    assert names == []
